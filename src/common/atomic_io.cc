@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace pp
@@ -33,6 +34,44 @@ writeAll(int fd, const char *data, std::size_t n)
             return false;
         }
         done += static_cast<std::size_t>(w);
+    }
+    return true;
+}
+
+/**
+ * Read the regular file open on @p fd whole into @p out. Sized by
+ * fstat, not by seeking to the end: a directory opens fine and has no
+ * meaningful size.
+ */
+bool
+readRegular(int fd, std::vector<std::uint8_t> &out, std::string *error)
+{
+    struct stat st {};
+    if (::fstat(fd, &st) != 0) {
+        setError(error, "cannot stat");
+        return false;
+    }
+    if (!S_ISREG(st.st_mode)) {
+        if (error != nullptr)
+            *error = "not a regular file";
+        return false;
+    }
+    out.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    while (done < out.size()) {
+        const ssize_t r = ::read(fd, out.data() + done, out.size() - done);
+        if (r < 0 && errno == EINTR)
+            continue;
+        if (r < 0) {
+            setError(error, "read error");
+            return false;
+        }
+        if (r == 0) {
+            if (error != nullptr)
+                *error = "read error: file shrank while reading";
+            return false;
+        }
+        done += static_cast<std::size_t>(r);
     }
     return true;
 }
@@ -93,6 +132,20 @@ appendLineDurable(const std::string &path, const std::string &line,
         return false;
     }
     return true;
+}
+
+bool
+readFileBytes(const std::string &path, std::vector<std::uint8_t> &out,
+              std::string *error)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+        setError(error, "cannot open");
+        return false;
+    }
+    const bool read = readRegular(fd, out, error);
+    ::close(fd);
+    return read;
 }
 
 } // namespace pp

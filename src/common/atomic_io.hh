@@ -20,13 +20,16 @@
  * Both return false with errno-style detail via @p error instead of
  * exiting: the fault-tolerant supervisor classifies I/O failures, it
  * must not die on them. Callers that want the old fatal() behavior wrap
- * the boolean.
+ * the boolean. readFileBytes(), the whole-file read the binary artifact
+ * loaders share, reports failure the same way.
  */
 
 #ifndef PP_COMMON_ATOMIC_IO_HH
 #define PP_COMMON_ATOMIC_IO_HH
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace pp
 {
@@ -45,6 +48,14 @@ bool writeFileAtomic(const std::string &path, const std::string &contents,
  */
 bool appendLineDurable(const std::string &path, const std::string &line,
                        std::string *error = nullptr);
+
+/**
+ * Read the whole of @p path into @p out. Returns false and fills
+ * @p error when the path cannot be opened, is not a regular file (a
+ * directory, say) or cannot be read to its end.
+ */
+bool readFileBytes(const std::string &path, std::vector<std::uint8_t> &out,
+                   std::string *error = nullptr);
 
 } // namespace pp
 

@@ -68,13 +68,14 @@ Emulator::recordConditions(std::vector<ConditionStream> *streams)
 }
 
 Emulator::Checkpoint
-Emulator::checkpoint() const
+Emulator::checkpoint(const Checkpoint *prev) const
 {
     Checkpoint c;
     c.intRegs = intRegs;
     c.fpRegs = fpRegs;
     c.predRegs = predRegs;
-    c.dataMem = dataMem;
+    c.dataMem = PagedImage::capture(
+        dataMem, prev != nullptr ? &prev->dataMem : nullptr);
     c.callStack = callStack;
     c.pc = curPc;
     c.numInsts = numInsts;
@@ -98,7 +99,7 @@ Emulator::restore(const Checkpoint &ckpt)
     fpRegs = ckpt.fpRegs;
     for (std::size_t i = 0; i < predRegs.size(); ++i)
         predRegs[i] = ckpt.predRegs[i] != 0 ? 1 : 0;
-    dataMem = ckpt.dataMem;
+    ckpt.dataMem.copyTo(dataMem);
     callStack = ckpt.callStack;
     curPc = ckpt.pc;
     curIdx = static_cast<std::uint32_t>(curPc / isa::instBytes);
@@ -196,7 +197,9 @@ Emulator::Checkpoint::serialize() const
     std::vector<std::uint8_t> out;
     putU64(out, kCkptMagic);
     putHead(out, *this);
-    putU64Vec(out, dataMem);
+    putU64(out, dataMem.size());
+    for (std::size_t i = 0; i < dataMem.size(); ++i)
+        putU64(out, dataMem[i]);
     putTail(out, *this);
     return out;
 }
@@ -209,7 +212,7 @@ Emulator::Checkpoint::deserialize(const std::vector<std::uint8_t> &bytes)
                "not an emulator checkpoint image (bad magic)");
     Checkpoint c;
     readHead(r, c);
-    c.dataMem = r.u64Vec();
+    c.dataMem = PagedImage::capture(r.u64Vec());
     readTail(r, c);
     r.expectEnd();
     return c;
@@ -223,15 +226,11 @@ Emulator::Checkpoint::serializeDelta(const Checkpoint &base) const
     std::vector<std::uint8_t> out;
     putU64(out, kCkptDeltaMagic);
     putHead(out, *this);
-    std::uint64_t changed = 0;
-    for (std::size_t i = 0; i < dataMem.size(); ++i)
-        changed += dataMem[i] != base.dataMem[i] ? 1 : 0;
-    putU64(out, changed);
-    for (std::size_t i = 0; i < dataMem.size(); ++i) {
-        if (dataMem[i] != base.dataMem[i]) {
-            putU64(out, i);
-            putU64(out, dataMem[i]);
-        }
+    const std::vector<std::size_t> changed = dataMem.diff(base.dataMem);
+    putU64(out, changed.size());
+    for (const std::size_t i : changed) {
+        putU64(out, i);
+        putU64(out, dataMem[i]);
     }
     putTail(out, *this);
     return out;
@@ -246,15 +245,16 @@ Emulator::Checkpoint::deserializeDelta(
                "not an emulator checkpoint delta image (bad magic)");
     Checkpoint c;
     readHead(r, c);
-    c.dataMem = base.dataMem;
+    PagedImage::Builder mem(base.dataMem);
     const std::size_t changed = r.length(2);
     for (std::size_t i = 0; i < changed; ++i) {
         const std::uint64_t idx = r.u64();
-        panicIfNot(idx < c.dataMem.size(),
+        panicIfNot(idx < base.dataMem.size(),
                    std::string(kCkptWhat) +
                        " delta touches memory out of range");
-        c.dataMem[idx] = r.u64();
+        mem.set(static_cast<std::size_t>(idx), r.u64());
     }
+    c.dataMem = std::move(mem).publish();
     readTail(r, c);
     r.expectEnd();
     return c;

@@ -37,6 +37,7 @@
 #include "isa/registers.hh"
 #include "program/condition.hh"
 #include "program/decoded.hh"
+#include "program/paged_image.hh"
 #include "program/program.hh"
 
 namespace pp
@@ -208,7 +209,8 @@ class Emulator
         std::vector<std::uint64_t> intRegs;
         std::vector<std::uint64_t> fpRegs;
         std::vector<std::uint8_t> predRegs;
-        std::vector<std::uint64_t> dataMem;
+        /** Data segment; its pages may be shared with other checkpoints. */
+        PagedImage dataMem;
         std::vector<Addr> callStack;
         Addr pc = 0;
         std::uint64_t numInsts = 0;
@@ -225,20 +227,29 @@ class Emulator
          * Delta image against @p base (an earlier checkpoint of the
          * same execution): dataMem — by far the bulk of the state — is
          * encoded as sparse (index, word) pairs of the words that
-         * differ from base; every other field is stored whole. A
-         * sequence of mid-program checkpoints is dominated by untouched
-         * memory, so this shrinks serialized sets by orders of
-         * magnitude. Fatal if the shapes differ from @p base.
+         * differ from base, found by scanning only the pages the two
+         * do not share; every other field is stored whole. A sequence
+         * of mid-program checkpoints is dominated by untouched memory,
+         * so this shrinks serialized sets by orders of magnitude.
+         * Fatal if the shapes differ from @p base.
          */
         std::vector<std::uint8_t> serializeDelta(const Checkpoint &base) const;
 
-        /** Parse a serializeDelta() image over the same @p base. */
+        /**
+         * Parse a serializeDelta() image over the same @p base. The
+         * result shares every page the delta leaves untouched with
+         * @p base.
+         */
         static Checkpoint deserializeDelta(
             const std::vector<std::uint8_t> &bytes, const Checkpoint &base);
     };
 
-    /** Capture the architectural state. */
-    Checkpoint checkpoint() const;
+    /**
+     * Capture the architectural state. Data pages equal to those of
+     * @p prev (an earlier checkpoint of this emulator, when not null)
+     * are shared with it instead of copied.
+     */
+    Checkpoint checkpoint(const Checkpoint *prev = nullptr) const;
 
     /**
      * Restore state captured from an emulator over the same program;

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "common/atomic_io.hh"
 #include "common/bytestream.hh"
@@ -262,15 +261,10 @@ TraceError::TraceError(Kind kind, const std::string &path,
 TraceFile
 TraceFile::loadOrThrow(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is)
-        throw TraceError(TraceError::Kind::Io, path, 0, "cannot open");
-    const std::streamsize size = is.tellg();
-    is.seekg(0);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    is.read(reinterpret_cast<char *>(bytes.data()), size);
-    if (!is)
-        throw TraceError(TraceError::Kind::Io, path, 0, "read error");
+    std::vector<std::uint8_t> bytes;
+    std::string error;
+    if (!readFileBytes(path, bytes, &error))
+        throw TraceError(TraceError::Kind::Io, path, 0, error);
 
     // Deterministic fault injection for the supervisor tests/CI: flip
     // one mid-image byte of the in-memory copy only — the artifact on

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 
 #include "common/atomic_io.hh"
 #include "common/bytestream.hh"
@@ -152,17 +151,10 @@ WindowCheckpointSet::store(const std::string &path) const
 WindowCheckpointSet
 WindowCheckpointSet::loadOrThrow(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is)
-        throw CheckpointError(CheckpointError::Kind::Io, path, 0,
-                              "cannot open");
-    const std::streamsize size = is.tellg();
-    is.seekg(0);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    is.read(reinterpret_cast<char *>(bytes.data()), size);
-    if (!is)
-        throw CheckpointError(CheckpointError::Kind::Io, path, 0,
-                              "read error");
+    std::vector<std::uint8_t> bytes;
+    std::string error;
+    if (!readFileBytes(path, bytes, &error))
+        throw CheckpointError(CheckpointError::Kind::Io, path, 0, error);
 
     // Header validation mirrors deserialize() but reports recoverable
     // typed errors; once the hash matches, structural decode can only
@@ -264,7 +256,10 @@ buildWindowCheckpoints(const program::Program &binary,
             emu.warmForward(w.warmStart - warm_begin, rec,
                             program::kWarmLineShift, line);
         }
-        w.arch = emu.checkpoint();
+        // Pages the gap did not store to stay shared with the previous
+        // window, so a set holds each distinct page once.
+        w.arch = emu.checkpoint(
+            set.windows.empty() ? nullptr : &set.windows.back().arch);
         pos = w.warmStart;
         set.windows.push_back(std::move(w));
     }

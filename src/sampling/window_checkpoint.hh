@@ -57,7 +57,10 @@ struct WindowCheckpoint
     /** Absolute index one past the last measured instruction. */
     std::uint64_t measureEnd = 0;
 
-    /** Emulator architectural state at warmStart. */
+    /**
+     * Emulator architectural state at warmStart. Its data pages are
+     * shared with the previous window's wherever they are equal.
+     */
     program::Emulator::Checkpoint arch;
 
     /** Warming events of [warmBegin, warmStart) — see warm_stream.hh. */
@@ -216,8 +219,10 @@ SampledRun mergeWindowRuns(const WindowCheckpointSet &set,
  * across the whole region — for windows that are independent given
  * their checkpoint (each warmed only by its recorded horizon), which
  * is what makes parallel execution and cross-scheme checkpoint reuse
- * possible. The two estimators obey the same accuracy bounds but are
- * not bit-identical to each other.
+ * possible. The two estimators are not bit-identical to each other,
+ * and this tier's accuracy is not yet gated: the accuracy contract
+ * (accuracy_contract.hh) is checked on the persistent-core path only
+ * (see the ROADMAP item "Make sampled estimates honest").
  */
 SampledRun
 sampledRunCheckpointed(const program::Program &binary,

@@ -396,6 +396,46 @@ TEST(EmulatorCheckpoint, UntouchedConditionStreamsAreSkipped)
     }
 }
 
+TEST(PagedImage, SharesUnchangedPagesAndNeverWritesSharedOnes)
+{
+    constexpr std::size_t kW = PagedImage::kPageWords;
+    // Three whole pages and a partial fourth; only page 1 is non-zero.
+    std::vector<std::uint64_t> mem(3 * kW + 7, 0);
+    mem[kW + 5] = 11;
+    const PagedImage a = PagedImage::capture(mem);
+    ASSERT_EQ(a.size(), mem.size());
+    ASSERT_EQ(a.pages().size(), 4u);
+    EXPECT_EQ(a.pages()[0], nullptr); // a zero page is null
+    ASSERT_NE(a.pages()[1], nullptr);
+
+    // Captured against a, the unchanged page is the same object.
+    mem[2 * kW] = 22;
+    mem[3 * kW + 6] = 33;
+    const PagedImage b = PagedImage::capture(mem, &a);
+    EXPECT_EQ(b.pages()[1], a.pages()[1]);
+    EXPECT_EQ(b.diff(a), (std::vector<std::size_t>{2 * kW, 3 * kW + 6}));
+
+    // Editing b copies a page before writing it; b and a keep theirs.
+    PagedImage::Builder edit(b);
+    edit.set(kW + 5, 12);
+    edit.set(2 * kW, 0);
+    edit.set(3 * kW + 1, 44);
+    edit.set(3 * kW + 1, 0); // written back: the page is b's again
+    const PagedImage c = std::move(edit).publish();
+    EXPECT_EQ(a[kW + 5], 11u);
+    EXPECT_EQ(b[kW + 5], 11u);
+    EXPECT_EQ(c[kW + 5], 12u);
+    EXPECT_NE(c.pages()[1], b.pages()[1]);
+    EXPECT_EQ(c.pages()[2], nullptr); // back to zeros: null again
+    EXPECT_EQ(c.pages()[3], b.pages()[3]);
+
+    std::vector<std::uint64_t> flat(1, 99);
+    c.copyTo(flat);
+    mem[kW + 5] = 12;
+    mem[2 * kW] = 0;
+    EXPECT_EQ(flat, mem);
+}
+
 TEST(EmulatorCheckpointDeath, RestoreRejectsForeignProgram)
 {
     const Program big = generatedBenchmark();

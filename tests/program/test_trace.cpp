@@ -192,6 +192,21 @@ TEST(TraceRoundTrip, StoreLoadSurvivesDisk)
     loaded.validate(profile.name, profile.seed, false, 5000);
 }
 
+TEST(TraceLoad, NonFilePathIsATypedIoError)
+{
+    // A directory opens like a file but has no size to read: the
+    // loader must report a bad artifact, not run out of memory.
+    const std::string dir = makeTraceDir();
+    for (const std::string &path : {dir, dir + "/missing.pptrace"}) {
+        try {
+            TraceFile::loadOrThrow(path);
+            ADD_FAILURE() << path << ": expected TraceError";
+        } catch (const TraceError &e) {
+            EXPECT_EQ(e.kind(), TraceError::Kind::Io) << e.what();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Malformed artifacts die loudly.
 // ---------------------------------------------------------------------

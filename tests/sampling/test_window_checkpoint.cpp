@@ -2,9 +2,12 @@
  * @file
  * Contract of the checkpoint-parallel sampled tier:
  *  - the t-distribution CI correction matches the published table;
- *  - pp.ckpt.v1 images round-trip byte-exactly, and every corruption
- *    class (truncation, foreign magic, future version, bit rot, I/O)
- *    surfaces as the right typed CheckpointError before any decode;
+ *  - pp.ckpt.v1 images round-trip byte-exactly, their bytes match a
+ *    golden hash, and every corruption class (truncation, foreign
+ *    magic, future version, bit rot, I/O) surfaces as the right typed
+ *    CheckpointError before any decode;
+ *  - in memory, windows share equal data pages and store no zero page,
+ *    whether the set was built, decoded or loaded;
  *  - the engine's parallel window execution is bit-identical to the
  *    standalone serial sampled path at any thread count, with or
  *    without the on-disk checkpoint cache;
@@ -17,8 +20,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <regex>
+#include <set>
 
+#include "common/fnv.hh"
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
 #include "driver/sweep_engine.hh"
@@ -86,6 +92,40 @@ loadKind(const std::string &path)
     }
     ADD_FAILURE() << path << ": expected CheckpointError";
     return CheckpointError::Kind::Io;
+}
+
+/**
+ * The in-memory sharing contract of @p set: no stored page is all
+ * zeros (a zero page is null), and equal pages are one object however
+ * many windows hold them. Returns the distinct page objects stored.
+ */
+std::size_t
+expectPagesShared(const WindowCheckpointSet &set)
+{
+    using program::PagedImage;
+    std::map<PagedImage::Page, const PagedImage::Page *> by_content;
+    std::set<const PagedImage::Page *> objects;
+    std::size_t held = 0;
+    for (std::size_t i = 0; i < set.windows.size(); ++i) {
+        const auto &pages = set.windows[i].arch.dataMem.pages();
+        for (std::size_t p = 0; p < pages.size(); ++p) {
+            const PagedImage::Page *page = pages[p].get();
+            if (page == nullptr)
+                continue;
+            ++held;
+            EXPECT_NE(*page, PagedImage::Page{})
+                << "window " << i << " stores zero page " << p;
+            objects.insert(page);
+            const auto it = by_content.emplace(*page, page).first;
+            EXPECT_EQ(it->second, page)
+                << "window " << i << " page " << p
+                << " copies an equal page";
+        }
+    }
+    EXPECT_EQ(objects.size(), by_content.size());
+    // Consecutive windows do share: fewer objects than page slots held.
+    EXPECT_LT(objects.size(), held);
+    return objects.size();
 }
 
 } // namespace
@@ -181,6 +221,34 @@ TEST(WindowCheckpoint, SerializeRoundTripsByteExactly)
     EXPECT_EQ(back.serialize(), image);
 }
 
+TEST(WindowCheckpoint, SerializedBytesMatchTheGoldenHash)
+{
+    // Pins the pp.ckpt.v1 bytes themselves, not just their round trip:
+    // the in-memory page layout must not leak into the disk format. The
+    // hash was taken from a flat (unpaged) in-memory image.
+    const std::vector<std::uint8_t> image = buildGzipSet().serialize();
+    EXPECT_EQ(image.size(), 4352856u);
+    EXPECT_EQ(hashHex(fnv1a(image.data(), image.size())),
+              "7e113f26ddfd1478");
+}
+
+TEST(WindowCheckpoint, WindowsShareDataPagesWhenBuiltDecodedAndLoaded)
+{
+    const WindowCheckpointSet built = buildGzipSet();
+    const std::size_t distinct = expectPagesShared(built);
+
+    // The warm paths keep the saving: a decoded image and a loaded file
+    // hold exactly as many page objects as the build did.
+    const WindowCheckpointSet decoded =
+        WindowCheckpointSet::deserialize(built.serialize());
+    EXPECT_EQ(expectPagesShared(decoded), distinct);
+
+    const std::string path = tempPath("shared.ppckpt");
+    built.store(path);
+    EXPECT_EQ(expectPagesShared(WindowCheckpointSet::loadOrThrow(path)),
+              distinct);
+}
+
 TEST(WindowCheckpointDeathTest, DeserializeRejectsCorruptImages)
 {
     const WindowCheckpointSet set = buildGzipSet();
@@ -212,6 +280,10 @@ TEST(WindowCheckpoint, LoadOrThrowClassifiesEveryCorruptionKind)
 
     EXPECT_EQ(loadKind(tempPath("missing.ppckpt")),
               CheckpointError::Kind::Io);
+    // A directory opens like a file but has no size to read.
+    const std::string dir = tempPath("dir.ppckpt");
+    std::filesystem::create_directories(dir);
+    EXPECT_EQ(loadKind(dir), CheckpointError::Kind::Io);
 
     const std::vector<std::uint8_t> image = set.serialize();
 
