@@ -6,7 +6,7 @@
  * the size overhead is irrelevant next to the payloads (register files,
  * data memory, code images).
  *
- * Readers validate as they go and fatal() on malformed input: images
+ * Readers validate as they go and panic() on malformed input: images
  * cross process and machine boundaries (distributed sampling, trace
  * artifacts), so corruption must fail the documented way — never as a
  * silent divergence or a multi-exabyte allocation.
@@ -74,8 +74,8 @@ struct ByteReader
     std::uint64_t
     u64()
     {
-        panicIfNot(at + 8 <= bytes.size(),
-                   std::string(what) + " truncated");
+        if (at + 8 > bytes.size())
+            panic(std::string(what) + " truncated");
         std::uint64_t v = 0;
         for (int i = 0; i < 8; ++i)
             v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
@@ -102,8 +102,8 @@ struct ByteReader
     length(std::size_t unit_words = 1)
     {
         const std::uint64_t n = u64();
-        panicIfNot(n <= (bytes.size() - at) / (8 * unit_words),
-                   std::string(what) + " truncated");
+        if (n > (bytes.size() - at) / (8 * unit_words))
+            panic(std::string(what) + " truncated");
         return static_cast<std::size_t>(n);
     }
 
@@ -120,8 +120,8 @@ struct ByteReader
     str()
     {
         const std::uint64_t n = u64();
-        panicIfNot(n <= bytes.size() - at,
-                   std::string(what) + " truncated");
+        if (n > bytes.size() - at)
+            panic(std::string(what) + " truncated");
         std::string s(reinterpret_cast<const char *>(bytes.data() + at),
                       static_cast<std::size_t>(n));
         at += static_cast<std::size_t>(n);
@@ -132,8 +132,8 @@ struct ByteReader
     void
     expectEnd() const
     {
-        panicIfNot(at == bytes.size(),
-                   std::string(what) + " has trailing bytes");
+        if (at != bytes.size())
+            panic(std::string(what) + " has trailing bytes");
     }
 };
 

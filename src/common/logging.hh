@@ -6,6 +6,15 @@
  * simulator bugs, fatal() for user/configuration errors — both
  * [[noreturn]], both unconditional.
  *
+ * Invariant checks sit on hot paths (every simulated cycle, every
+ * decoded artifact word), so their success path must not allocate.
+ * panicIfNot() therefore takes only a string literal. A message that
+ * has to be composed (std::string concatenation, a path, a number) is
+ * built only once the check has failed:
+ *
+ *     if (!ok)
+ *         panic(std::string(what) + " truncated");
+ *
  * Diagnostics are leveled and thread-safe: warn() / inform() /
  * logDebug() (and their printf-style *f twins) emit one atomic line to
  * stderr when the global level admits them, so messages from concurrent
@@ -132,7 +141,7 @@ logEnabled(LogLevel level)
 }
 
 /** Abort the process: an internal invariant was violated (a simulator bug). */
-[[noreturn]] inline void
+[[noreturn, gnu::cold]] inline void
 panic(const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s\n", msg.c_str());
@@ -239,9 +248,12 @@ logRawf(const char *fmt, ...)
     va_end(args);
 }
 
-/** panic() unless @p cond holds. */
+/**
+ * panic() unless @p cond holds. @p msg is a literal, so a passing
+ * check costs one branch; compose a message with `if (!ok) panic(...)`.
+ */
 inline void
-panicIfNot(bool cond, const std::string &msg)
+panicIfNot(bool cond, const char *msg)
 {
     if (!cond)
         panic(msg);

@@ -59,9 +59,14 @@ Subprocess::run(const std::vector<std::string> &argv, const Options &opts)
     if (argv.empty())
         fatal("Subprocess::run: empty argv");
 
+    // Close-on-exec, so a child that another thread forks during this
+    // run never keeps these write ends: a hung worker holding them would
+    // keep this run from seeing EOF until its deadline. dup2() clears
+    // the flag on the child's own stdout and stderr.
     int out_pipe[2];
     int err_pipe[2];
-    if (::pipe(out_pipe) != 0 || ::pipe(err_pipe) != 0)
+    if (::pipe2(out_pipe, O_CLOEXEC) != 0 ||
+        ::pipe2(err_pipe, O_CLOEXEC) != 0)
         fatal(std::string("Subprocess::run: pipe: ") +
               std::strerror(errno));
 

@@ -17,8 +17,8 @@ Cache::Cache(const CacheConfig &config, Cache *next_level,
     panicIfNot(isPowerOfTwo(cfg.blockBytes), "block size must be 2^n");
     panicIfNot(cfg.assoc >= 1, "associativity must be >= 1");
     numSets = cfg.sizeBytes / (cfg.blockBytes * cfg.assoc);
-    panicIfNot(numSets >= 1 && isPowerOfTwo(numSets),
-               cfg.name + ": set count must be a power of two");
+    if (numSets < 1 || !isPowerOfTwo(numSets))
+        panic(cfg.name + ": set count must be a power of two");
     lines.assign(numSets * cfg.assoc, Line{});
     mshrBusyUntil.assign(std::max(1u, cfg.mshrs), 0);
 }

@@ -80,8 +80,8 @@ MetricRegistry::counter(const std::string &name)
         ins.counter = std::make_unique<Counter>();
         it = instruments_.emplace(name, std::move(ins)).first;
     }
-    panicIfNot(it->second.kind == MetricEntry::Kind::Counter,
-               "metric '" + name + "' is not a counter");
+    if (it->second.kind != MetricEntry::Kind::Counter)
+        panic("metric '" + name + "' is not a counter");
     return *it->second.counter;
 }
 
@@ -96,8 +96,8 @@ MetricRegistry::gauge(const std::string &name)
         ins.gauge = std::make_unique<Gauge>();
         it = instruments_.emplace(name, std::move(ins)).first;
     }
-    panicIfNot(it->second.kind == MetricEntry::Kind::Gauge,
-               "metric '" + name + "' is not a gauge");
+    if (it->second.kind != MetricEntry::Kind::Gauge)
+        panic("metric '" + name + "' is not a gauge");
     return *it->second.gauge;
 }
 
@@ -113,11 +113,11 @@ MetricRegistry::histogram(const std::string &name,
         ins.histogram = std::make_unique<Histogram>(std::move(edges));
         it = instruments_.emplace(name, std::move(ins)).first;
     } else {
-        panicIfNot(it->second.kind == MetricEntry::Kind::Histogram,
-                   "metric '" + name + "' is not a histogram");
-        panicIfNot(it->second.histogram->edges() == edges,
-                   "metric '" + name + "' re-registered with different "
-                   "edges");
+        if (it->second.kind != MetricEntry::Kind::Histogram)
+            panic("metric '" + name + "' is not a histogram");
+        if (it->second.histogram->edges() != edges)
+            panic("metric '" + name + "' re-registered with different "
+                  "edges");
     }
     return *it->second.histogram;
 }

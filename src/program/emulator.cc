@@ -249,9 +249,9 @@ Emulator::Checkpoint::deserializeDelta(
     const std::size_t changed = r.length(2);
     for (std::size_t i = 0; i < changed; ++i) {
         const std::uint64_t idx = r.u64();
-        panicIfNot(idx < base.dataMem.size(),
-                   std::string(kCkptWhat) +
-                       " delta touches memory out of range");
+        if (idx >= base.dataMem.size())
+            panic(std::string(kCkptWhat) +
+                  " delta touches memory out of range");
         mem.set(static_cast<std::size_t>(idx), r.u64());
     }
     c.dataMem = std::move(mem).publish();

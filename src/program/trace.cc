@@ -20,6 +20,7 @@ namespace
 
 constexpr std::uint64_t kTraceMagic = 0x70707472616365ull; // "pptrace"
 constexpr const char *kWhat = "trace file";
+constexpr std::size_t kHeaderBytes = 24; // magic, version, content hash
 
 void
 putInstruction(std::vector<std::uint8_t> &out, const isa::Instruction &i)
@@ -133,9 +134,9 @@ void
 TraceFile::validate(const std::string &benchmark, std::uint64_t seed,
                     bool if_converted, std::uint64_t min_insts) const
 {
-    panicIfNot(meta_.benchmark == benchmark,
-               "trace is for benchmark '" + meta_.benchmark +
-               "', run wants '" + benchmark + "'");
+    if (meta_.benchmark != benchmark)
+        panic("trace is for benchmark '" + meta_.benchmark +
+              "', run wants '" + benchmark + "'");
     panicIfNot(meta_.seed == seed,
                "trace was recorded under a different generation seed");
     panicIfNot(meta_.ifConverted == if_converted,
@@ -199,7 +200,14 @@ TraceFile::deserialize(const std::vector<std::uint8_t> &bytes)
     panicIfNot(fnv1a(bytes.data() + r.at, bytes.size() - r.at) ==
                    want_hash,
                "trace file content hash mismatch (corrupt image)");
+    return decodePayload(bytes, want_hash);
+}
 
+TraceFile
+TraceFile::decodePayload(const std::vector<std::uint8_t> &bytes,
+                         std::uint64_t hash)
+{
+    ByteReader r{bytes, kWhat, kHeaderBytes};
     Meta meta;
     meta.benchmark = r.str();
     meta.isFp = r.u64() != 0;
@@ -223,8 +231,8 @@ TraceFile::deserialize(const std::vector<std::uint8_t> &bytes)
     for (ConditionStream &s : streams) {
         const std::uint64_t bits = r.u64();
         const std::uint64_t words = (bits + 63) / 64;
-        panicIfNot(words <= (bytes.size() - r.at) / 8,
-                   std::string(kWhat) + " truncated");
+        if (words > (bytes.size() - r.at) / 8)
+            panic(std::string(kWhat) + " truncated");
         s.length = bits;
         s.words.resize(static_cast<std::size_t>(words));
         for (auto &w : s.words)
@@ -235,7 +243,7 @@ TraceFile::deserialize(const std::vector<std::uint8_t> &bytes)
     return TraceFile(std::move(meta),
                      Program(std::move(image), std::move(specs),
                              data_bytes, prog_name),
-                     std::move(streams), want_hash);
+                     std::move(streams), hash);
 }
 
 void
@@ -243,12 +251,12 @@ TraceFile::store(const std::string &path) const
 {
     const std::vector<std::uint8_t> bytes = serialize();
     std::string error;
-    panicIfNot(writeFileAtomic(path,
-                               std::string(reinterpret_cast<const char *>(
-                                               bytes.data()),
-                                           bytes.size()),
-                               &error),
-               "error writing trace file: " + error);
+    if (!writeFileAtomic(path,
+                         std::string(reinterpret_cast<const char *>(
+                                         bytes.data()),
+                                     bytes.size()),
+                         &error))
+        panic("error writing trace file: " + error);
 }
 
 TraceError::TraceError(Kind kind, const std::string &path,
@@ -278,7 +286,7 @@ TraceFile::loadOrThrow(const std::string &path)
     // typed errors with the offending header offset. After the hash
     // matches, the structural decode below can only fail on a 64-bit
     // hash collision, which stays a panic (a simulator bug in practice).
-    if (bytes.size() < 24) {
+    if (bytes.size() < kHeaderBytes) {
         throw TraceError(TraceError::Kind::Truncated, path, bytes.size(),
                          "truncated header (" +
                              std::to_string(bytes.size()) + " bytes)");
@@ -298,11 +306,13 @@ TraceFile::loadOrThrow(const std::string &path)
                          "unsupported version " +
                              std::to_string(header_u64(8)));
     }
-    if (fnv1a(bytes.data() + 24, bytes.size() - 24) != header_u64(16)) {
+    const std::uint64_t hash = header_u64(16);
+    if (fnv1a(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes) !=
+        hash) {
         throw TraceError(TraceError::Kind::HashMismatch, path, 16,
                          "content hash mismatch (corrupt image)");
     }
-    return deserialize(bytes);
+    return decodePayload(bytes, hash);
 }
 
 TraceFile

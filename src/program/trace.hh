@@ -184,6 +184,15 @@ class TraceFile
     TraceFile(Meta meta, Program binary,
               std::vector<ConditionStream> streams, std::uint64_t hash);
 
+    /**
+     * Decode the payload after a header whose magic, version and
+     * content @p hash the caller has already verified (deserialize()
+     * by panic, loadOrThrow() by TraceError), so each load hashes the
+     * image once. Structural errors still panic.
+     */
+    static TraceFile decodePayload(const std::vector<std::uint8_t> &bytes,
+                                   std::uint64_t hash);
+
     std::vector<std::uint8_t> payload() const;
 
     Meta meta_;

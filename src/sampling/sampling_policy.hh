@@ -96,13 +96,13 @@ struct SamplingPolicy
     {
         if (!enabled())
             return;
-        panicIfNot(windowsInRegion(len) >= 8,
-                   "sampling region of " + std::to_string(len) +
-                       " insts yields only " +
-                       std::to_string(windowsInRegion(len)) +
-                       " windows under policy " + label() +
-                       " (need >= 8 for usable confidence bounds: "
-                       "shrink the period or grow the region)");
+        if (windowsInRegion(len) < 8)
+            panic("sampling region of " + std::to_string(len) +
+                  " insts yields only " +
+                  std::to_string(windowsInRegion(len)) +
+                  " windows under policy " + label() +
+                  " (need >= 8 for usable confidence bounds: "
+                  "shrink the period or grow the region)");
     }
 
     /** Compact "u<period>w<warm>m<measure>[c]" tag for labels/filters. */

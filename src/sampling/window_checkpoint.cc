@@ -24,6 +24,7 @@ namespace
 constexpr std::uint64_t kCkptSetMagic = 0x31762e74706b6370ull; // "pckpt.v1"
 constexpr std::uint64_t kCkptSetVersion = 1;
 constexpr const char *kWhat = "checkpoint-set image";
+constexpr std::size_t kHeaderBytes = 24; // magic, version, content hash
 
 void
 addInto(core::CoreStats &acc, const core::CoreStats &delta)
@@ -88,19 +89,19 @@ WindowCheckpointSet::serialize() const
     return out;
 }
 
-WindowCheckpointSet
-WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes)
+namespace
 {
-    ByteReader r{bytes, kWhat};
-    panicIfNot(r.u64() == kCkptSetMagic,
-               "not a checkpoint-set image (bad magic)");
-    panicIfNot(r.u64() == kCkptSetVersion,
-               "unsupported checkpoint-set version");
-    const std::uint64_t want_hash = r.u64();
-    panicIfNot(fnv1a(bytes.data() + r.at, bytes.size() - r.at) ==
-                   want_hash,
-               "checkpoint-set image content hash mismatch (corrupt)");
 
+/**
+ * Decode the payload after a header whose magic, version and content
+ * hash the caller has already verified (deserialize() by panic,
+ * loadOrThrow() by CheckpointError), so each load hashes the image
+ * once. Structural errors still panic.
+ */
+WindowCheckpointSet
+decodePayload(const std::vector<std::uint8_t> &bytes)
+{
+    ByteReader r{bytes, kWhat, kHeaderBytes};
     WindowCheckpointSet set;
     set.regionWarmup = r.u64();
     set.regionMeasure = r.u64();
@@ -118,8 +119,8 @@ WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes)
         w.measureStart = r.u64();
         w.measureEnd = r.u64();
         const std::uint64_t arch_len = r.u64();
-        panicIfNot(arch_len <= bytes.size() - r.at,
-                   std::string(kWhat) + " truncated");
+        if (arch_len > bytes.size() - r.at)
+            panic(std::string(kWhat) + " truncated");
         const std::vector<std::uint8_t> arch(
             bytes.begin() + static_cast<std::ptrdiff_t>(r.at),
             bytes.begin() + static_cast<std::ptrdiff_t>(r.at + arch_len));
@@ -129,12 +130,29 @@ WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes)
             : program::Emulator::Checkpoint::deserializeDelta(
                   arch, set.windows[i - 1].arch);
         w.warmEvents = r.u64Vec();
-        panicIfNot(w.warmEvents.size() % program::kWarmEventWords == 0,
-                   std::string(kWhat) + " has a torn warm event stream");
+        if (w.warmEvents.size() % program::kWarmEventWords != 0)
+            panic(std::string(kWhat) + " has a torn warm event stream");
         set.windows.push_back(std::move(w));
     }
     r.expectEnd();
     return set;
+}
+
+} // namespace
+
+WindowCheckpointSet
+WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes)
+{
+    ByteReader r{bytes, kWhat};
+    panicIfNot(r.u64() == kCkptSetMagic,
+               "not a checkpoint-set image (bad magic)");
+    panicIfNot(r.u64() == kCkptSetVersion,
+               "unsupported checkpoint-set version");
+    const std::uint64_t want_hash = r.u64();
+    panicIfNot(fnv1a(bytes.data() + r.at, bytes.size() - r.at) ==
+                   want_hash,
+               "checkpoint-set image content hash mismatch (corrupt)");
+    return decodePayload(bytes);
 }
 
 void
@@ -142,10 +160,9 @@ WindowCheckpointSet::store(const std::string &path) const
 {
     const std::vector<std::uint8_t> bytes = serialize();
     std::string error;
-    panicIfNot(writeFileAtomic(
-                   path,
-                   std::string(bytes.begin(), bytes.end()), &error),
-               "cannot write checkpoint set " + path + ": " + error);
+    if (!writeFileAtomic(path, std::string(bytes.begin(), bytes.end()),
+                         &error))
+        panic("cannot write checkpoint set " + path + ": " + error);
 }
 
 WindowCheckpointSet
@@ -159,7 +176,7 @@ WindowCheckpointSet::loadOrThrow(const std::string &path)
     // Header validation mirrors deserialize() but reports recoverable
     // typed errors; once the hash matches, structural decode can only
     // fail on a 64-bit hash collision, which stays a panic.
-    if (bytes.size() < 24) {
+    if (bytes.size() < kHeaderBytes) {
         throw CheckpointError(CheckpointError::Kind::Truncated, path,
                               bytes.size(),
                               "truncated header (" +
@@ -181,11 +198,12 @@ WindowCheckpointSet::loadOrThrow(const std::string &path)
                               "unsupported version " +
                                   std::to_string(header_u64(8)));
     }
-    if (fnv1a(bytes.data() + 24, bytes.size() - 24) != header_u64(16)) {
+    if (fnv1a(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes) !=
+        header_u64(16)) {
         throw CheckpointError(CheckpointError::Kind::HashMismatch, path,
                               16, "content hash mismatch (corrupt image)");
     }
-    return deserialize(bytes);
+    return decodePayload(bytes);
 }
 
 WindowCheckpointSet

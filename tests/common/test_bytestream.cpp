@@ -1,0 +1,326 @@
+/**
+ * @file
+ * The u64 byte framing every artifact shares (common/bytestream.hh):
+ * exact round trips, hostile input that panics with the documented
+ * message before any container is sized from it, and decode and check
+ * paths that allocate nothing while the input is good.
+ *
+ * This binary replaces the global allocation functions with counting
+ * ones, so a test can assert how many allocations a call made.
+ */
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <new>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/bytestream.hh"
+#include "common/logging.hh"
+
+namespace
+{
+
+/** operator new calls made by this process so far. */
+std::size_t gNewCalls = 0;
+
+/** Largest allocation operator new grants; a larger one aborts with
+ *  its own message, so a death test can tell an allocation that ran
+ *  before a length check from the check's panic. */
+std::size_t gNewLimit = std::numeric_limits<std::size_t>::max();
+
+} // namespace
+
+// Both out of line: inlined, gcc would pair the malloc() in one with the
+// free() in the other at each call site and warn of a mismatch.
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    if (n > gNewLimit) {
+        std::fprintf(stderr, "allocation of %zu bytes above the limit\n", n);
+        std::abort();
+    }
+    ++gNewCalls;
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return ::operator new(n);
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    try {
+        return ::operator new(n);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void operator delete[](void *p) noexcept { ::operator delete(p); }
+void operator delete(void *p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void *p, std::size_t) noexcept { ::operator delete(p); }
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    ::operator delete(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    ::operator delete(p);
+}
+
+using namespace pp;
+
+namespace
+{
+
+constexpr const char *kWhat = "test image";
+
+/** Allocation cap for the hostile-length death tests: far above any
+ *  panic message, far below what the inflated prefixes claim. */
+constexpr std::size_t kSmallAlloc = 4096;
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+double
+doubleOf(std::uint64_t bits)
+{
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+/** One short image holding every field kind, ending off word alignment
+ *  so truncation covers partial words everywhere. */
+std::vector<std::uint8_t>
+sampleImage()
+{
+    std::vector<std::uint8_t> out;
+    putU64(out, 0x0123456789abcdefull);
+    putF64(out, -0.0);
+    putU64Vec(out, {7, ~0ull});
+    putString(out, "abc");
+    putU64(out, 1); // a length() prefix for one word...
+    putU64(out, 9); // ...and that word
+    putString(out, "xy");
+    return out;
+}
+
+/** Decode sampleImage()'s layout in full. */
+void
+decodeSample(const std::vector<std::uint8_t> &bytes)
+{
+    ByteReader r{bytes, kWhat};
+    r.u64();
+    r.f64();
+    r.u64Vec();
+    r.str();
+    for (std::size_t i = r.length(); i > 0; --i)
+        r.u64();
+    r.str();
+    r.expectEnd();
+}
+
+/**
+ * Read from @p bytes with @p read while operator new refuses anything
+ * over kSmallAlloc. For death tests only: the cap stays set in the
+ * child process that runs it.
+ */
+template <typename Read>
+void
+readCapped(const std::vector<std::uint8_t> &bytes, Read read)
+{
+    gNewLimit = kSmallAlloc;
+    ByteReader r{bytes, kWhat};
+    read(r);
+}
+
+} // namespace
+
+TEST(ByteStream, U64IsLittleEndian)
+{
+    std::vector<std::uint8_t> out;
+    putU64(out, 0x0807060504030201ull);
+    EXPECT_EQ(out, (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(ByteStream, RoundTripsEveryFieldKind)
+{
+    const std::vector<std::uint64_t> words = {0, 1, ~0ull,
+                                              0x8000000000000000ull};
+    const std::string binary("a\0b\xff", 4);
+    // f64 round-trips bit patterns, not values: -0 keeps its sign and a
+    // NaN keeps its payload.
+    const std::uint64_t neg_zero = bitsOf(-0.0);
+    const std::uint64_t nan = 0x7ff80000deadbeefull;
+    const std::uint64_t signalling_nan = 0xfff0000000000001ull;
+
+    std::vector<std::uint8_t> out;
+    putU64(out, 0);
+    putU64(out, ~0ull);
+    putF64(out, doubleOf(neg_zero));
+    putF64(out, doubleOf(nan));
+    putF64(out, doubleOf(signalling_nan));
+    putF64(out, 1.5);
+    putU64Vec(out, {});
+    putU64Vec(out, words);
+    putString(out, "");
+    putString(out, binary);
+    putString(out, "a string longer than the small buffer");
+
+    ByteReader r{out, kWhat};
+    EXPECT_EQ(r.u64(), 0u);
+    EXPECT_EQ(r.u64(), ~0ull);
+    EXPECT_EQ(bitsOf(r.f64()), neg_zero);
+    EXPECT_EQ(bitsOf(r.f64()), nan);
+    EXPECT_EQ(bitsOf(r.f64()), signalling_nan);
+    EXPECT_EQ(r.f64(), 1.5);
+    EXPECT_TRUE(r.u64Vec().empty());
+    EXPECT_EQ(r.u64Vec(), words);
+    EXPECT_EQ(r.str(), "");
+    EXPECT_EQ(r.str(), binary);
+    EXPECT_EQ(r.str(), "a string longer than the small buffer");
+    EXPECT_EQ(r.at, out.size());
+    r.expectEnd();
+}
+
+TEST(ByteStream, LengthAcceptsExactlyWhatRemains)
+{
+    // A prefix that claims exactly the remaining words (or bytes, for a
+    // string) is valid; the death tests below add one more.
+    std::vector<std::uint8_t> image;
+    putU64(image, 2);
+    putU64(image, 10);
+    putU64(image, 11);
+    ByteReader words{image, kWhat};
+    EXPECT_EQ(words.length(), 2u);
+
+    std::vector<std::uint8_t> text;
+    putU64(text, 3);
+    text.insert(text.end(), {'a', 'b', 'c'});
+    ByteReader chars{text, kWhat};
+    EXPECT_EQ(chars.str(), "abc");
+    chars.expectEnd();
+}
+
+TEST(ByteStreamDeathTest, EveryTruncatedPrefixDies)
+{
+    const std::vector<std::uint8_t> image = sampleImage();
+    decodeSample(image);
+    for (std::size_t n = 0; n < image.size(); ++n) {
+        const std::vector<std::uint8_t> prefix(
+            image.begin(), image.begin() + static_cast<std::ptrdiff_t>(n));
+        EXPECT_DEATH(decodeSample(prefix), "panic: test image truncated")
+            << "prefix of " << n << " of " << image.size() << " bytes";
+    }
+}
+
+TEST(ByteStreamDeathTest, InflatedLengthsDieBeforeAllocating)
+{
+    // Each prefix claims more than the two words (16 bytes) that follow
+    // it: by one word, by one byte, and by far.
+    for (const std::uint64_t claim :
+         {std::uint64_t{3}, std::uint64_t{17}, std::uint64_t{1} << 20,
+          std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+        std::vector<std::uint8_t> image;
+        putU64(image, claim);
+        putU64(image, 1);
+        putU64(image, 2);
+        SCOPED_TRACE("claim " + std::to_string(claim));
+
+        EXPECT_DEATH(readCapped(image, [](ByteReader &r) { r.length(); }),
+                     "panic: test image truncated");
+        EXPECT_DEATH(readCapped(image, [](ByteReader &r) { r.u64Vec(); }),
+                     "panic: test image truncated");
+        if (claim <= 16)
+            continue; // a valid string length
+        EXPECT_DEATH(readCapped(image, [](ByteReader &r) { r.str(); }),
+                     "panic: test image truncated");
+    }
+
+    // Two words remain, which is too few for one 5-word element.
+    std::vector<std::uint8_t> image;
+    putU64(image, 1);
+    putU64(image, 1);
+    putU64(image, 2);
+    EXPECT_DEATH(readCapped(image, [](ByteReader &r) { r.length(5); }),
+                 "panic: test image truncated");
+}
+
+TEST(ByteStreamDeathTest, TrailingByteDies)
+{
+    std::vector<std::uint8_t> image = sampleImage();
+    image.push_back(0);
+    EXPECT_DEATH(decodeSample(image), "panic: test image has trailing bytes");
+}
+
+TEST(ByteStreamAllocation, DecodingAllocatesNothingPerWord)
+{
+    // A long `what` makes a message built per word cost a heap string.
+    std::vector<std::uint64_t> words(10000);
+    std::iota(words.begin(), words.end(), 1);
+    std::vector<std::uint8_t> image;
+    putU64Vec(image, words);
+
+    // Word by word into storage the caller already holds: nothing.
+    std::vector<std::uint64_t> back(words.size());
+    std::size_t before = gNewCalls;
+    {
+        ByteReader r{image, "checkpoint-set image"};
+        const std::size_t n = r.length();
+        for (std::size_t i = 0; i < n; ++i)
+            back[i] = r.u64();
+        r.expectEnd();
+    }
+    EXPECT_EQ(gNewCalls - before, 0u);
+    EXPECT_EQ(back, words);
+
+    // u64Vec(): only the storage of the vector it returns.
+    before = gNewCalls;
+    ByteReader r{image, "checkpoint-set image"};
+    const std::vector<std::uint64_t> vec = r.u64Vec();
+    EXPECT_EQ(gNewCalls - before, 1u);
+    EXPECT_EQ(vec, words);
+}
+
+TEST(ByteStreamAllocation, PassingChecksNeverAllocate)
+{
+    volatile bool ok = true; // keep the check a run-time one
+    const std::size_t before = gNewCalls;
+    for (int i = 0; i < 10000; ++i)
+        panicIfNot(ok, "a check message over fifteen characters");
+    EXPECT_EQ(gNewCalls - before, 0u);
+}

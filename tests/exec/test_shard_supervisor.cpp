@@ -10,6 +10,8 @@
  * order — once the wall-time-only *host_ms fields are scrubbed.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -400,10 +402,27 @@ TEST(ShardSupervisor, RecoversFromCrashTruncateAndCorrupt)
 TEST(ShardSupervisor, HangHitsDeadlineAndRecovers)
 {
     const auto specs = smokeSpecs();
+
+    // The deadline must pass every healthy shard in whatever build runs
+    // the test (sanitizer builds run shards several times slower), so
+    // scale it from a timed healthy run of the same specs.
+    const auto start = std::chrono::steady_clock::now();
+    {
+        auto opts = baseOptions(uniqueDir("hang-healthy"));
+        opts.shards = 2;
+        exec::ShardSupervisor healthy(opts);
+        healthy.run(specs);
+        ASSERT_EQ(healthy.stats().attempts, 2u);
+    }
+    const auto healthy_ms = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+
     auto opts = baseOptions(uniqueDir("hang"));
     opts.shards = 2;
     opts.faultSpec = "hang@1:1";
-    opts.timeoutMs = 2000;
+    opts.timeoutMs = std::max<std::uint64_t>(2000, 4 * healthy_ms);
     exec::ShardSupervisor supervisor(opts);
     const auto results = supervisor.run(specs);
 

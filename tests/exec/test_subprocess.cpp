@@ -1,11 +1,13 @@
 /**
  * @file
  * Subprocess primitive: capture, exit codes, signal death, environment
- * pinning, and the wall-clock deadline with kill-on-hang.
+ * pinning, the wall-clock deadline with kill-on-hang, and pipes that
+ * stay out of concurrently started children.
  */
 
 #include <csignal>
 #include <chrono>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -87,4 +89,25 @@ TEST(Subprocess, LargeOutputDoesNotDeadlock)
          "0123456789abcdef0123456789abcdef; i=$((i+1)); done"});
     EXPECT_TRUE(res.ok());
     EXPECT_EQ(res.out.size(), 20000u * 33u);
+}
+
+TEST(Subprocess, ChildDoesNotInheritAnotherRunsPipes)
+{
+    // Shard supervisors run attempts from several threads. A child that
+    // kept a concurrent run's pipe ends open past its exec could hold
+    // that run's output open until the child exits, so a healthy shard
+    // would wait for a hung one.
+    const std::vector<std::string> list_fds = {"/bin/sh", "-c",
+                                               "ls /proc/self/fd"};
+    const auto alone = exec::Subprocess::run(list_fds);
+    ASSERT_TRUE(alone.ok());
+
+    std::thread busy(
+        [] { exec::Subprocess::run({"/bin/sh", "-c", "sleep 1"}); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const auto beside_busy = exec::Subprocess::run(list_fds);
+    busy.join();
+
+    ASSERT_TRUE(beside_busy.ok());
+    EXPECT_EQ(beside_busy.out, alone.out);
 }

@@ -254,17 +254,26 @@ TEST(WindowCheckpointDeathTest, DeserializeRejectsCorruptImages)
     const WindowCheckpointSet set = buildGzipSet();
     std::vector<std::uint8_t> image = set.serialize();
 
+    // The header's hash covers the lost half.
     std::vector<std::uint8_t> truncated(image.begin(),
                                         image.begin() + image.size() / 2);
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(truncated), "");
+    EXPECT_DEATH(WindowCheckpointSet::deserialize(truncated),
+                 "panic: checkpoint-set image content hash mismatch");
 
     std::vector<std::uint8_t> flipped = image;
     flipped[0] ^= 0xff;  // magic
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(flipped), "");
+    EXPECT_DEATH(WindowCheckpointSet::deserialize(flipped),
+                 "panic: not a checkpoint-set image \\(bad magic\\)");
 
+    // Re-hashed, so the extra byte gets past the header to the decoder.
     std::vector<std::uint8_t> trailing = image;
     trailing.push_back(0);
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(trailing), "");
+    const std::uint64_t hash = fnv1a(trailing.data() + 24,
+                                     trailing.size() - 24);
+    for (std::size_t b = 0; b < 8; ++b)
+        trailing[16 + b] = static_cast<std::uint8_t>(hash >> (8 * b));
+    EXPECT_DEATH(WindowCheckpointSet::deserialize(trailing),
+                 "panic: checkpoint-set image has trailing bytes");
 }
 
 TEST(WindowCheckpoint, LoadOrThrowClassifiesEveryCorruptionKind)
