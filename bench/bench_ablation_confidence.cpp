@@ -167,9 +167,11 @@ int
 main(int argc, char **argv)
 {
     const bool full_sim = stripFlag(argc, argv, "--full-sim");
-    const BenchOptions opts = parseBenchArgs(
+    BenchOptions opts = parseBenchArgs(
         argc, argv,
         "confidence-width ablation (REPRO_FULL=1 for the full suite;"
         " replay tier by default, --full-sim for the detailed core)");
+    if (full_sim) // --shards workers must re-exec into the same tier
+        opts.forwardArgs.push_back("--full-sim");
     return full_sim ? runFullSim(opts) : runReplayTier(opts);
 }

@@ -110,9 +110,11 @@ int
 main(int argc, char **argv)
 {
     const bool full_sim = stripFlag(argc, argv, "--full-sim");
-    const BenchOptions opts = parseBenchArgs(
+    BenchOptions opts = parseBenchArgs(
         argc, argv,
         "PVT organization ablation (replay tier; --full-sim for the"
         " detailed-core cross-check)");
+    if (full_sim) // --shards workers must re-exec into the same tier
+        opts.forwardArgs.push_back("--full-sim");
     return full_sim ? runFullSim(opts) : runReplayTier(opts);
 }

@@ -171,7 +171,9 @@ printUsage(const char *prog, const char *what, bool sweep_flags)
  * Remove every occurrence of the valueless @p flag from (argc, argv)
  * before parseBenchArgs() sees it (which fatal()s on unknown flags);
  * returns whether it was present. Lets a harness layer its own mode
- * switches (e.g. --full-sim) on top of the shared flag set.
+ * switches (e.g. --full-sim) on top of the shared flag set. A switch
+ * that selects the sweep must also be appended to forwardArgs, or
+ * --shards workers run a different one.
  */
 inline bool
 stripFlag(int &argc, char **argv, const char *flag)
@@ -379,17 +381,6 @@ parseBenchArgs(int argc, char **argv, const char *what,
 }
 
 /**
- * Point every spec at its trace artifact under @p dir (the engine's
- * record-mode naming: "<binaryKey>.pptrace"), switching the sweep to
- * replay. No-op when @p dir is empty.
- */
-inline void
-applyTraceDir(std::vector<driver::RunSpec> &specs, const std::string &dir)
-{
-    driver::applyTraceDir(specs, dir);
-}
-
-/**
  * Where the human-readable report goes: stdout normally, stderr when a
  * machine-readable sink targets stdout — "--json - | jq ." must see
  * only the document.
@@ -522,7 +513,7 @@ sweepSuite(const BenchOptions &opts,
     std::vector<driver::RunSpec> specs = matrix.specs();
     if (specs.empty())
         fatal("sweep is empty (filter matched no benchmarks?)");
-    bench::applyTraceDir(specs, opts.traceDir);
+    driver::applyTraceDir(specs, opts.traceDir);
 
     // Worker mode: this process is a supervisor's self-exec'd child.
     // Execute the assigned spec range, write the fragment, and exit

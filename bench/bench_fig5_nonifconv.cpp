@@ -27,9 +27,10 @@ main(int argc, char **argv)
         argc, argv, "Figure 5: mispred rate, non-if-converted suite");
 
     // The canonical Figure-5 columns (conventional/predicate and their
-    // idealized twins) live in driver/grids.hh so this harness and the
-    // multi-process tools (sweep_worker --grid fig5) sweep identical
-    // cells by construction.
+    // idealized twins) live in driver/grids.hh so this harness,
+    // bench_result_cache and the benchmark ledger sweep identical cells
+    // by construction. --shards N runs this same matrix across N
+    // self-exec'd worker processes (bench_common.hh).
     std::vector<SchemeColumn> columns;
     for (const driver::SchemeAxis &axis : driver::fig5Schemes())
         columns.push_back(SchemeColumn{axis.name, axis.scheme});

@@ -216,8 +216,12 @@ WarmColdResult
 runWarmCold(std::uint64_t warmup, std::uint64_t measure,
             const std::string &cache_dir, unsigned repeats)
 {
-    driver::RunMatrix m = driver::namedGrid("fig5");
-    m.window(warmup, measure);
+    driver::RunMatrix m;
+    m.benchmarks(program::spec2000Suite())
+        .ifConvert(false)
+        .window(warmup, measure);
+    for (auto &s : driver::fig5Schemes())
+        m.addScheme(s.name, s.scheme);
     const std::vector<driver::RunSpec> specs = m.specs();
 
     std::filesystem::remove_all(cache_dir);

@@ -45,6 +45,14 @@ main(int argc, char **argv)
         argc, argv,
         "ROB/IQ/width scaling curves, full vs sampled (config-override "
         "axis demo)");
+    // The matrix below fixes its own suite and sampling axis and runs
+    // in this process: reject the shared flags it cannot honour.
+    if (opts.shards > 0 || opts.workerMode)
+        fatal("--shards is not supported by config_axis_sweep");
+    if (opts.smartsPeriod > 0)
+        fatal("--smarts: the sweep already crosses full and smarts()");
+    if (opts.stress)
+        fatal("--stress: the suite already includes ifcmax");
 
     // Machine sizes: window resources scaled together so the curve
     // isolates "how much ILP the window can expose", Table 1 centered.
@@ -81,18 +89,20 @@ main(int argc, char **argv)
     matrix.addSampling("smarts", sampling::SamplingPolicy::smarts());
 
     std::vector<driver::RunSpec> specs = matrix.specs();
-    bench::applyTraceDir(specs, opts.traceDir);
+    driver::applyTraceDir(specs, opts.traceDir);
     driver::SweepOptions sweep_opts;
     sweep_opts.threads = opts.threads;
     sweep_opts.progress = opts.progress;
     sweep_opts.recordTraceDir = opts.recordTraceDir;
     sweep_opts.checkpointDir = opts.checkpointDir;
+    sweep_opts.resultCacheDir = opts.resultCacheDir;
     driver::SweepEngine engine(sweep_opts);
     bench::beginTraceEvents(opts);
     const std::vector<sim::RunResult> results = engine.run(specs);
     bench::endTraceEvents(opts);
 
     bench::writeSinks(opts, specs, results, &engine.counters());
+    bench::writeMetricsSnapshot(opts);
 
     std::FILE *report = bench::reportFile(opts);
     TextTable t;

@@ -1,8 +1,5 @@
 #include "driver/grids.hh"
 
-#include "common/logging.hh"
-#include "program/suite.hh"
-
 namespace pp
 {
 namespace driver
@@ -25,40 +22,6 @@ fig5Schemes()
     out[3].scheme.idealNoAlias = true;
     out[3].scheme.idealPerfectHistory = true;
     return out;
-}
-
-std::vector<std::string>
-gridNames()
-{
-    return {"fig5", "smoke"};
-}
-
-RunMatrix
-namedGrid(const std::string &name)
-{
-    RunMatrix m;
-    if (name == "fig5") {
-        m.benchmarks(program::spec2000Suite()).ifConvert(false);
-        for (auto &s : fig5Schemes())
-            m.addScheme(s.name, s.scheme);
-        return m;
-    }
-    if (name == "smoke") {
-        // First three suite benchmarks × the two realistic schemes:
-        // enough cells to shard four ways, cheap enough to run the
-        // whole fault matrix in a unit test.
-        auto suite = program::spec2000Suite();
-        suite.resize(3);
-        m.benchmarks(std::move(suite)).ifConvert(false);
-        auto schemes = fig5Schemes();
-        m.addScheme(schemes[0].name, schemes[0].scheme);
-        m.addScheme(schemes[1].name, schemes[1].scheme);
-        return m;
-    }
-    std::string names;
-    for (const auto &n : gridNames())
-        names += (names.empty() ? "" : ", ") + n;
-    fatal("unknown grid '" + name + "' (known: " + names + ")");
 }
 
 } // namespace driver

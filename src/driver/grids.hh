@@ -1,21 +1,13 @@
 /**
  * @file
- * Named sweep grids: the experiment matrices referenced by name across
- * process boundaries.
- *
- * A supervisor and its shard workers are separate processes; they agree
- * on the exact spec list not by shipping it, but by naming a grid both
- * sides construct deterministically (RunMatrix enumeration is a pure
- * function of the axes). "fig5" is the paper's Figure-5 matrix — the
- * same columns bench_fig5_nonifconv sweeps — and "smoke" is a
- * three-benchmark, two-scheme grid small enough for fault-injection
- * tests to run it dozens of times.
+ * The paper's Figure-5 scheme columns, shared by every sweep of that
+ * figure (bench_fig5_nonifconv, bench_result_cache and the benchmark
+ * ledger) so they all run identical cells by construction.
  */
 
 #ifndef PP_DRIVER_GRIDS_HH
 #define PP_DRIVER_GRIDS_HH
 
-#include <string>
 #include <vector>
 
 #include "driver/run_matrix.hh"
@@ -28,19 +20,8 @@ namespace driver
 /**
  * The Figure-5 scheme columns: realistic conventional vs predicate
  * predictor plus their idealized (no-alias, perfect-history) twins.
- * Shared by bench_fig5_nonifconv and namedGrid("fig5") so the harness
- * and the multi-process tools sweep the same cells by construction.
  */
 std::vector<SchemeAxis> fig5Schemes();
-
-/** Grid names accepted by namedGrid(), in listing order. */
-std::vector<std::string> gridNames();
-
-/**
- * Build the named grid with default windows (the caller applies
- * .window()/.filterBenchmarks() on top); fatal() on an unknown name.
- */
-RunMatrix namedGrid(const std::string &name);
 
 } // namespace driver
 } // namespace pp

@@ -82,6 +82,34 @@ u64OrZero(const jsonmin::JsonValue &obj, const char *key)
     return static_cast<std::uint64_t>(v->number);
 }
 
+/** The identity fields of one run object, as a RunSpec for comparison
+ *  and labelling (every other member left at its default). */
+driver::RunSpec
+runIdentity(const jsonmin::JsonValue &run)
+{
+    driver::RunSpec s;
+    s.profile.name = member(run, "benchmark").str;
+    s.ifConvert = member(run, "if_converted").boolean;
+    s.schemeName = member(run, "scheme").str;
+    s.configName = member(run, "config").str;
+    s.profile.seed = u64(run, "seed");
+    s.warmupInsts = u64(run, "warmup_insts");
+    s.measureInsts = u64(run, "measure_insts");
+    s.samplingName = member(run, "sampling").str;
+    return s;
+}
+
+bool
+sameIdentity(const driver::RunSpec &a, const driver::RunSpec &b)
+{
+    return a.profile.name == b.profile.name && a.ifConvert == b.ifConvert &&
+        a.schemeName == b.schemeName && a.configName == b.configName &&
+        a.profile.seed == b.profile.seed &&
+        a.warmupInsts == b.warmupInsts &&
+        a.measureInsts == b.measureInsts &&
+        a.samplingName == b.samplingName;
+}
+
 } // namespace
 
 std::vector<std::pair<std::size_t, std::size_t>>
@@ -148,9 +176,13 @@ shardFragmentJson(std::size_t begin,
 }
 
 std::vector<sim::RunResult>
-readShardFragment(const std::string &path, std::size_t expect_begin,
-                  std::size_t expect_end, ShardWorkerStats *stats)
+readShardFragment(const std::string &path,
+                  const std::vector<driver::RunSpec> &specs,
+                  std::size_t expect_begin, std::size_t expect_end,
+                  ShardWorkerStats *stats)
 {
+    panicIfNot(expect_end <= specs.size(),
+               "shard fragment: expected range exceeds the spec list");
     std::ifstream is(path, std::ios::binary);
     if (!is)
         throw ShardError("cannot open shard fragment: " + path);
@@ -198,9 +230,17 @@ readShardFragment(const std::string &path, std::size_t expect_begin,
     }
     std::vector<sim::RunResult> out;
     out.reserve(runs.items.size());
-    for (const auto &item : runs.items) {
+    for (std::size_t i = 0; i < runs.items.size(); ++i) {
+        const driver::RunSpec &want = specs[begin + i];
+        const driver::RunSpec got = runIdentity(runs.items[i]);
+        if (!sameIdentity(got, want)) {
+            throw ShardError("shard fragment " + path + ": spec " +
+                             std::to_string(begin + i) + " holds run '" +
+                             got.label() + "', expected '" +
+                             want.label() + "'");
+        }
         try {
-            out.push_back(driver::parseRunJson(item));
+            out.push_back(driver::parseRunJson(runs.items[i]));
         } catch (const driver::ResultParseError &e) {
             throw ShardError("shard fragment " + path + ": " + e.what());
         }

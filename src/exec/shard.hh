@@ -93,30 +93,36 @@ shardFragmentJson(std::size_t begin,
 
 /**
  * Parse and verify a pp.shard.v1 document covering exactly
- * [expect_begin, expect_end); returns the shard's results in spec
- * order. Throws ShardError on schema/range mismatch, a payload-hash
+ * [expect_begin, expect_end) of @p specs; returns the shard's results
+ * in spec order. Each run object must carry the identity of the spec
+ * at its index (benchmark, if-conversion, scheme, config, seed,
+ * windows, sampling), so a worker that enumerated a different spec
+ * list cannot slip another cell's numbers into the merge. Throws
+ * ShardError on schema/range/identity mismatch, a payload-hash
  * failure, or any structural problem — the supervisor classifies all
  * of them as corrupt output. Non-null @p stats receives the worker's
  * result-cache header fields (zeros when absent).
  */
 std::vector<sim::RunResult>
-readShardFragment(const std::string &path, std::size_t expect_begin,
-                  std::size_t expect_end,
+readShardFragment(const std::string &path,
+                  const std::vector<driver::RunSpec> &specs,
+                  std::size_t expect_begin, std::size_t expect_end,
                   ShardWorkerStats *stats = nullptr);
 
 /**
- * Worker-process body shared by tools/sweep_worker and the harness
- * self-exec mode: apply any armed start fault, execute specs
- * [begin, end) on @p threads, write the fragment to @p out_path
- * atomically, then apply any armed output fault. A non-empty
- * @p checkpoint_dir is passed through to the engine's on-disk
- * window-checkpoint cache, so concurrent workers share one functional
- * pass per workload; @p result_cache_dir likewise to the engine's
- * content-addressed result cache (cache/result_cache.hh), and the
- * worker's real hit/simulated counts ride in the fragment header for
- * supervisor aggregation. A TraceError or CheckpointError exits with
- * kTraceErrorExit after printing the typed message to stderr; success
- * returns normally (the caller exits 0).
+ * Worker-process body behind a harness's hidden --shard-range /
+ * --shard-out self-exec mode (bench/bench_common.hh): apply any armed
+ * start fault, execute specs [begin, end) on @p threads, write the
+ * fragment to @p out_path atomically, then apply any armed output
+ * fault. A non-empty @p checkpoint_dir is passed through to the
+ * engine's on-disk window-checkpoint cache, so concurrent workers
+ * share one functional pass per workload; @p result_cache_dir likewise
+ * to the engine's content-addressed result cache
+ * (cache/result_cache.hh), and the worker's real hit/simulated counts
+ * ride in the fragment header for supervisor aggregation. A TraceError
+ * or CheckpointError exits with kTraceErrorExit after printing the
+ * typed message to stderr; success returns normally (the caller exits
+ * 0).
  */
 void runShardWorker(const std::vector<driver::RunSpec> &specs,
                     std::size_t begin, std::size_t end, unsigned threads,

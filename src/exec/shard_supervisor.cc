@@ -200,7 +200,8 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
             it->second.second == end) {
             try {
                 ShardWorkerStats ws;
-                place(begin, readShardFragment(frag, begin, end, &ws));
+                place(begin,
+                      readShardFragment(frag, specs, begin, end, &ws));
                 noteWorkerStats(ws);
                 std::lock_guard<std::mutex> lock(state_mutex);
                 ++stats_.resumedShards;
@@ -255,7 +256,7 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
                 try {
                     ShardWorkerStats ws;
                     place(begin,
-                          readShardFragment(frag, begin, end, &ws));
+                          readShardFragment(frag, specs, begin, end, &ws));
                     noteWorkerStats(ws);
                     std::string jerr;
                     if (!appendLineDurable(

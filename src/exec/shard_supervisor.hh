@@ -19,8 +19,8 @@
  * Failure taxonomy and policy:
  *  - crash          worker killed by a signal or exited nonzero
  *  - timeout        wall-clock deadline hit; worker SIGKILLed
- *  - corrupt-output fragment missing, torn, unparseable or failing its
- *                   payload hash
+ *  - corrupt-output fragment missing, torn, unparseable, failing its
+ *                   payload hash, or holding runs of other specs
  *  - corrupt-trace  worker reported a typed TraceError (exit code
  *                   kTraceErrorExit) for a workload artifact
  *
@@ -92,8 +92,10 @@ struct ShardOptions
     /**
      * Worker command; the supervisor appends
      * "--shard-range B:E --shard-out FILE" per attempt. The command
-     * must enumerate the same spec list as the supervisor (a named
-     * grid, or the harness's own matrix via self-exec).
+     * must enumerate the same spec list as the supervisor: a harness
+     * re-execs itself with its own matrix-defining flags
+     * (bench/bench_common.hh). A worker that enumerates a different
+     * list fails the fragment's identity check as corrupt output.
      */
     std::vector<std::string> workerCmd;
 

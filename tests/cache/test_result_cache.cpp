@@ -45,12 +45,25 @@ uniqueDir(const std::string &name)
     return d;
 }
 
+/** The first three suite benchmarks x the two realistic Figure-5
+ *  schemes (6 specs) at a short window. */
+std::vector<driver::RunSpec>
+smallSpecs()
+{
+    auto suite = program::spec2000Suite();
+    suite.resize(3);
+    driver::RunMatrix m;
+    m.benchmarks(std::move(suite)).ifConvert(false).window(1000, 5000);
+    const auto schemes = driver::fig5Schemes();
+    m.addScheme(schemes[0].name, schemes[0].scheme);
+    m.addScheme(schemes[1].name, schemes[1].scheme);
+    return m.specs();
+}
+
 driver::RunSpec
 baseSpec()
 {
-    driver::RunMatrix m = driver::namedGrid("smoke");
-    m.window(1000, 5000);
-    return m.specs().front();
+    return smallSpecs().front();
 }
 
 std::string
@@ -317,9 +330,7 @@ TEST(ResultCacheCorruption, EnvelopeRoundTrips)
 
 TEST(ResultCacheEngine, WarmSweepSimulatesNothingAndMatchesBytes)
 {
-    driver::RunMatrix m = driver::namedGrid("smoke");
-    m.window(1000, 5000);
-    const std::vector<driver::RunSpec> specs = m.specs();
+    const std::vector<driver::RunSpec> specs = smallSpecs();
 
     driver::SweepOptions opts;
     opts.resultCacheDir = uniqueDir("engine");
@@ -360,9 +371,7 @@ TEST(ResultCacheEngine, WarmSweepSimulatesNothingAndMatchesBytes)
 
 TEST(ResultCacheEngine, CorruptEntryReSimulatesThatCellOnly)
 {
-    driver::RunMatrix m = driver::namedGrid("smoke");
-    m.window(1000, 5000);
-    const std::vector<driver::RunSpec> specs = m.specs();
+    const std::vector<driver::RunSpec> specs = smallSpecs();
 
     driver::SweepOptions opts;
     opts.resultCacheDir = uniqueDir("engine-corrupt");
@@ -432,9 +441,7 @@ TEST(ResultCacheEngine, WarmReplaySweepEvaluatesNothing)
 
 TEST(ResultCacheParse, RunJsonRoundTripsByteIdentically)
 {
-    driver::RunMatrix m = driver::namedGrid("smoke");
-    m.window(1000, 5000);
-    const std::vector<driver::RunSpec> specs = {m.specs().front()};
+    const std::vector<driver::RunSpec> specs = {baseSpec()};
     driver::SweepEngine engine{driver::SweepOptions{}};
     const auto results = engine.run(specs);
 

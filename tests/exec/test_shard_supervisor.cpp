@@ -1,8 +1,9 @@
 /**
  * @file
- * Fault-tolerant multi-process sweep execution, end to end against the
- * real sweep_worker binary (built beside this test; ctest runs from the
- * build directory).
+ * Fault-tolerant multi-process sweep execution, end to end against real
+ * shard workers: bench_fig5_nonifconv in its self-exec worker mode
+ * (hidden --shard-range/--shard-out flags), built beside this test —
+ * the same path a harness's --shards run and CI's chaos smokes take.
  *
  * The load-bearing property throughout: the merged result of a
  * supervised sweep is byte-identical to a clean single-process sweep of
@@ -31,52 +32,81 @@
 #include "exec/shard.hh"
 #include "exec/shard_supervisor.hh"
 #include "exec/steal_queue.hh"
+#include "program/suite.hh"
+#include "sampling/sampling_policy.hh"
 
 using namespace pp;
 
 namespace
 {
 
-constexpr std::uint64_t kWarmup = 1000;
-constexpr std::uint64_t kMeasure = 5000;
+/** The benchmarks every worker sweeps (`--filter`): the first three of
+ *  the suite, so the Figure-5 matrix has 3 x 4 = 12 specs. */
+constexpr const char *kFilter = "^(gzip|vpr|gcc)$";
 
-/** The "smoke" grid (3 benchmarks x 2 schemes = 6 specs) with the test
- *  window, optionally pointed at replay traces. */
-std::vector<driver::RunSpec>
-smokeSpecs(const std::string &trace_dir = "")
+/** A harness window: warmup, measure and --smarts period (0 = full). */
+struct Window
 {
-    driver::RunMatrix m = driver::namedGrid("smoke");
-    m.window(kWarmup, kMeasure);
+    std::uint64_t warmup;
+    std::uint64_t measure;
+    std::uint64_t smarts;
+};
+
+/** The fault tests' window: full detail, cheap enough to rerun often. */
+constexpr Window kSmall{1000, 5000, 0};
+
+/** CI's sampled window (the checkpoint-cache chaos smoke). */
+constexpr Window kSampled{5000, 30000, 20000};
+
+/** The matrix bench_fig5_nonifconv enumerates for `--filter kFilter`
+ *  at window @p w, optionally pointed at replay traces. */
+std::vector<driver::RunSpec>
+fig5Specs(const std::string &trace_dir = "", const Window &w = kSmall)
+{
+    driver::RunMatrix m;
+    m.benchmarks(program::spec2000Suite())
+        .ifConvert(false)
+        .window(w.warmup, w.measure)
+        .filterBenchmarks(kFilter);
+    for (const auto &s : driver::fig5Schemes())
+        m.addScheme(s.name, s.scheme);
+    if (w.smarts > 0)
+        m.addSampling("smarts", sampling::SamplingPolicy::smarts(w.smarts));
     std::vector<driver::RunSpec> specs = m.specs();
     driver::applyTraceDir(specs, trace_dir);
     return specs;
 }
 
-/** sweep_worker is built beside this test binary; find it there so the
- *  test passes whatever directory it is invoked from. */
+/** bench_fig5_nonifconv is built beside this test binary; find it there
+ *  so the test passes whatever directory it is invoked from. */
 std::string
 workerBinary()
 {
     char buf[4096];
     const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
     if (n <= 0)
-        return "./sweep_worker";
+        return "./bench_fig5_nonifconv";
     buf[n] = '\0';
-    return std::filesystem::path(buf).parent_path() / "sweep_worker";
+    return std::filesystem::path(buf).parent_path() /
+        "bench_fig5_nonifconv";
 }
 
-/** The worker command a supervisor spawns: the same grid by name. */
+/** The worker command a supervisor spawns: the harness with the flags
+ *  that define fig5Specs(), plus @p extra (a later flag overrides). */
 std::vector<std::string>
-workerCmd(const std::string &trace_dir = "")
+workerCmd(const std::vector<std::string> &extra = {},
+          const Window &w = kSmall)
 {
     std::vector<std::string> cmd = {
-        workerBinary(),       "--grid",   "smoke",
-        "--warmup",           "1000",     "--instructions",
-        "5000",               "--threads", "1"};
-    if (!trace_dir.empty()) {
-        cmd.push_back("--trace-dir");
-        cmd.push_back(trace_dir);
+        workerBinary(), "--filter", kFilter,
+        "--warmup", std::to_string(w.warmup),
+        "--instructions", std::to_string(w.measure),
+        "--threads", "1"};
+    if (w.smarts > 0) {
+        cmd.push_back("--smarts");
+        cmd.push_back(std::to_string(w.smarts));
     }
+    cmd.insert(cmd.end(), extra.begin(), extra.end());
     return cmd;
 }
 
@@ -275,7 +305,7 @@ TEST(StealQueue, DiscardsEntriesFromAnotherSpecList)
 
 TEST(ShardFragment, RoundTripsByteIdentically)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     const std::vector<driver::RunSpec> slice(specs.begin() + 2,
                                              specs.begin() + 5);
     driver::SweepEngine engine{driver::SweepOptions{}};
@@ -285,7 +315,7 @@ TEST(ShardFragment, RoundTripsByteIdentically)
     const std::string path = uniqueDir("frag") + "/frag.json";
     ASSERT_TRUE(writeFileAtomic(path, fragment));
 
-    const auto parsed = exec::readShardFragment(path, 2, 5);
+    const auto parsed = exec::readShardFragment(path, specs, 2, 5);
     ASSERT_EQ(parsed.size(), 3u);
     // Re-serializing the parsed results reproduces the exact bytes:
     // every double and counter round-tripped losslessly.
@@ -294,7 +324,7 @@ TEST(ShardFragment, RoundTripsByteIdentically)
 
 TEST(ShardFragment, DetectsDamage)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     const std::vector<driver::RunSpec> slice(specs.begin(),
                                              specs.begin() + 2);
     driver::SweepEngine engine{driver::SweepOptions{}};
@@ -307,27 +337,62 @@ TEST(ShardFragment, DetectsDamage)
     std::string corrupt = fragment;
     corrupt[corrupt.size() / 2] ^= 0x01;
     ASSERT_TRUE(writeFileAtomic(dir + "/corrupt.json", corrupt));
-    EXPECT_THROW(exec::readShardFragment(dir + "/corrupt.json", 0, 2),
+    EXPECT_THROW(exec::readShardFragment(dir + "/corrupt.json", specs, 0, 2),
                  exec::ShardError);
 
     // Truncation -> torn document.
     ASSERT_TRUE(writeFileAtomic(dir + "/short.json",
                                 fragment.substr(0, fragment.size() / 2)));
-    EXPECT_THROW(exec::readShardFragment(dir + "/short.json", 0, 2),
-                 exec::ShardError);
+    EXPECT_THROW(
+        exec::readShardFragment(dir + "/short.json", specs, 0, 2),
+        exec::ShardError);
 
     // Range mismatch -> stale fragment rejected.
     ASSERT_TRUE(writeFileAtomic(dir + "/frag.json", fragment));
-    EXPECT_THROW(exec::readShardFragment(dir + "/frag.json", 2, 4),
+    EXPECT_THROW(exec::readShardFragment(dir + "/frag.json", specs, 2, 4),
                  exec::ShardError);
 
-    EXPECT_THROW(exec::readShardFragment(dir + "/missing.json", 0, 2),
+    EXPECT_THROW(
+        exec::readShardFragment(dir + "/missing.json", specs, 0, 2),
+        exec::ShardError);
+}
+
+TEST(ShardFragment, RejectsRunsOfOtherSpecs)
+{
+    // A fragment written for one spec list, read against another: the
+    // hash and the range both verify, but the runs are other cells.
+    const auto specs = fig5Specs();
+    const std::vector<driver::RunSpec> slice(specs.begin(),
+                                             specs.begin() + 2);
+    driver::SweepEngine engine{driver::SweepOptions{}};
+    const std::string path = uniqueDir("identity") + "/frag.json";
+    ASSERT_TRUE(writeFileAtomic(
+        path, exec::shardFragmentJson(0, slice, engine.run(slice))));
+    EXPECT_EQ(exec::readShardFragment(path, specs, 0, 2).size(), 2u);
+
+    std::vector<driver::RunSpec> swapped = specs;
+    std::swap(swapped[0], swapped[1]);
+    try {
+        exec::readShardFragment(path, swapped, 0, 2);
+        FAIL() << "fragment of other specs accepted";
+    } catch (const exec::ShardError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "spec 0 holds run 'gzip/conventional', expected "
+                      "'gzip/predicate'"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // Fields the label does not show count too.
+    std::vector<driver::RunSpec> longer = specs;
+    longer[1].measureInsts += 1;
+    EXPECT_THROW(exec::readShardFragment(path, longer, 0, 2),
                  exec::ShardError);
 }
 
 TEST(ShardFragment, CarriesWorkerStatsOutsidePayloadHash)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     const std::vector<driver::RunSpec> slice(specs.begin(),
                                              specs.begin() + 2);
     driver::SweepEngine engine{driver::SweepOptions{}};
@@ -350,15 +415,15 @@ TEST(ShardFragment, CarriesWorkerStatsOutsidePayloadHash)
     // documents verify, and the stats round-trip (absent => zeros).
     exec::ShardWorkerStats parsed;
     const auto r1 =
-        exec::readShardFragment(dir + "/with.json", 0, 2, &parsed);
+        exec::readShardFragment(dir + "/with.json", specs, 0, 2, &parsed);
     EXPECT_EQ(r1.size(), 2u);
     EXPECT_EQ(parsed.resultCacheHits, 1u);
     EXPECT_EQ(parsed.runsSimulated, 1u);
 
     exec::ShardWorkerStats zeros;
     zeros.resultCacheHits = 77; // must be overwritten
-    const auto r2 =
-        exec::readShardFragment(dir + "/without.json", 0, 2, &zeros);
+    const auto r2 = exec::readShardFragment(dir + "/without.json", specs,
+                                            0, 2, &zeros);
     EXPECT_EQ(r2.size(), 2u);
     EXPECT_EQ(zeros.resultCacheHits, 0u);
     EXPECT_EQ(zeros.runsSimulated, 0u);
@@ -370,7 +435,7 @@ TEST(ShardFragment, CarriesWorkerStatsOutsidePayloadHash)
 
 TEST(ShardSupervisor, CleanRunMatchesInProcessSweepByteForByte)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     exec::ShardSupervisor supervisor(baseOptions(uniqueDir("clean")));
     const auto results = supervisor.run(specs);
 
@@ -382,7 +447,7 @@ TEST(ShardSupervisor, CleanRunMatchesInProcessSweepByteForByte)
 
 TEST(ShardSupervisor, RecoversFromCrashTruncateAndCorrupt)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     auto opts = baseOptions(uniqueDir("faults"));
     // kill -9 mid-shard, a torn fragment, and a flipped payload byte —
     // one shard is left clean as control.
@@ -401,7 +466,7 @@ TEST(ShardSupervisor, RecoversFromCrashTruncateAndCorrupt)
 
 TEST(ShardSupervisor, HangHitsDeadlineAndRecovers)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
 
     // The deadline must pass every healthy shard in whatever build runs
     // the test (sanitizer builds run shards several times slower), so
@@ -440,12 +505,12 @@ TEST(ShardSupervisor, RecoversFromCorruptTraceArtifact)
         driver::SweepOptions record_opts;
         record_opts.recordTraceDir = trace_dir;
         driver::SweepEngine recorder(record_opts);
-        recorder.run(smokeSpecs());
+        recorder.run(fig5Specs());
     }
-    const auto specs = smokeSpecs(trace_dir);
+    const auto specs = fig5Specs(trace_dir);
 
     auto opts = baseOptions(uniqueDir("ctrace"));
-    opts.workerCmd = workerCmd(trace_dir);
+    opts.workerCmd = workerCmd({"--trace-dir", trace_dir});
     opts.faultSpec = "corrupt-trace@1:1";
     exec::ShardSupervisor supervisor(opts);
     const auto results = supervisor.run(specs);
@@ -457,7 +522,7 @@ TEST(ShardSupervisor, RecoversFromCorruptTraceArtifact)
 
 TEST(ShardSupervisor, ResumesCompletedShardsFromJournal)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     const std::string dir = uniqueDir("resume");
     std::vector<sim::RunResult> first;
     {
@@ -483,7 +548,7 @@ TEST(ShardSupervisor, ResumesCompletedShardsFromJournal)
 
 TEST(ShardSupervisor, NoResumeReRunsEveryShard)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     const std::string dir = uniqueDir("noresume");
     {
         auto opts = baseOptions(dir);
@@ -502,10 +567,10 @@ TEST(ShardSupervisor, NoResumeReRunsEveryShard)
 TEST(ShardSupervisor, WorkStealingSurvivesFullFaultMatrixAtAnyWidth)
 {
     // Every failure class at once — kill -9, a hang, a torn fragment
-    // and a flipped payload byte — across six single-spec batches, at
+    // and a flipped payload byte — across six two-spec batches, at
     // one, two and eight concurrent workers. Whatever the steal order,
     // the merged document must match the in-process reference.
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     const std::string reference = referenceJson(specs);
     for (const unsigned parallel : {1u, 2u, 8u}) {
         auto opts = baseOptions(
@@ -544,11 +609,9 @@ TEST(ShardSupervisor, AggregatesWorkerResultCacheStats)
     // it. Cold pass: everything simulated. Warm pass (fresh work dir,
     // same cache): everything served, nothing simulated — and the
     // merged bytes still match.
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     const std::string cache_dir = uniqueDir("stealcache");
-    auto cmd = workerCmd();
-    cmd.push_back("--result-cache-dir");
-    cmd.push_back(cache_dir);
+    const auto cmd = workerCmd({"--result-cache-dir", cache_dir});
 
     std::string cold_doc;
     {
@@ -567,13 +630,55 @@ TEST(ShardSupervisor, AggregatesWorkerResultCacheStats)
     EXPECT_EQ(supervisor.stats().runsSimulated, 0u);
 }
 
+TEST(ShardSupervisor, SampledSweepSharingCheckpointDirMatchesInProcess)
+{
+    // CI's checkpoint-cache smoke in miniature: an in-process sampled
+    // sweep fills the window-checkpoint cache, then sharded harness
+    // workers load those pp.ckpt.v1 sets instead of rebuilding them.
+    const auto specs = fig5Specs("", kSampled);
+    const std::string ckpt_dir = uniqueDir("ckpt");
+    driver::SweepOptions in_process;
+    in_process.checkpointDir = ckpt_dir;
+    driver::SweepEngine engine(in_process);
+    const std::string reference = mergedJson(specs, engine.run(specs));
+    ASSERT_FALSE(std::filesystem::is_empty(ckpt_dir));
+
+    auto opts = baseOptions(uniqueDir("ckpt-sharded"));
+    opts.workerCmd = workerCmd({"--checkpoint-dir", ckpt_dir}, kSampled);
+    exec::ShardSupervisor supervisor(opts);
+    EXPECT_EQ(mergedJson(specs, supervisor.run(specs)), reference);
+    EXPECT_EQ(supervisor.stats().retries, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Loud permanent failure
 // ---------------------------------------------------------------------
 
+TEST(ShardSupervisorDeathTest, WorkerOfAnotherSpecListFailsPermanently)
+{
+    // The worker sweeps another benchmark set: its fragments verify by
+    // hash and range, but every run is some other spec's cell. Merging
+    // them would put vpr's numbers in gzip's rows.
+    const auto specs = fig5Specs();
+    auto opts = baseOptions(uniqueDir("identity"));
+    opts.workerCmd = workerCmd({"--filter", "^(vpr|gcc|mcf)$"});
+    opts.maxAttempts = 2;
+    opts.parallel = 1; // deterministic: shard 0 fails first
+    EXPECT_EXIT(
+        {
+            exec::ShardSupervisor supervisor(opts);
+            supervisor.run(specs);
+        },
+        ::testing::ExitedWithCode(1),
+        "shard 0 \\(specs \\[0,3\\) of 12\\) failed permanently after "
+        "2 attempt\\(s\\): corrupt-output, corrupt-output; last error: "
+        ".*spec 0 holds run 'vpr/conventional', expected "
+        "'gzip/conventional'");
+}
+
 TEST(ShardSupervisorDeathTest, ExhaustionNamesShardAndSpecRange)
 {
-    const auto specs = smokeSpecs();
+    const auto specs = fig5Specs();
     auto opts = baseOptions(uniqueDir("exhaust"));
     opts.faultSpec = "crash@0:1,crash@0:2";
     opts.maxAttempts = 2;
@@ -584,7 +689,7 @@ TEST(ShardSupervisorDeathTest, ExhaustionNamesShardAndSpecRange)
             supervisor.run(specs);
         },
         ::testing::ExitedWithCode(1),
-        "shard 0 \\(specs \\[0,2\\) of 6\\) failed permanently after "
+        "shard 0 \\(specs \\[0,3\\) of 12\\) failed permanently after "
         "2 attempt\\(s\\): crash \\(signal 9\\), crash \\(signal 9\\)");
 }
 
@@ -595,12 +700,12 @@ TEST(ShardSupervisorDeathTest, PersistentCorruptTraceFailsFastAndTyped)
         driver::SweepOptions record_opts;
         record_opts.recordTraceDir = trace_dir;
         driver::SweepEngine recorder(record_opts);
-        recorder.run(smokeSpecs());
+        recorder.run(fig5Specs());
     }
-    const auto specs = smokeSpecs(trace_dir);
+    const auto specs = fig5Specs(trace_dir);
 
     auto opts = baseOptions(uniqueDir("ctrace-perm"));
-    opts.workerCmd = workerCmd(trace_dir);
+    opts.workerCmd = workerCmd({"--trace-dir", trace_dir});
     // corrupt-trace on every attempt of shard 0: exceeds the
     // corruptTraceRetries=1 budget on attempt 2 — long before the
     // generic maxAttempts would give up.
@@ -615,4 +720,47 @@ TEST(ShardSupervisorDeathTest, PersistentCorruptTraceFailsFastAndTyped)
         ::testing::ExitedWithCode(1),
         "failed permanently after 2 attempt\\(s\\).*corrupt trace "
         "artifact");
+}
+
+TEST(ShardSupervisorDeathTest, CorruptCheckpointFailsFastAndTyped)
+{
+    // One bit-flipped set in a shared checkpoint directory: the worker
+    // that loads it exits with the typed artifact code, and the shard
+    // gives up after the corrupt-artifact retry, not maxAttempts.
+    const auto specs = fig5Specs("", kSampled);
+    const std::string ckpt_dir = uniqueDir("badckpt");
+    {
+        driver::SweepOptions fill;
+        fill.checkpointDir = ckpt_dir;
+        driver::SweepEngine(fill).run(specs);
+    }
+    std::vector<std::filesystem::path> sets;
+    for (const auto &e : std::filesystem::directory_iterator(ckpt_dir))
+        if (e.path().extension() == ".ppckpt")
+            sets.push_back(e.path());
+    ASSERT_FALSE(sets.empty());
+    const std::filesystem::path victim =
+        *std::min_element(sets.begin(), sets.end());
+    std::string bytes;
+    {
+        std::ifstream is(victim, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is), {});
+    }
+    ASSERT_FALSE(bytes.empty());
+    bytes[bytes.size() / 2] ^= 0x01;
+    ASSERT_TRUE(writeFileAtomic(victim.string(), bytes));
+
+    auto opts = baseOptions(uniqueDir("badckpt-sharded"));
+    opts.workerCmd = workerCmd({"--checkpoint-dir", ckpt_dir}, kSampled);
+    opts.maxAttempts = 5;
+    opts.parallel = 1;
+    EXPECT_EXIT(
+        {
+            exec::ShardSupervisor supervisor(opts);
+            supervisor.run(specs);
+        },
+        ::testing::ExitedWithCode(1),
+        "failed permanently after 2 attempt\\(s\\): corrupt-trace "
+        "\\(exit 3\\), corrupt-trace \\(exit 3\\); last error: "
+        "corrupt checkpoint artifact");
 }

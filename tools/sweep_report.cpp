@@ -38,8 +38,8 @@
  *
  *  Metrics: --metrics FILE --out report.html
  *    Renders a metrics registry snapshot (obs::MetricSnapshot::toJson,
- *    as written by --metrics-json on the sweep harnesses and
- *    sweep_supervise) — every histogram (per-phase host-time
+ *    as written by --metrics-json on the sweep harnesses, --shards
+ *    runs included) — every histogram (per-phase host-time
  *    distributions like sweep.build_host_ms / sweep.run_host_ms, and
  *    the supervisor's sweep.shard_backoff_ms / sweep.shard_attempt_ms /
  *    sweep.shard_steal_ms plus the sweep.lease_batch_size spread)
