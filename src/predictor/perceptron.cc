@@ -39,7 +39,11 @@ PerceptronTable::row(std::uint64_t key)
     return r;
 }
 
-std::int32_t
+// Cache-line aligned: the two set-bit loops below are ~25 bytes each,
+// and either one straddling a 64-byte boundary costs the replay tier
+// ~10% of its throughput. The alignment keeps their place in the line
+// whatever size the code linked before this function has.
+[[gnu::aligned(64)]] std::int32_t
 PerceptronTable::output(std::uint32_t r, std::uint64_t ghist,
                         std::uint64_t lhist) const
 {
