@@ -44,7 +44,7 @@ OoOCore::OoOCore(const program::Program &prog, const CoreConfig &config,
     intWaiters.resize(cfg.intPhysRegs);
     fpWaiters.resize(cfg.fpPhysRegs);
     predWaiters.resize(cfg.predPhysRegs);
-    eventHeap.reserve(cfg.robEntries);
+    completionEvents.reserve(cfg.robEntries);
     dueScratch.reserve(cfg.robEntries);
 }
 
@@ -607,25 +607,20 @@ OoOCore::wakeWaiters(std::vector<RobRef> &waiters)
     waiters.clear();
 }
 
-namespace
-{
-
-/** Min-heap ordering for completion events: earliest (cycle, seq) first. */
-template <typename Event>
-bool
-eventAfter(const Event &a, const Event &b)
-{
-    return a.cycle != b.cycle ? a.cycle > b.cycle : a.seq > b.seq;
-}
-
-} // namespace
-
 void
 OoOCore::scheduleCompletion(const DynInst &d, Cycle done)
 {
-    eventHeap.push_back({done, d.seq, d.robSlot});
-    std::push_heap(eventHeap.begin(), eventHeap.end(),
-                   eventAfter<CompletionEvent>);
+    const Cycle due = std::max(done, now + 1);
+    std::uint32_t e = freeEvent;
+    if (e == kNoEvent) {
+        e = static_cast<std::uint32_t>(completionEvents.size());
+        completionEvents.emplace_back();
+    } else {
+        freeEvent = completionEvents[e].next;
+    }
+    std::uint32_t &head = calendar[due & (kCalendarSpan - 1)];
+    completionEvents[e] = {due, d.seq, d.robSlot, head};
+    head = e;
 }
 
 Cycle
@@ -872,29 +867,24 @@ OoOCore::completeBranch(DynInst &d)
 void
 OoOCore::processCompletions()
 {
-    // Collect every event due this cycle into the reused scratch buffer,
-    // oldest instruction first. The heap pops in (cycle, seq) order, so
-    // a batch drawn from a single cycle — the norm, since every event is
-    // scheduled strictly in the future and drained every cycle — is
-    // already seq-sorted. Only a batch spanning distinct cycles (possible
-    // under zero-latency configs) needs the seq-only re-sort hardware
-    // retirement order implies.
+    // Unlink every event due this cycle from its bucket (events of later
+    // laps stay) into the reused scratch buffer, then order it oldest
+    // instruction first: the order hardware completes a cycle's results.
     dueScratch.clear();
-    Cycle first_cycle = 0;
-    bool multi_cycle = false;
-    while (!eventHeap.empty() && eventHeap.front().cycle <= now) {
-        if (dueScratch.empty())
-            first_cycle = eventHeap.front().cycle;
-        else if (eventHeap.front().cycle != first_cycle)
-            multi_cycle = true;
-        std::pop_heap(eventHeap.begin(), eventHeap.end(),
-                      eventAfter<CompletionEvent>);
-        dueScratch.emplace_back(eventHeap.back().seq,
-                                eventHeap.back().slot);
-        eventHeap.pop_back();
+    std::uint32_t *link = &calendar[now & (kCalendarSpan - 1)];
+    while (*link != kNoEvent) {
+        const std::uint32_t e = *link;
+        CompletionEvent &ev = completionEvents[e];
+        if (ev.cycle > now) {
+            link = &ev.next;
+            continue;
+        }
+        dueScratch.emplace_back(ev.seq, ev.slot);
+        *link = ev.next;
+        ev.next = freeEvent;
+        freeEvent = e;
     }
-    if (multi_cycle)
-        std::sort(dueScratch.begin(), dueScratch.end());
+    std::sort(dueScratch.begin(), dueScratch.end());
 
     for (const auto &[seq, slot] : dueScratch) {
         DynInst *d = rob.at(slot, seq);
@@ -949,24 +939,16 @@ OoOCore::commitTrain(DynInst &d)
     if (d.ins->isConditionalBranch()) {
         ++stats_.committedCondBranches;
         const bool actual = d.rec.branchTaken;
-        if (d.finalPredTaken != actual)
+        if (d.finalPredTaken != actual) {
             ++stats_.mispredictedCondBranches;
+            // An early-resolved branch read its computed predicate (§3.1).
+            if (d.earlyResolved)
+                panic("early-resolved branch mispredicted");
+        }
         if (d.l1State.valid && d.l1State.predTaken != actual)
             ++stats_.l1MispredictedCondBranches;
         if (d.earlyResolved)
             ++stats_.earlyResolvedBranches;
-
-        BranchProfile &bp = perBranch[d.pc];
-        ++bp.executed;
-        if (d.finalPredTaken != actual) {
-            ++bp.mispredicted;
-            if (actual)
-                ++bp.mispredTaken;
-            else
-                ++bp.mispredNotTaken;
-        }
-        if (d.earlyResolved)
-            ++bp.earlyResolved;
 
         BranchContext bctx;
         bctx.pc = d.pc;
@@ -1198,13 +1180,17 @@ OoOCore::registerStats(stats::Registry &registry) const
 void
 OoOCore::dumpState() const
 {
+    std::size_t completions = 0;
+    for (std::uint32_t e : calendar)
+        for (; e != kNoEvent; e = completionEvents[e].next)
+            ++completions;
     logRawf("cycle=%llu committed=%llu rob=%zu fe=%zu iq(i/f/b)="
                  "%u/%u/%u lq=%zu sq=%zu events=%zu\n",
                  static_cast<unsigned long long>(now),
                  static_cast<unsigned long long>(stats_.committedInsts),
                  rob.robSize(), rob.feSize(), intIqCount, fpIqCount,
                  brIqCount, loadQ.size(), storeQ.size(),
-                 eventHeap.size());
+                 completions);
     logRawf("fetchPc=0x%llx resume=%llu halted=%d onOracle=%d "
                  "cursor=%llu base=%llu free(i/f/p)=%zu/%zu\n",
                  static_cast<unsigned long long>(fetchPc),
@@ -1231,16 +1217,6 @@ OoOCore::dumpState() const
                      static_cast<unsigned long long>(d.renameReadyCycle),
                      d.ins->disassemble().c_str());
     }
-}
-
-std::vector<std::pair<Addr, OoOCore::BranchProfile>>
-OoOCore::branchProfiles() const
-{
-    std::vector<std::pair<Addr, BranchProfile>> out(perBranch.begin(),
-                                                    perBranch.end());
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    return out;
 }
 
 void

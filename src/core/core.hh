@@ -16,7 +16,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -125,23 +124,6 @@ class OoOCore
     /** Print a one-page pipeline snapshot to stderr (debugging aid). */
     void dumpState() const;
 
-    /** Per-static-branch commit statistics. */
-    struct BranchProfile
-    {
-        std::uint64_t executed = 0;
-        std::uint64_t mispredicted = 0;
-        std::uint64_t earlyResolved = 0;
-        std::uint64_t mispredTaken = 0;    ///< actual taken, predicted NT
-        std::uint64_t mispredNotTaken = 0; ///< actual NT, predicted taken
-    };
-
-    /**
-     * Per-PC profile of committed conditional branches, sorted by PC.
-     * Collected in an unordered map on the commit path; ordering is
-     * imposed only here, at readout.
-     */
-    std::vector<std::pair<Addr, BranchProfile>> branchProfiles() const;
-
     /**
      * Register this core's counters (and its caches') on a stats
      * registry, so callers can produce a gem5-style stats dump.
@@ -202,7 +184,11 @@ class OoOCore
     void pushReadyAtRename(DynInst *d);
     void pushReadyAtWakeup(DynInst *d);
 
-    /** Push a completion event for @p d at cycle @p done. */
+    /**
+     * File a completion event for @p d in the calendar bucket of cycle
+     * max(@p done, now + 1): the next drain is now + 1, so a zero-latency
+     * completion joins that cycle's events.
+     */
     void scheduleCompletion(const DynInst &d, Cycle done);
     /// @}
 
@@ -278,12 +264,13 @@ class OoOCore
         bool addrReady = false;
     };
 
-    /** One pending completion in the min-heap event queue. */
+    /** One pending completion, chained into its calendar bucket. */
     struct CompletionEvent
     {
         Cycle cycle = 0;
         InstSeqNum seq = invalidSeqNum;
         std::uint32_t slot = 0;
+        std::uint32_t next = 0; ///< next in its bucket or the free list
     };
 
     /** @name Queues */
@@ -314,8 +301,24 @@ class OoOCore
     std::deque<StoreRecord> storeQ;
     std::uint64_t sqBase = 0; ///< absolute position of storeQ.front()
 
-    /** Binary min-heap on (cycle, seq) + reused same-cycle scratch. */
-    std::vector<CompletionEvent> eventHeap;
+    /**
+     * Completion calendar (Brown, CACM 1988): a ring of per-cycle
+     * buckets indexed by due cycle modulo kCalendarSpan, each a singly
+     * linked list of events in @ref completionEvents. A bucket also
+     * holds events due a lap or more later; the drain of cycle c takes
+     * only those due at c. The span exceeds Table 1's longest latency
+     * without MSHR queueing (agen 1 + DTLB miss 10 + L1D 2 + L2 8 +
+     * memory 120 = 141 cycles), so there only fills queued for an MSHR
+     * wait a lap. Drained events return to a free list, so steady state
+     * allocates nothing.
+     */
+    static constexpr std::size_t kCalendarSpan = 256;
+    static constexpr std::uint32_t kNoEvent = ~0u;
+    std::vector<std::uint32_t> calendar =
+        std::vector<std::uint32_t>(kCalendarSpan, kNoEvent);
+    std::vector<CompletionEvent> completionEvents;
+    std::uint32_t freeEvent = kNoEvent;
+    /** Reused per-cycle scratch: the drained bucket, sorted by seq. */
     std::vector<std::pair<InstSeqNum, std::uint32_t>> dueScratch;
     /// @}
 
@@ -376,7 +379,6 @@ class OoOCore
     Cycle now = 0;
     InstSeqNum seqCounter = 0;
     CoreStats stats_;
-    std::unordered_map<Addr, BranchProfile> perBranch;
 };
 
 } // namespace core

@@ -4,6 +4,7 @@
 
 #include "core/core.hh"
 #include "program/asmprog.hh"
+#include "sim/simulator.hh"
 
 using namespace pp;
 using namespace pp::core;
@@ -89,16 +90,16 @@ TEST(CorePredicate, AdjacentCompareIsNotEarlyResolved)
 
 TEST(CorePredicate, EarlyResolvedNeverMispredicts)
 {
+    // The core panics when an early-resolved branch commits mispredicted,
+    // so a finished run that committed early-resolved branches is the
+    // check.
     const Program bin = hoistedProgram(30);
     CoreConfig cfg;
     cfg.scheme = PredictionScheme::PredicatePredictor;
     OoOCore cpu(bin, cfg, 3);
     cpu.run(50000);
-    for (const auto &[pc, prof] : cpu.branchProfiles()) {
-        if (prof.earlyResolved == prof.executed) {
-            EXPECT_EQ(prof.mispredicted, 0u) << "pc " << pc;
-        }
-    }
+    EXPECT_GE(cpu.coreStats().committedInsts, 50000u);
+    EXPECT_GT(cpu.coreStats().earlyResolvedBranches, 0u);
 }
 
 TEST(CorePredicate, SelectiveNullifiesConfidentFalse)
@@ -148,10 +149,12 @@ TEST(CorePredicate, WrongSpeculativeCancellationFlushes)
 TEST(CorePredicate, CommittedBranchOutcomesInvariantAcrossSchemes)
 {
     // The oracle defines architectural behaviour: every scheme must
-    // commit the same conditional branches (timing differs, outcomes
-    // cannot).
-    const Program bin = hoistedProgram(10);
-    std::vector<std::uint64_t> branch_counts;
+    // commit the conditional branches a functional run executes over the
+    // same instructions (timing differs, outcomes cannot). Each run is
+    // compared with its own instruction count, since how far commit
+    // overshoots the target depends on the scheme.
+    const Program bin =
+        sim::buildBinary(profileByName("gzip"), /*if_convert=*/true);
     for (const auto scheme :
          {PredictionScheme::Conventional, PredictionScheme::PepPa,
           PredictionScheme::PredicatePredictor}) {
@@ -159,13 +162,17 @@ TEST(CorePredicate, CommittedBranchOutcomesInvariantAcrossSchemes)
         cfg.scheme = scheme;
         OoOCore cpu(bin, cfg, 9);
         cpu.run(30000);
-        // Normalize over exactly 30000 committed instructions: the
-        // branch mix must be identical.
-        branch_counts.push_back(
-            cpu.branchProfiles().begin()->second.executed);
+        const CoreStats &s = cpu.coreStats();
+
+        Emulator emu(bin, 9);
+        std::uint64_t cond_branches = 0;
+        for (std::uint64_t i = 0; i < s.committedInsts; ++i)
+            if (emu.step().ins->isConditionalBranch())
+                ++cond_branches;
+        EXPECT_GT(cond_branches, 0u);
+        EXPECT_EQ(s.committedCondBranches, cond_branches)
+            << "scheme " << static_cast<int>(scheme);
     }
-    EXPECT_EQ(branch_counts[0], branch_counts[1]);
-    EXPECT_EQ(branch_counts[1], branch_counts[2]);
 }
 
 TEST(CorePredicate, ShadowPredictorCountsPopulated)

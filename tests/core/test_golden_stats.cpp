@@ -83,6 +83,64 @@ static_assert(sizeof(kGolden) / sizeof(kGolden[0]) ==
                   sizeof(sampling::kAccuracyGrid[0]),
               "golden expectations must cover the shared grid exactly");
 
+/** A cell off Table 1: the default machine with @ref configure applied. */
+struct EdgeCell
+{
+    const char *label;
+    const char *benchmark;
+    bool ifConvert;
+    const char *scheme; ///< sampling::accuracySchemeByName
+    void (*configure)(core::CoreConfig &cfg);
+    GoldenStats expected;
+};
+
+// Completion-scheduler edge cases the Table 1 grid never reaches:
+// completions due thousands of cycles ahead, zero-latency completions
+// (drained the next cycle together with that cycle's own), and fills
+// that queue for a single MSHR behind 120-cycle memory. Captured at
+// commit a0b3746 (binary-heap completion queue), Release build, via
+// sim::run(binary, profile, scheme, cfg, 10000, 60000). Kept apart from
+// sampling::kAccuracyGrid, which the sampling contract shares.
+const EdgeCell kSchedulerEdges[] = {
+    {"mcf/conventional, 3000-cycle memory", "mcf", false, "conventional",
+     [](core::CoreConfig &c) { c.mem.memLatency = 3000; },
+     {134040ull, 59995ull, 4250ull, 537ull, 0ull, 372ull, 536ull, 0ull,
+      0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 4249ull, 0ull}},
+    {"gzip+ifc/predicate, zero-latency int/compare/branch/agen/forward",
+     "gzip", true, "predicate",
+     [](core::CoreConfig &c) {
+         c.intAluLat = c.compareLat = c.branchLat = 0;
+         c.agenLat = c.forwardLat = 0;
+     },
+     {16345ull, 60000ull, 3502ull, 113ull, 1261ull, 108ull, 113ull, 0ull,
+      0ull, 5383ull, 0ull, 0ull, 0ull, 0ull, 4535ull, 448ull}},
+    {"mcf/peppa, one L1D and one L2 MSHR", "mcf", false, "peppa",
+     [](core::CoreConfig &c) { c.mem.l1d.mshrs = c.mem.l2.mshrs = 1; },
+     {36760ull, 59995ull, 4250ull, 509ull, 0ull, 377ull, 508ull, 0ull,
+      0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 4249ull, 0ull}},
+};
+
+void
+expectGolden(const core::CoreStats &s, const GoldenStats &e)
+{
+    EXPECT_EQ(s.cycles, e.cycles);
+    EXPECT_EQ(s.committedInsts, e.committedInsts);
+    EXPECT_EQ(s.committedCondBranches, e.committedCondBranches);
+    EXPECT_EQ(s.mispredictedCondBranches, e.mispredictedCondBranches);
+    EXPECT_EQ(s.earlyResolvedBranches, e.earlyResolvedBranches);
+    EXPECT_EQ(s.overrideRedirects, e.overrideRedirects);
+    EXPECT_EQ(s.branchMispredFlushes, e.branchMispredFlushes);
+    EXPECT_EQ(s.shadowMispredicts, e.shadowMispredicts);
+    EXPECT_EQ(s.earlyResolvedShadowWrong, e.earlyResolvedShadowWrong);
+    EXPECT_EQ(s.committedPredicated, e.committedPredicated);
+    EXPECT_EQ(s.nullifiedAtRename, e.nullifiedAtRename);
+    EXPECT_EQ(s.unguardedAtRename, e.unguardedAtRename);
+    EXPECT_EQ(s.cmovFallbacks, e.cmovFallbacks);
+    EXPECT_EQ(s.predicateFlushes, e.predicateFlushes);
+    EXPECT_EQ(s.committedCompares, e.committedCompares);
+    EXPECT_EQ(s.comparePd1Mispredicts, e.comparePd1Mispredicts);
+}
+
 } // namespace
 
 TEST(GoldenStats, BitIdenticalToPreRefactorCapture)
@@ -96,24 +154,22 @@ TEST(GoldenStats, BitIdenticalToPreRefactorCapture)
             profile, c.ifConvert,
             sampling::accuracySchemeByName(c.scheme), kWarmup,
             kMeasure);
-        const core::CoreStats &s = r.stats;
-        const GoldenStats &e = kGolden[i];
-        EXPECT_EQ(s.cycles, e.cycles);
-        EXPECT_EQ(s.committedInsts, e.committedInsts);
-        EXPECT_EQ(s.committedCondBranches, e.committedCondBranches);
-        EXPECT_EQ(s.mispredictedCondBranches,
-                  e.mispredictedCondBranches);
-        EXPECT_EQ(s.earlyResolvedBranches, e.earlyResolvedBranches);
-        EXPECT_EQ(s.overrideRedirects, e.overrideRedirects);
-        EXPECT_EQ(s.branchMispredFlushes, e.branchMispredFlushes);
-        EXPECT_EQ(s.shadowMispredicts, e.shadowMispredicts);
-        EXPECT_EQ(s.earlyResolvedShadowWrong, e.earlyResolvedShadowWrong);
-        EXPECT_EQ(s.committedPredicated, e.committedPredicated);
-        EXPECT_EQ(s.nullifiedAtRename, e.nullifiedAtRename);
-        EXPECT_EQ(s.unguardedAtRename, e.unguardedAtRename);
-        EXPECT_EQ(s.cmovFallbacks, e.cmovFallbacks);
-        EXPECT_EQ(s.predicateFlushes, e.predicateFlushes);
-        EXPECT_EQ(s.committedCompares, e.committedCompares);
-        EXPECT_EQ(s.comparePd1Mispredicts, e.comparePd1Mispredicts);
+        expectGolden(r.stats, kGolden[i]);
+    }
+}
+
+TEST(GoldenStats, SchedulerEdgeCasesBitIdentical)
+{
+    for (const EdgeCell &c : kSchedulerEdges) {
+        SCOPED_TRACE(c.label);
+        const auto profile = program::profileByName(c.benchmark);
+        const program::Program binary =
+            sim::buildBinary(profile, c.ifConvert);
+        core::CoreConfig cfg;
+        c.configure(cfg);
+        const sim::RunResult r = sim::run(
+            binary, profile, sampling::accuracySchemeByName(c.scheme), cfg,
+            kWarmup, kMeasure);
+        expectGolden(r.stats, c.expected);
     }
 }
