@@ -6,8 +6,9 @@
 #ifndef PP_COMMON_SAT_COUNTER_HH
 #define PP_COMMON_SAT_COUNTER_HH
 
-#include <cassert>
 #include <cstdint>
+
+#include "common/logging.hh"
 
 namespace pp
 {
@@ -17,20 +18,23 @@ namespace pp
  *
  * Used for PHT entries (2-bit) and for the predicate-prediction confidence
  * estimator (the paper's "saturated counter ... incremented with every
- * correct prediction and zeroed if a misprediction occurs").
+ * correct prediction and zeroed if a misprediction occurs"). Maximum and
+ * count take one byte each, so a table of counters costs two bytes an
+ * entry.
  */
 class SatCounter
 {
   public:
     /**
-     * @param num_bits width of the counter (1..15)
-     * @param initial initial count
+     * @param num_bits width of the counter (1..8)
+     * @param initial initial count (at most 2^num_bits - 1)
      */
     explicit SatCounter(unsigned num_bits = 2, unsigned initial = 0)
-        : maxVal((1u << num_bits) - 1), count(initial)
+        : maxVal(maxForWidth(num_bits)),
+          count(static_cast<std::uint8_t>(initial))
     {
-        assert(num_bits >= 1 && num_bits < 16);
-        assert(initial <= maxVal);
+        panicIfNot(initial <= maxVal,
+                   "saturating counter initial value exceeds its maximum");
     }
 
     /** Increment, saturating at the maximum. */
@@ -68,8 +72,17 @@ class SatCounter
     bool taken() const { return count > maxVal / 2; }
 
   private:
-    unsigned maxVal;
-    unsigned count;
+    /** 2^@p num_bits - 1, checked before it is computed. */
+    static std::uint8_t
+    maxForWidth(unsigned num_bits)
+    {
+        panicIfNot(num_bits >= 1 && num_bits <= 8,
+                   "saturating counter width must be 1..8 bits");
+        return static_cast<std::uint8_t>((1u << num_bits) - 1);
+    }
+
+    std::uint8_t maxVal;
+    std::uint8_t count;
 };
 
 } // namespace pp

@@ -23,8 +23,18 @@ OoOCore::OoOCore(const program::Program &prog, const CoreConfig &config,
                  std::uint64_t seed,
                  const program::DecodedProgram *decoded,
                  const program::TraceFile *trace)
+    : OoOCore(prog, config, seed, decoded, trace,
+              program::Emulator::Segment())
+{
+}
+
+OoOCore::OoOCore(const program::Program &prog, const CoreConfig &config,
+                 std::uint64_t seed,
+                 const program::DecodedProgram *decoded,
+                 const program::TraceFile *trace,
+                 program::Emulator::Segment segment)
     : program(prog), cfg(config), mem(config.mem),
-      emu(prog, decoded, seed, trace), bpu(config),
+      emu(prog, decoded, seed, trace, std::move(segment)), bpu(config),
       intMap(isa::numIntRegs, config.intPhysRegs),
       fpMap(isa::numFpRegs, config.fpPhysRegs),
       pprf(isa::numPredRegs, config.predPhysRegs), fetchPc(prog.entry())
@@ -52,8 +62,9 @@ OoOCore::OoOCore(const program::Program &prog, const CoreConfig &config,
                  std::uint64_t seed,
                  const program::Emulator::Checkpoint &resume,
                  const program::DecodedProgram *decoded,
-                 const program::TraceFile *trace)
-    : OoOCore(prog, config, seed, decoded, trace)
+                 const program::TraceFile *trace,
+                 program::Emulator::Segment segment)
+    : OoOCore(prog, config, seed, decoded, trace, std::move(segment))
 {
     emu.restore(resume);
     fetchPc = emu.pc();

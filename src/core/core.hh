@@ -58,12 +58,18 @@ class OoOCore
      * exactly as at a normal construction; only architectural state is
      * restored. A checkpoint taken before the first instruction yields a
      * core bit-identical to the plain constructor.
+     *
+     * The oracle restores @p resume into @p segment when it is a data
+     * segment an earlier core handed back (releaseSegment()) at this
+     * program's size, copying only the pages that differ; otherwise it
+     * allocates a fresh segment (see program::Emulator).
      */
     OoOCore(const program::Program &prog, const CoreConfig &cfg,
             std::uint64_t seed,
             const program::Emulator::Checkpoint &resume,
             const program::DecodedProgram *decoded = nullptr,
-            const program::TraceFile *trace = nullptr);
+            const program::TraceFile *trace = nullptr,
+            program::Emulator::Segment segment = {});
 
     /** Run until @p max_committed instructions have committed. */
     void run(std::uint64_t max_committed);
@@ -132,7 +138,23 @@ class OoOCore
 
     const CoreConfig &config() const { return cfg; }
 
+    /**
+     * Hand the oracle's data segment back for a later core to adopt.
+     * This core must not run afterwards.
+     */
+    program::Emulator::Segment
+    releaseSegment() &&
+    {
+        return std::move(emu).releaseSegment();
+    }
+
   private:
+    /** The plain constructor, its oracle executing on @p segment. */
+    OoOCore(const program::Program &prog, const CoreConfig &cfg,
+            std::uint64_t seed, const program::DecodedProgram *decoded,
+            const program::TraceFile *trace,
+            program::Emulator::Segment segment);
+
     /** @name Pipeline stages (evaluated back to front each cycle) */
     /// @{
     void processCompletions();

@@ -18,16 +18,25 @@ Emulator::Emulator(const Program &prog, std::uint64_t seed)
 }
 
 Emulator::Emulator(const Program &prog, const DecodedProgram *decoded,
-                   std::uint64_t seed, const TraceFile *trace)
+                   std::uint64_t seed, const TraceFile *trace,
+                   Segment segment)
     : program(prog), dec(decoded), image(prog.image().data()),
       rng(seed), intRegs(isa::numIntRegs, 0), fpRegs(isa::numFpRegs, 0),
-      predRegs(isa::numPredRegs, 0),
-      dataMem(prog.dataSize() / 8, 0), curPc(prog.entry())
+      predRegs(isa::numPredRegs, 0), mem(std::move(segment)),
+      curPc(prog.entry())
 {
     static_assert(isa::numPredRegs <= 64,
                   "skip()'s predicate-write mask is a 64-bit word");
     panicIfNot(isPowerOfTwo(prog.dataSize()),
                "data segment size must be a power of two");
+    const std::size_t words = prog.dataSize() / 8;
+    if (mem.words.size() != words) {
+        // Free a segment of another size before allocating this one.
+        mem = Segment();
+        mem.words.assign(words, 0);
+        mem.matched.assign(PagedImage::pagesFor(words), nullptr);
+        mem.dirty.assign(PagedImage::pagesFor(words), 0);
+    }
     if (trace == nullptr) {
         condGen = &condStore.emplace<ConditionTable>(
             prog.conditions(), seed ^ 0xc0ffee123456789ull);
@@ -68,14 +77,15 @@ Emulator::recordConditions(std::vector<ConditionStream> *streams)
 }
 
 Emulator::Checkpoint
-Emulator::checkpoint(const Checkpoint *prev) const
+Emulator::checkpoint()
 {
     Checkpoint c;
     c.intRegs = intRegs;
     c.fpRegs = fpRegs;
     c.predRegs = predRegs;
-    c.dataMem = PagedImage::capture(
-        dataMem, prev != nullptr ? &prev->dataMem : nullptr);
+    c.dataMem = PagedImage::capture(mem.words, mem.matched, mem.dirty);
+    mem.matched = c.dataMem.pages();
+    std::fill(mem.dirty.begin(), mem.dirty.end(), 0);
     c.callStack = callStack;
     c.pc = curPc;
     c.numInsts = numInsts;
@@ -90,7 +100,7 @@ Emulator::restore(const Checkpoint &ckpt)
     panicIfNot(ckpt.intRegs.size() == intRegs.size() &&
                ckpt.fpRegs.size() == fpRegs.size() &&
                ckpt.predRegs.size() == predRegs.size() &&
-               ckpt.dataMem.size() == dataMem.size(),
+               ckpt.dataMem.size() == mem.words.size(),
                "emulator checkpoint is for a different program");
     panicIfNot(ckpt.pc % isa::instBytes == 0 &&
                ckpt.pc / isa::instBytes <= program.size(),
@@ -99,7 +109,22 @@ Emulator::restore(const Checkpoint &ckpt)
     fpRegs = ckpt.fpRegs;
     for (std::size_t i = 0; i < predRegs.size(); ++i)
         predRegs[i] = ckpt.predRegs[i] != 0 ? 1 : 0;
-    ckpt.dataMem.copyTo(dataMem);
+    // Outside dirty pages the segment equals the matched image, so a
+    // page needs writing only if it is dirty or its page differs.
+    const std::vector<PagedImage::PagePtr> &pages = ckpt.dataMem.pages();
+    for (std::size_t p = 0; p < pages.size(); ++p) {
+        if (mem.dirty[p] == 0 && mem.matched[p] == pages[p])
+            continue;
+        const std::size_t first = p * PagedImage::kPageWords;
+        const std::size_t n =
+            std::min(PagedImage::kPageWords, mem.words.size() - first);
+        if (pages[p] != nullptr)
+            std::copy_n(pages[p]->begin(), n, mem.words.begin() + first);
+        else
+            std::fill_n(mem.words.begin() + first, n, 0);
+        mem.matched[p] = pages[p];
+        mem.dirty[p] = 0;
+    }
     callStack = ckpt.callStack;
     curPc = ckpt.pc;
     curIdx = static_cast<std::uint32_t>(curPc / isa::instBytes);
@@ -287,7 +312,7 @@ Emulator::writePred(RegIndex idx, bool val, bool &written_flag,
 Addr
 Emulator::effAddr(std::uint64_t base, std::int64_t disp) const
 {
-    const std::uint64_t bytes = dataMem.size() * 8;
+    const std::uint64_t bytes = mem.words.size() * 8;
     return (base + static_cast<std::uint64_t>(disp)) & (bytes - 1) & ~7ull;
 }
 
@@ -427,7 +452,7 @@ Emulator::stepLegacy()
         if (!rec.qpVal)
             break;
         rec.memAddr = effAddr(readInt(ins->src1), ins->imm);
-        const std::uint64_t v = dataMem[rec.memAddr / 8];
+        const std::uint64_t v = mem.words[rec.memAddr / 8];
         if (ins->op == Opcode::Ld)
             writeInt(ins->dst, v);
         else
@@ -442,7 +467,7 @@ Emulator::stepLegacy()
         rec.memAddr = effAddr(readInt(ins->src1), ins->imm);
         const std::uint64_t v = ins->op == Opcode::St
             ? readInt(ins->src2) : fpRegs[ins->src2];
-        dataMem[rec.memAddr / 8] = v;
+        storeWord(rec.memAddr, v);
         break;
       }
 

@@ -68,6 +68,26 @@ class Emulator
 {
   public:
     /**
+     * The data segment with the page bookkeeping that lets restore()
+     * and checkpoint() touch only what changed. Invariant: outside its
+     * dirty pages, @ref words equals the image @ref matched.
+     */
+    struct Segment
+    {
+        /** The 8-byte words loads and stores index directly. */
+        std::vector<std::uint64_t> words;
+        /**
+         * Pages of the image the words last matched; all null (zeros)
+         * in a fresh segment. Held by shared pointer, never by address:
+         * a freed page's address can be reused by a later page, and a
+         * stale match would skip a copy restore() needs.
+         */
+        std::vector<PagedImage::PagePtr> matched;
+        /** One byte per page: stored to since the words matched. */
+        std::vector<std::uint8_t> dirty;
+    };
+
+    /**
      * @param prog program to execute (must outlive the emulator)
      * @param seed RNG seed for stochastic conditions
      *
@@ -88,9 +108,17 @@ class Emulator
      * fresh value, on every tier, so the execution is bit-identical to
      * the recording run. The trace must match @p prog (it normally IS
      * the trace's embedded binary) and must outlive the emulator.
+     *
+     * @p segment is adopted when another emulator handed it back
+     * (releaseSegment()) at this program's data size; otherwise it is
+     * freed and a zeroed segment allocated. An adopted segment keeps
+     * its last owner's data until restore(), so adopt one only to
+     * restore a checkpoint into it: restore() then copies just the
+     * pages that differ.
      */
     Emulator(const Program &prog, const DecodedProgram *decoded,
-             std::uint64_t seed, const TraceFile *trace = nullptr);
+             std::uint64_t seed, const TraceFile *trace = nullptr,
+             Segment segment = {});
 
     /**
      * Not copyable or movable: conds/condGen/condRep point into the
@@ -245,17 +273,28 @@ class Emulator
     };
 
     /**
-     * Capture the architectural state. Data pages equal to those of
-     * @p prev (an earlier checkpoint of this emulator, when not null)
-     * are shared with it instead of copied.
+     * Capture the architectural state. Only the data pages stored to
+     * since the last checkpoint() or restore() are read; every other
+     * page is shared with that image, and so is a stored-to page that
+     * still equals it. The segment then matches the captured image.
      */
-    Checkpoint checkpoint(const Checkpoint *prev = nullptr) const;
+    Checkpoint checkpoint();
 
     /**
      * Restore state captured from an emulator over the same program;
      * fatal if the shapes (register/memory/condition counts) differ.
+     * Copies a data page only if it was stored to or differs (by page
+     * identity) from the image the segment last matched, so a fresh
+     * emulator copies just @p ckpt's non-zero pages. The segment then
+     * matches @p ckpt's image.
      */
     void restore(const Checkpoint &ckpt);
+
+    /**
+     * Hand the data segment back for a later emulator to adopt (see
+     * the constructor). This emulator must not run afterwards.
+     */
+    Segment releaseSegment() && { return std::move(mem); }
 
     /** Current program counter. */
     Addr pc() const { return curPc; }
@@ -268,6 +307,9 @@ class Emulator
 
     /** Architectural FP register payload. */
     std::uint64_t fpReg(RegIndex idx) const { return fpRegs[idx]; }
+
+    /** Data-segment word @p i (below the program's dataSize() / 8). */
+    std::uint64_t dataWord(std::size_t i) const { return mem.words[i]; }
 
     /** Number of instructions executed so far. */
     std::uint64_t instCount() const { return numInsts; }
@@ -299,6 +341,14 @@ class Emulator
     void writePred(RegIndex idx, bool val, bool &written_flag,
                    bool &val_flag);
     Addr effAddr(std::uint64_t base, std::int64_t disp) const;
+
+    /** Store @p val at effective address @p a; marks its page dirty. */
+    void
+    storeWord(Addr a, std::uint64_t val)
+    {
+        mem.words[a / 8] = val;
+        mem.dirty[a / (8 * PagedImage::kPageWords)] = 1;
+    }
 
     /**
      * Draw the next outcome of condition @p id. The source is one of
@@ -337,7 +387,7 @@ class Emulator
     std::vector<std::uint64_t> fpRegs;
     /** One byte per predicate (0/1): the hot loop reads qp every op. */
     std::vector<std::uint8_t> predRegs;
-    std::vector<std::uint64_t> dataMem; ///< 8-byte words
+    Segment mem;
     std::vector<Addr> callStack;
 
     Addr curPc;
@@ -458,7 +508,7 @@ Emulator::execOne(ExecRecord *rec, Sink *sink, std::uint64_t &pred_mask)
             rec->memAddr = a;
         if constexpr (T == ExecTier::Warm)
             sink->memAccess(a, false);
-        const std::uint64_t v = dataMem[a / 8];
+        const std::uint64_t v = mem.words[a / 8];
         if (op.kind == ExecKind::Ld) {
             if (op.dst != 0)
                 intRegs[op.dst] = v;
@@ -477,8 +527,8 @@ Emulator::execOne(ExecRecord *rec, Sink *sink, std::uint64_t &pred_mask)
             rec->memAddr = a;
         if constexpr (T == ExecTier::Warm)
             sink->memAccess(a, true);
-        dataMem[a / 8] = op.kind == ExecKind::St ? intRegs[op.src2]
-                                                 : fpRegs[op.src2];
+        storeWord(a, op.kind == ExecKind::St ? intRegs[op.src2]
+                                             : fpRegs[op.src2]);
         break;
       }
 

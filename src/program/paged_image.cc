@@ -25,43 +25,42 @@ allZero(const std::uint64_t *w, std::size_t n)
 } // namespace
 
 PagedImage
-PagedImage::capture(const std::vector<std::uint64_t> &words,
-                    const PagedImage *prev)
+PagedImage::capture(const std::vector<std::uint64_t> &words)
 {
-    panicIfNot(prev == nullptr || prev->words_ == words.size(),
+    const std::size_t pages = pagesFor(words.size());
+    return capture(words, std::vector<PagePtr>(pages),
+                   std::vector<std::uint8_t>(pages, 1));
+}
+
+PagedImage
+PagedImage::capture(const std::vector<std::uint64_t> &words,
+                    const std::vector<PagePtr> &base,
+                    const std::vector<std::uint8_t> &dirty)
+{
+    panicIfNot(base.size() == pagesFor(words.size()) &&
+                   dirty.size() == base.size(),
                "paged image base has a different size");
     PagedImage img;
     img.words_ = words.size();
-    img.pages_.resize((words.size() + kPageWords - 1) / kPageWords);
-    for (std::size_t p = 0; p < img.pages_.size(); ++p) {
+    img.pages_ = base;
+    for (std::size_t p = 0; p < base.size(); ++p) {
+        if (dirty[p] == 0)
+            continue;
         const std::uint64_t *src = words.data() + p * kPageWords;
         const std::size_t n =
             std::min(kPageWords, words.size() - p * kPageWords);
-        const PagePtr *old = prev != nullptr ? &prev->pages_[p] : nullptr;
-        if (old != nullptr && *old != nullptr &&
-            std::equal(src, src + n, (*old)->begin())) {
-            img.pages_[p] = *old;
-        } else if (!allZero(src, n)) {
+        const PagePtr &old = base[p];
+        if (old != nullptr && std::equal(src, src + n, old->begin()))
+            continue; // unchanged: stays shared
+        if (allZero(src, n)) {
+            img.pages_[p] = nullptr;
+        } else {
             auto page = std::make_shared<Page>();
             std::copy_n(src, n, page->begin());
             img.pages_[p] = std::move(page);
         }
     }
     return img;
-}
-
-void
-PagedImage::copyTo(std::vector<std::uint64_t> &out) const
-{
-    out.resize(words_);
-    for (std::size_t p = 0; p < pages_.size(); ++p) {
-        const std::size_t first = p * kPageWords;
-        const std::size_t n = std::min(kPageWords, words_ - first);
-        if (pages_[p] != nullptr)
-            std::copy_n(pages_[p]->begin(), n, out.begin() + first);
-        else
-            std::fill_n(out.begin() + first, n, 0);
-    }
 }
 
 std::vector<std::size_t>

@@ -14,8 +14,10 @@
  *
  * A page is never written once an image holds it: capture() and
  * Builder::publish() finish each page before handing it over. Images
- * can therefore be read from any number of threads; readers take them
- * by reference, so reading bumps no reference counts.
+ * can therefore be read from any number of threads. Reading a page
+ * bumps no reference count, but an emulator that restores or captures
+ * an image holds references to its pages (program/emulator.hh), so
+ * pages are also referenced from threads that never built them.
  */
 
 #ifndef PP_PROGRAM_PAGED_IMAGE_HH
@@ -46,13 +48,25 @@ class PagedImage
 
     class Builder;
 
+    /** Pages an image of @p words words spans. */
+    static std::size_t
+    pagesFor(std::size_t words)
+    {
+        return (words + kPageWords - 1) / kPageWords;
+    }
+
+    /** Image of @p words: zero pages are null, the rest copies. */
+    static PagedImage capture(const std::vector<std::uint64_t> &words);
+
     /**
-     * Image of @p words. Every page equal to the same page of @p prev
-     * (an image of the same size, when not null) is shared with it
-     * instead of copied.
+     * Image of @p words that reads only the pages @p dirty marks (one
+     * byte per page). Every other page is @p base's page, which
+     * @p words must equal there. A dirty page equal to base's stays
+     * shared, an all-zero one becomes null, and any other is copied.
      */
     static PagedImage capture(const std::vector<std::uint64_t> &words,
-                              const PagedImage *prev = nullptr);
+                              const std::vector<PagePtr> &base,
+                              const std::vector<std::uint8_t> &dirty);
 
     /** Size in 8-byte words. */
     std::size_t size() const { return words_; }
@@ -70,9 +84,6 @@ class PagedImage
      * is not a multiple of kPageWords; its unused words are zero.
      */
     const std::vector<PagePtr> &pages() const { return pages_; }
-
-    /** Write the image into @p out, resized to size() words. */
-    void copyTo(std::vector<std::uint64_t> &out) const;
 
     /**
      * Ascending indices of the words that differ from @p base, an image

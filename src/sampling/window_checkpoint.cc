@@ -41,6 +41,13 @@ elapsedMs(const std::chrono::steady_clock::time_point &since)
         .count();
 }
 
+/**
+ * The data segment this thread lends to each window core it runs. The
+ * windows of one set differ in a few pages, so restoring the next one
+ * into the last one's segment copies only those, with no zero fill.
+ */
+thread_local program::Emulator::Segment spareSegment;
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -276,8 +283,7 @@ buildWindowCheckpoints(const program::Program &binary,
         }
         // Pages the gap did not store to stay shared with the previous
         // window, so a set holds each distinct page once.
-        w.arch = emu.checkpoint(
-            set.windows.empty() ? nullptr : &set.windows.back().arch);
+        w.arch = emu.checkpoint();
         pos = w.warmStart;
         set.windows.push_back(std::move(w));
     }
@@ -294,7 +300,8 @@ runWindow(const WindowCheckpoint &w, const program::Program &binary,
     WindowRunResult out;
 
     const auto warm_start = std::chrono::steady_clock::now();
-    core::OoOCore cpu(binary, cfg, seed, w.arch, decoded, trace);
+    core::OoOCore cpu(binary, cfg, seed, w.arch, decoded, trace,
+                      std::move(spareSegment));
     {
         obs::ScopedSpan span(obs::tracer(), "warm_replay", "sampling");
         cpu.warmReplay(w.warmEvents);
@@ -315,6 +322,7 @@ runWindow(const WindowCheckpoint &w, const program::Program &binary,
         }
     }
     out.coreCommitted = cpu.coreStats().committedInsts;
+    spareSegment = std::move(cpu).releaseSegment();
     out.windowHostMs = elapsedMs(win_start);
     return out;
 }

@@ -9,7 +9,7 @@
  * WindowCheckpoint — the emulator's architectural checkpoint plus the
  * recorded warming event stream of the horizon leading up to it
  * (program/warm_stream.hh). A window job restores the checkpoint into a
- * fresh core, replays the warming through that core's own tables
+ * new core, replays the warming through that core's own tables
  * (scheme-agnostic: the stream holds committed behavior, not table
  * state), runs the detailed warmup+measure, and returns its stats
  * delta. Merging the deltas in window order reproduces the serial
@@ -187,11 +187,14 @@ struct WindowRunResult
 };
 
 /**
- * Run one window job: fresh core resumed from @p w's checkpoint,
+ * Run one window job: a new core resumed from @p w's checkpoint,
  * warming replayed through its own tables, detailed warmup + measure.
- * @p cfg must already be scheme-resolved (sim::resolveConfig) and
- * @p seed the workload's core seed (sim::coreSeed) — identical inputs
- * give bit-identical deltas on any thread or process.
+ * Microarchitectural state starts cold; only the oracle's data segment
+ * is recycled, one per thread, so a window restores just the pages
+ * that differ from the last one this thread ran. @p cfg must already
+ * be scheme-resolved (sim::resolveConfig) and @p seed the workload's
+ * core seed (sim::coreSeed) — identical inputs give bit-identical
+ * deltas on any thread or process, in any order.
  */
 WindowRunResult runWindow(const WindowCheckpoint &w,
                           const program::Program &binary,

@@ -12,6 +12,13 @@ TEST(SatCounter, StartsAtInitialValue)
     EXPECT_EQ(SatCounter(3, 0).value(), 0u);
 }
 
+TEST(SatCounter, TakesTwoBytes)
+{
+    // Maximum and count are one byte each: a 2^19-entry PEP-PA PHT is
+    // 1 MB, not the 4 MB two unsigneds would take.
+    EXPECT_EQ(sizeof(SatCounter), 2u);
+}
+
 TEST(SatCounter, SaturatesHigh)
 {
     SatCounter c(2, 0);
@@ -89,3 +96,21 @@ TEST_P(SatCounterWidthTest, ConfidenceProtocol)
 
 INSTANTIATE_TEST_SUITE_P(Widths, SatCounterWidthTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 8u));
+
+// The width is checked in every build type: with one-byte fields a
+// width above 8 would wrap, and width 0 would read saturated from the
+// start.
+TEST(SatCounterDeath, RejectsWidthZero)
+{
+    EXPECT_DEATH(SatCounter(0, 0), "width must be 1..8");
+}
+
+TEST(SatCounterDeath, RejectsWidthAboveEight)
+{
+    EXPECT_DEATH(SatCounter(9, 0), "width must be 1..8");
+}
+
+TEST(SatCounterDeath, RejectsInitialValueAboveMax)
+{
+    EXPECT_DEATH(SatCounter(2, 4), "initial value exceeds its maximum");
+}

@@ -408,10 +408,11 @@ TEST(PagedImage, SharesUnchangedPagesAndNeverWritesSharedOnes)
     EXPECT_EQ(a.pages()[0], nullptr); // a zero page is null
     ASSERT_NE(a.pages()[1], nullptr);
 
-    // Captured against a, the unchanged page is the same object.
-    mem[2 * kW] = 22;
-    mem[3 * kW + 6] = 33;
-    const PagedImage b = PagedImage::capture(mem, &a);
+    // Edited from a, the untouched page is the same object.
+    PagedImage::Builder from_a(a);
+    from_a.set(2 * kW, 22);
+    from_a.set(3 * kW + 6, 33);
+    const PagedImage b = std::move(from_a).publish();
     EXPECT_EQ(b.pages()[1], a.pages()[1]);
     EXPECT_EQ(b.diff(a), (std::vector<std::size_t>{2 * kW, 3 * kW + 6}));
 
@@ -429,11 +430,162 @@ TEST(PagedImage, SharesUnchangedPagesAndNeverWritesSharedOnes)
     EXPECT_EQ(c.pages()[2], nullptr); // back to zeros: null again
     EXPECT_EQ(c.pages()[3], b.pages()[3]);
 
-    std::vector<std::uint64_t> flat(1, 99);
-    c.copyTo(flat);
     mem[kW + 5] = 12;
-    mem[2 * kW] = 0;
-    EXPECT_EQ(flat, mem);
+    mem[3 * kW + 6] = 33;
+    for (std::size_t i = 0; i < mem.size(); ++i)
+        ASSERT_EQ(c[i], mem[i]) << "word " << i;
+}
+
+namespace
+{
+
+constexpr Addr kPageBytes = PagedImage::kPageWords * 8;
+
+/** Emit `mem[page * 4 KiB + 8] = r<src>`, addressing through r1. */
+void
+emitStoreToPage(AsmProgram &p, unsigned page, RegIndex src)
+{
+    p.emit(makeMovImm(1, static_cast<std::int64_t>(page * kPageBytes)));
+    p.emit(makeStore(src, 1, 8));
+}
+
+/** The word emitStoreToPage() writes on @p page. */
+std::size_t
+wordOnPage(unsigned page)
+{
+    return (page * kPageBytes + 8) / 8;
+}
+
+/** Word for word, @p a's data segment equals @p b's. */
+void
+expectSameMemory(const Emulator &a, const Emulator &b, std::size_t words)
+{
+    for (std::size_t i = 0; i < words; ++i)
+        ASSERT_EQ(a.dataWord(i), b.dataWord(i)) << "word " << i;
+}
+
+} // namespace
+
+TEST(EmulatorSegment, CheckpointReadsOnlyStoredPagesAndSharesTheRest)
+{
+    AsmProgram p;
+    p.emit(makeMovImm(2, 11));
+    p.emit(makeMovImm(3, 12));
+    for (unsigned page : {2u, 3u, 6u, 7u})
+        emitStoreToPage(p, page, 2); // 10 instructions in all
+    emitStoreToPage(p, 2, 2);        // stored, but unchanged
+    emitStoreToPage(p, 3, 0);        // back to zeros (r0 reads 0)
+    emitStoreToPage(p, 4, 2);        // a new page
+    emitStoreToPage(p, 7, 3);        // changed
+    const Program bin = assembleWithLoop(p);
+
+    Emulator emu(bin, 1);
+    for (int i = 0; i < 10; ++i)
+        emu.step();
+    const Emulator::Checkpoint a = emu.checkpoint();
+    const auto &ap = a.dataMem.pages();
+    for (unsigned page : {2u, 3u, 6u, 7u})
+        ASSERT_NE(ap[page], nullptr) << "page " << page;
+    EXPECT_EQ(ap[4], nullptr);
+
+    for (int i = 0; i < 8; ++i)
+        emu.step();
+    const Emulator::Checkpoint b = emu.checkpoint();
+    const auto &bp = b.dataMem.pages();
+    EXPECT_EQ(bp[6], ap[6]); // clean: shared, never read
+    EXPECT_EQ(bp[2], ap[2]); // stored but equal: still shared
+    EXPECT_EQ(bp[3], nullptr); // all zeros again: null
+    ASSERT_NE(bp[4], nullptr); // new and non-zero: copied
+    ASSERT_NE(bp[7], nullptr);
+    EXPECT_NE(bp[7], ap[7]);   // changed: copied, a's page kept
+    EXPECT_EQ(a.dataMem[wordOnPage(7)], 11u);
+    EXPECT_EQ(b.dataMem[wordOnPage(7)], 12u);
+    EXPECT_EQ(b.dataMem.diff(a.dataMem),
+              (std::vector<std::size_t>{wordOnPage(3), wordOnPage(4),
+                                        wordOnPage(7)}));
+
+    // With no store since, the next capture is b's pages exactly.
+    EXPECT_EQ(emu.checkpoint().dataMem.pages(), bp);
+}
+
+TEST(EmulatorSegment, RestoreAfterStoresMatchesAFreshRestore)
+{
+    // Stores land on pages that are null in the checkpoint taken before
+    // them: restore() must zero those, though their page pointers match.
+    AsmProgram p;
+    p.emit(makeMovImm(2, 5));
+    emitStoreToPage(p, 9, 2);
+    emitStoreToPage(p, 10, 2);
+    const Program bin = assembleWithLoop(p);
+
+    Emulator emu(bin, 1);
+    const Emulator::Checkpoint before = emu.checkpoint();
+    for (int i = 0; i < 3; ++i)
+        emu.step();
+    const Emulator::Checkpoint after_one = emu.checkpoint();
+    for (int i = 0; i < 2; ++i)
+        emu.step();
+    ASSERT_EQ(emu.dataWord(wordOnPage(10)), 5u);
+
+    const std::size_t words = bin.dataSize() / 8;
+    emu.restore(before);
+    Emulator fresh(bin, 2);
+    fresh.restore(before);
+    EXPECT_EQ(emu.dataWord(wordOnPage(9)), 0u);
+    EXPECT_EQ(emu.dataWord(wordOnPage(10)), 0u);
+    expectSameMemory(emu, fresh, words);
+
+    // And forward again, onto a page the segment just zeroed.
+    emu.restore(after_one);
+    Emulator fresh_one(bin, 2);
+    fresh_one.restore(after_one);
+    EXPECT_EQ(emu.dataWord(wordOnPage(9)), 5u);
+    expectSameMemory(emu, fresh_one, words);
+    EXPECT_EQ(emu.checkpoint().dataMem.pages(),
+              after_one.dataMem.pages());
+}
+
+TEST(EmulatorSegment, AdoptedSegmentRestoresLikeAFreshOne)
+{
+    // Windows of a real program, restored out of order into one segment
+    // that each emulator runs and stores into before handing it on, then
+    // a checkpoint of another program with the same segment size.
+    const Program gzip = generatedBenchmark();
+    const BenchmarkProfile twolf_profile = profileByName("twolf");
+    ASSERT_EQ(twolf_profile.dataBytes, gzip.dataSize());
+    const Program twolf = CodeGenerator(twolf_profile).generateBinary();
+
+    std::vector<Emulator::Checkpoint> ckpts;
+    Emulator builder(gzip, 42);
+    for (int w = 0; w < 3; ++w) {
+        builder.skip(15000);
+        ckpts.push_back(builder.checkpoint());
+    }
+    Emulator other(twolf, 42);
+    other.skip(15000);
+    ckpts.push_back(other.checkpoint());
+
+    Emulator::Segment segment;
+    for (const std::size_t w : {2u, 0u, 1u, 3u}) {
+        SCOPED_TRACE("window " + std::to_string(w));
+        const Program &bin = w == 3 ? twolf : gzip;
+        Emulator recycled(bin, nullptr, 7, nullptr, std::move(segment));
+        recycled.restore(ckpts[w]);
+        Emulator fresh(bin, 7);
+        fresh.restore(ckpts[w]);
+        expectSameMemory(recycled, fresh, bin.dataSize() / 8);
+        for (int i = 0; i < 5000; ++i)
+            expectRecordsEqual(recycled.step(), fresh.step(), i);
+        segment = std::move(recycled).releaseSegment();
+    }
+
+    // A segment of another size is replaced, not adopted.
+    AsmProgram p;
+    p.emit(makeNop());
+    const Program tiny = assembleWithLoop(p);
+    Emulator small(tiny, nullptr, 1, nullptr, std::move(segment));
+    EXPECT_EQ(std::move(small).releaseSegment().words.size(),
+              tiny.dataSize() / 8);
 }
 
 TEST(EmulatorCheckpointDeath, RestoreRejectsForeignProgram)

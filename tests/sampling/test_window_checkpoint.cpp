@@ -8,6 +8,8 @@
  *    CheckpointError before any decode;
  *  - in memory, windows share equal data pages and store no zero page,
  *    whether the set was built, decoded or loaded;
+ *  - a window run on a thread's recycled data segment equals the same
+ *    window run on a fresh one, whatever ran on that thread before;
  *  - the engine's parallel window execution is bit-identical to the
  *    standalone serial sampled path at any thread count, with or
  *    without the on-disk checkpoint cache;
@@ -23,6 +25,7 @@
 #include <map>
 #include <regex>
 #include <set>
+#include <thread>
 
 #include "common/fnv.hh"
 #include "driver/result_sink.hh"
@@ -247,6 +250,96 @@ TEST(WindowCheckpoint, WindowsShareDataPagesWhenBuiltDecodedAndLoaded)
     built.store(path);
     EXPECT_EQ(expectPagesShared(WindowCheckpointSet::loadOrThrow(path)),
               distinct);
+}
+
+TEST(WindowCheckpoint, RecycledSegmentsMatchFreshWindowsInAnyOrder)
+{
+    // This pins the segment's hand-off between windows, sizes, programs
+    // and threads. Generated code never loads an address or a condition,
+    // so data values do not reach the statistics compared here; the
+    // EmulatorSegment tests pin the restored words themselves.
+    //
+    // mcf's 16 MB segment against gzip's and twolf's 4 MB ones. The
+    // region starts 1.5M instructions in, where a gzip window holds
+    // ~350 non-zero pages and a twolf one ~14.
+    const std::vector<std::string> names = {"mcf", "gzip", "twolf"};
+    std::vector<program::Program> binaries;
+    std::vector<WindowCheckpointSet> sets;
+    std::vector<std::uint64_t> seeds;
+    binaries.reserve(names.size());
+    for (const std::string &name : names) {
+        const auto profile = program::profileByName(name);
+        binaries.push_back(sim::buildBinary(profile, true));
+        sets.push_back(sampling::buildWindowCheckpoints(
+            binaries.back(), profile, 1500000, 12000, gappedPolicy()));
+        seeds.push_back(sim::coreSeed(profile));
+    }
+    ASSERT_EQ(binaries[0].dataSize(), 4 * binaries[1].dataSize());
+    ASSERT_EQ(binaries[1].dataSize(), binaries[2].dataSize());
+    std::vector<core::CoreConfig> cfgs;
+    for (const char *scheme : {"peppa", "conventional", "predicate"}) {
+        cfgs.push_back(sim::resolveConfig(
+            sampling::accuracySchemeByName(scheme), core::CoreConfig{}));
+    }
+
+    struct Cell
+    {
+        std::size_t prog, scheme, window;
+    };
+    // Windows backwards. First the program changes every cell (mcf ->
+    // gzip resizes the segment, gzip -> twolf keeps its size but no
+    // page), then each program's windows run back to back, so a segment
+    // also restores the neighbouring window of the set it just ran.
+    std::vector<Cell> cells;
+    const std::size_t windows = sets[0].windows.size();
+    for (std::size_t w = windows; w-- > 0;)
+        for (std::size_t s = 0; s < cfgs.size(); ++s)
+            for (std::size_t p = 0; p < names.size(); ++p)
+                cells.push_back({p, s, w});
+    for (std::size_t p = 0; p < names.size(); ++p)
+        for (std::size_t w = sets[p].windows.size(); w-- > 0;)
+            for (std::size_t s = 0; s < cfgs.size(); ++s)
+                cells.push_back({p, s, w});
+
+    auto run = [&](const Cell &c) {
+        return sampling::runWindow(sets[c.prog].windows[c.window],
+                                   binaries[c.prog], cfgs[c.scheme],
+                                   seeds[c.prog]);
+    };
+    auto runAll = [&](std::vector<sampling::WindowRunResult> &out) {
+        for (const Cell &c : cells)
+            out.push_back(run(c));
+    };
+
+    // Reference: each cell on a new thread, whose segment is fresh.
+    std::vector<sampling::WindowRunResult> fresh(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        std::thread([&, i] { fresh[i] = run(cells[i]); }).join();
+
+    // The whole sequence on one thread, then on two at once: the two
+    // threads' segments hold references to the same pages.
+    std::vector<std::vector<sampling::WindowRunResult>> recycled(3);
+    std::thread(runAll, std::ref(recycled[0])).join();
+    std::thread a(runAll, std::ref(recycled[1]));
+    std::thread b(runAll, std::ref(recycled[2]));
+    a.join();
+    b.join();
+
+    for (const auto &runs : recycled) {
+        ASSERT_EQ(runs.size(), cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const Cell &c = cells[i];
+            SCOPED_TRACE(names[c.prog] + " scheme " +
+                         std::to_string(c.scheme) + " window " +
+                         std::to_string(c.window) + " cell " +
+                         std::to_string(i));
+            for (const auto &f : core::kCoreStatsFields)
+                ASSERT_EQ(runs[i].delta.*f.member, fresh[i].delta.*f.member)
+                    << f.name;
+            ASSERT_EQ(runs[i].coreCommitted, fresh[i].coreCommitted);
+            ASSERT_EQ(runs[i].overshot, fresh[i].overshot);
+        }
+    }
 }
 
 TEST(WindowCheckpointDeathTest, DeserializeRejectsCorruptImages)
