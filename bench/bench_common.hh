@@ -589,13 +589,13 @@ sweepSuite(const BenchOptions &opts,
 
 /**
  * Run a predictor-replay sweep (replay/predictor_replay.hh) through the
- * engine: apply the shared options (window, filter, traces, threads) to
- * @p matrix — whose benchmarks and configs the harness has set — and
- * emit the pp.replay.v1 sink when --json was given. Replay is a
- * predictor-tables-only tier, so the timing/sampling flags of the
- * full-sim path (--csv, --smarts, --checkpoint-dir, --shards) are
- * rejected rather than silently ignored; rerun with --full-sim to use
- * them.
+ * engine: apply the shared options (stress programs, window, filter,
+ * traces, threads) to @p matrix — whose benchmarks and configs the
+ * harness has set — and emit the pp.replay.v1 sink when --json was
+ * given. Replay is a predictor-tables-only tier, so the timing/sampling
+ * flags of the full-sim path (--csv, --smarts, --checkpoint-dir,
+ * --shards) are rejected rather than silently ignored; rerun with
+ * --full-sim to use them.
  */
 inline std::vector<replay::ReplayWorkloadResult>
 replaySweep(const BenchOptions &opts, replay::ReplayMatrix &matrix)
@@ -608,6 +608,9 @@ replaySweep(const BenchOptions &opts, replay::ReplayMatrix &matrix)
     if (opts.shards > 0 || opts.workerMode)
         fatal("--shards is not supported for replay sweeps yet");
 
+    if (opts.stress)
+        for (auto &p : program::stressSuite())
+            matrix.addBenchmark(std::move(p));
     matrix.window(opts.warmup, opts.measure)
         .filterBenchmarks(opts.filter);
     std::vector<replay::ReplayWorkloadSpec> workloads =

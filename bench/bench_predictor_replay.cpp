@@ -200,9 +200,6 @@ main(int argc, char **argv)
 
     replay::ReplayMatrix matrix;
     matrix.benchmarks(replayBenchSuite());
-    if (opts.stress)
-        for (auto &p : program::stressSuite())
-            matrix.addBenchmark(std::move(p));
     matrix.ifConvert(true);
     addReplayConfigs(matrix);
 
@@ -221,9 +218,6 @@ main(int argc, char **argv)
         for (std::size_t c = 0; c < all.size(); ++c) {
             replay::ReplayMatrix one;
             one.benchmarks(replayBenchSuite());
-            if (opts.stress)
-                for (auto &p : program::stressSuite())
-                    one.addBenchmark(std::move(p));
             one.ifConvert(true);
             one.addConfig(all[c].name, all[c].scheme, all[c].config);
             auto pass = replaySweep(serial_opts, one);

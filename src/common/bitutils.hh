@@ -59,13 +59,6 @@ mix64(std::uint64_t k)
     return k;
 }
 
-/** Index of the lowest set bit. @pre v != 0. */
-inline unsigned
-countTrailingZeros(std::uint64_t v)
-{
-    return static_cast<unsigned>(__builtin_ctzll(v));
-}
-
 /** True iff @p v is a power of two (and non-zero). */
 inline bool
 isPowerOfTwo(std::uint64_t v)

@@ -1,5 +1,7 @@
 #include "predictor/perceptron.hh"
 
+#include <emmintrin.h>
+
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
@@ -8,13 +10,51 @@ namespace pp
 namespace predictor
 {
 
+namespace
+{
+
+/**
+ * Spread the 64 bits of @p bits over four 16-byte lanes, one byte per
+ * bit in bit order: 0xFF where the bit is clear, 0x00 where it is set.
+ */
+inline void
+clearBytes(std::uint64_t bits, __m128i lanes[4])
+{
+    const __m128i b = _mm_cvtsi64_si128(static_cast<long long>(bits));
+    const __m128i b2 = _mm_unpacklo_epi8(b, b);    // byte i twice
+    const __m128i lo = _mm_unpacklo_epi16(b2, b2); // bytes 0-3, 4 each
+    const __m128i hi = _mm_unpackhi_epi16(b2, b2); // bytes 4-7, 4 each
+    const __m128i spread[4] = {
+        _mm_unpacklo_epi32(lo, lo), _mm_unpackhi_epi32(lo, lo),
+        _mm_unpacklo_epi32(hi, hi), _mm_unpackhi_epi32(hi, hi)};
+    // Byte j of every eight keeps bit j of the byte copied into it.
+    const __m128i select =
+        _mm_set1_epi64x(static_cast<long long>(0x8040201008040201ull));
+    for (int k = 0; k < 4; ++k)
+        lanes[k] = _mm_cmpeq_epi8(_mm_and_si128(spread[k], select),
+                                  _mm_setzero_si128());
+}
+
+/** @p x with its bytes negated where @p neg is 0xFF. */
+inline __m128i
+negateWhere(__m128i x, __m128i neg)
+{
+    return _mm_sub_epi8(_mm_xor_si128(x, neg), neg);
+}
+
+} // namespace
+
 PerceptronTable::PerceptronTable(unsigned num_entries, unsigned global_bits,
                                  unsigned local_bits, bool no_alias)
     : entries(num_entries), globalBits(global_bits), localBits(local_bits),
       noAlias(no_alias)
 {
-    weights.assign(static_cast<std::size_t>(entries) * rowWeights(), 0);
-    rowSums.assign(entries, 0);
+    panicIfNot(rowWeights() <= kRowBytes,
+               "perceptron rows hold at most 64 weights"
+               " (1 + global + local history bits)");
+    rows.assign(entries, Row{});
+    for (unsigned i = 0; i < rowWeights(); ++i)
+        weightBytes[i] = 1;
 }
 
 std::uint32_t
@@ -31,81 +71,66 @@ PerceptronTable::row(std::uint64_t key)
     // Grow the table: idealized mode gives every key a private row.
     const auto r = static_cast<std::uint32_t>(aliasFreeIndex.size());
     if (r >= entries) {
-        weights.resize(weights.size() + rowWeights(), 0);
-        rowSums.push_back(0);
+        rows.emplace_back();
         ++entries;
     }
     aliasFreeIndex.emplace(key, r);
     return r;
 }
 
-// Cache-line aligned: the two set-bit loops below are ~25 bytes each,
-// and either one straddling a 64-byte boundary costs the replay tier
-// ~10% of its throughput. The alignment keeps their place in the line
-// whatever size the code linked before this function has.
-[[gnu::aligned(64)]] std::int32_t
+std::uint64_t
+PerceptronTable::signMask(std::uint64_t ghist, std::uint64_t lhist) const
+{
+    // Local bits past the row's last weight land on its zero padding.
+    // Two shifts: 1 + globalBits is 64 when a row is all bias and global.
+    return 1 | (ghist & mask(globalBits)) << 1 | lhist << globalBits << 1;
+}
+
+std::int32_t
 PerceptronTable::output(std::uint32_t r, std::uint64_t ghist,
                         std::uint64_t lhist) const
 {
-    // Word-at-a-time dot product. With h_i in {+1, -1}:
-    //   sum = bias + SUM_set w_i - SUM_clear w_i
-    //       = bias + 2 * SUM_set w_i - rowSums[r]
-    // so only the *set* history bits are visited, straight off the
-    // history word, instead of one branchy loop iteration per bit.
-    const std::int8_t *w = rowPtr(r);
-    std::int32_t set_sum = 0;
-    std::uint64_t g = ghist & mask(globalBits);
-    while (g) {
-        set_sum += w[1 + countTrailingZeros(g)];
-        g &= g - 1;
+    __m128i neg[4];
+    clearBytes(signMask(ghist, lhist), neg);
+    const auto *w = reinterpret_cast<const __m128i *>(rows[r].w);
+    // psadbw sums unsigned bytes: flipping bit 7 reads each signed
+    // weight v as v + 128, which the return takes back out.
+    const __m128i flip = _mm_set1_epi8(-128);
+    __m128i sum = _mm_setzero_si128();
+    for (int k = 0; k < 4; ++k) {
+        const __m128i v = negateWhere(_mm_load_si128(w + k), neg[k]);
+        sum = _mm_add_epi64(sum, _mm_sad_epu8(_mm_xor_si128(v, flip),
+                                              _mm_setzero_si128()));
     }
-    std::uint64_t l = lhist & mask(localBits);
-    while (l) {
-        set_sum += w[1 + globalBits + countTrailingZeros(l)];
-        l &= l - 1;
-    }
-    return w[0] + 2 * set_sum - rowSums[r];
+    sum = _mm_add_epi64(sum, _mm_unpackhi_epi64(sum, sum));
+    return static_cast<std::int32_t>(_mm_cvtsi128_si64(sum)) -
+        static_cast<std::int32_t>(kRowBytes * 128);
 }
-
-namespace
-{
-
-/** Saturating ±127 bump; returns the applied delta for sum upkeep. */
-inline std::int32_t
-bump(std::int8_t &w, bool up)
-{
-    if (up) {
-        if (w < 127) {
-            ++w;
-            return 1;
-        }
-    } else if (w > -127) {
-        --w;
-        return -1;
-    }
-    return 0;
-}
-
-} // namespace
 
 void
 PerceptronTable::train(std::uint32_t r, std::uint64_t ghist,
                        std::uint64_t lhist, bool taken)
 {
-    std::int8_t *w = rowPtr(r);
-    bump(w[0], taken); // bias is outside rowSums
-    std::int32_t delta = 0;
-    for (unsigned i = 0; i < globalBits; ++i)
-        delta += bump(w[1 + i], ((ghist >> i) & 1) == taken);
-    for (unsigned j = 0; j < localBits; ++j)
-        delta += bump(w[1 + globalBits + j], ((lhist >> j) & 1) == taken);
-    rowSums[r] += delta;
+    const std::uint64_t signs = signMask(ghist, lhist);
+    __m128i down[4];
+    clearBytes(taken ? signs : ~signs, down);
+    auto *w = reinterpret_cast<__m128i *>(rows[r].w);
+    const auto *step = reinterpret_cast<const __m128i *>(weightBytes);
+    const __m128i minus128 = _mm_set1_epi8(-128);
+    for (int k = 0; k < 4; ++k) {
+        __m128i v = _mm_adds_epi8(_mm_load_si128(w + k),
+                                  negateWhere(_mm_load_si128(step + k),
+                                              down[k]));
+        // Saturation stops at -128; weights stay within ±127.
+        v = _mm_sub_epi8(v, _mm_cmpeq_epi8(v, minus128));
+        _mm_store_si128(w + k, v);
+    }
 }
 
 std::uint64_t
 PerceptronTable::storageBytes() const
 {
-    return weights.size();
+    return static_cast<std::uint64_t>(entries) * rowWeights();
 }
 
 PerceptronPredictor::PerceptronPredictor(const PerceptronConfig &config)

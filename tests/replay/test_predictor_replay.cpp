@@ -16,11 +16,14 @@
  *    byte-identical at 1 and 4 threads (modulo *host_ms).
  *  - Trace parity: a stream extracted from a recorded trace artifact
  *    is word-identical to one generated from the profile seed.
+ *  - Golden counters: non-default perceptron and PVT geometries, the
+ *    no-alias growth path included, reproduce pinned counters exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <regex>
 
 #include "driver/replay_sink.hh"
@@ -308,4 +311,99 @@ TEST(PredictorReplay, TraceStreamMatchesGeneratedStream)
     EXPECT_EQ(generated.measureEvents, replayed.measureEvents);
     EXPECT_EQ(generated.measureBranches, replayed.measureBranches);
     EXPECT_EQ(generated.measureCompares, replayed.measureCompares);
+}
+
+TEST(PredictorReplay, GoldenCountersForNonDefaultGeometries)
+{
+    // The perceptron kernel serves every geometry below; the golden
+    // core grid pins only Table 1's. Counters in ReplayStats field
+    // order: condBranches, mispredicted, l1Mispredicted, mispredTaken,
+    // mispredNotTaken, brBranches, brMispredicted, callBranches,
+    // callMispredicted, retBranches, retMispredicted, compares,
+    // pd1Mispredicts, pd2Mispredicts, confidentPd1, confidentPd1Wrong,
+    // shadowMispredicts.
+    std::vector<replay::ReplayConfig> configs;
+    {
+        sim::SchemeConfig sc;
+        sc.scheme = core::PredictionScheme::Conventional;
+        core::CoreConfig cc;
+        cc.perceptron.tableEntries = 1848;
+        cc.perceptron.globalBits = 20;
+        configs.push_back({"perc1848/g20", sc, cc});
+        cc = core::CoreConfig{};
+        cc.perceptron.localBits = 14;
+        configs.push_back({"perc3696/g30/l14", sc, cc});
+    }
+    {
+        sim::SchemeConfig sc;
+        sc.scheme = core::PredictionScheme::PredicatePredictor;
+        sc.predication = core::PredicationModel::SelectivePrediction;
+        sc.splitPvt = true;
+        sc.confidenceBits = 2;
+        core::CoreConfig cc;
+        cc.predicate.tableEntries = 7392;
+        configs.push_back({"pvt7392/split/c2", sc, cc});
+    }
+    {
+        sim::SchemeConfig sc;
+        sc.scheme = core::PredictionScheme::PredicatePredictor;
+        sc.idealNoAlias = true;
+        configs.push_back(
+            {"pvt3696/dual/ideal-alias", sc, core::CoreConfig{}});
+    }
+
+    struct Golden
+    {
+        const char *benchmark;
+        const char *config;
+        std::uint64_t storageBytes;
+        replay::ReplayStats stats;
+    };
+    const Golden golden[] = {
+        {"gzip", "perc1848/g20", 63944,
+         {3501, 234, 109, 30, 204, 3501, 234, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+          0}},
+        {"gzip", "perc3696/g30/l14", 174000,
+         {3501, 118, 109, 27, 91, 3501, 118, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+          0}},
+        {"gzip", "pvt7392/split/c2", 311576,
+         {3501, 155, 109, 34, 121, 3501, 155, 0, 0, 0, 0, 4535, 444, 346,
+          3510, 180, 0}},
+        {"gzip", "pvt3696/dual/ideal-alias", 159578,
+         {3501, 155, 109, 34, 121, 3501, 155, 0, 0, 0, 0, 4535, 445, 347,
+          2865, 108, 0}},
+        {"crafty", "perc1848/g20", 63944,
+         {3798, 243, 193, 26, 217, 3798, 243, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+          0}},
+        {"crafty", "perc3696/g30/l14", 174000,
+         {3798, 232, 193, 26, 206, 3798, 232, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+          0}},
+        {"crafty", "pvt7392/split/c2", 311576,
+         {3798, 226, 193, 21, 205, 3798, 226, 0, 0, 0, 0, 4500, 485, 306,
+          3366, 234, 0}},
+        {"crafty", "pvt3696/dual/ideal-alias", 159578,
+         {3798, 228, 193, 23, 205, 3798, 228, 0, 0, 0, 0, 4500, 484, 307,
+          2432, 191, 0}},
+    };
+
+    std::size_t g = 0;
+    for (const char *name : {"gzip", "crafty"}) {
+        const auto profile = program::profileByName(name);
+        const sim::ProgramRef binary = sim::buildBinaryShared(profile, true);
+        const sim::DecodedRef decoded = sim::decodeShared(binary);
+        const replay::ReplayWorkloadResult result =
+            replay::runReplayWorkload(*binary,
+                                      specFor(profile, true, 10000, 60000),
+                                      configs, decoded.get());
+        ASSERT_EQ(result.configs.size(), configs.size());
+        for (const replay::ReplayConfigResult &cell : result.configs) {
+            const Golden &want = golden[g++];
+            SCOPED_TRACE(std::string(want.benchmark) + "/" + want.config);
+            ASSERT_EQ(profile.name, want.benchmark);
+            ASSERT_EQ(cell.name, want.config);
+            EXPECT_EQ(cell.storageBytes, want.storageBytes);
+            expectStatsIdentical(cell.stats, want.stats);
+        }
+    }
+    EXPECT_EQ(g, std::size(golden));
 }
