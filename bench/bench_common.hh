@@ -619,7 +619,7 @@ replaySweep(const BenchOptions &opts, replay::ReplayMatrix &matrix)
         fatal("replay sweep is empty (filter matched no benchmarks?)");
     if (matrix.configs().empty())
         fatal("replay sweep has no predictor configs");
-    replay::applyReplayTraceDir(workloads, opts.traceDir);
+    driver::applyTraceDir(workloads, opts.traceDir);
 
     driver::SweepOptions sweep_opts;
     sweep_opts.threads = opts.threads;

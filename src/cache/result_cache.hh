@@ -97,15 +97,11 @@ std::string schemeConfigKeyText(const sim::SchemeConfig &s);
 std::string profileKeyText(const program::BenchmarkProfile &p);
 
 /**
- * Workload identity of a run spec: "trace:<content hash>" when the
- * workload is a trace artifact (@p trace_hash non-empty), else the
- * full profile serialization plus the if-conversion flag.
+ * Workload identity: "trace:<content hash>" when the workload is a
+ * trace artifact (@p trace_hash non-empty), else the full profile
+ * serialization plus the if-conversion flag.
  */
-std::string workloadIdentity(const driver::RunSpec &spec,
-                             const std::string &trace_hash);
-
-/** Workload identity of a replay workload spec (same rules). */
-std::string workloadIdentity(const replay::ReplayWorkloadSpec &spec,
+std::string workloadIdentity(const sim::Workload &workload,
                              const std::string &trace_hash);
 
 /**

@@ -1154,41 +1154,6 @@ OoOCore::tick()
 }
 
 void
-OoOCore::registerStats(stats::Registry &registry) const
-{
-    stats::Group &g = registry.group("core");
-    g.addFormula("cycles", [this] { return double(stats_.cycles); },
-                 "simulated cycles");
-    g.addFormula("committedInsts",
-                 [this] { return double(stats_.committedInsts); },
-                 "committed instructions");
-    g.addFormula("ipc", [this] { return stats_.ipc(); },
-                 "committed instructions per cycle");
-    g.addFormula("condBranches",
-                 [this] { return double(stats_.committedCondBranches); },
-                 "committed conditional branches");
-    g.addFormula("mispredRatePct",
-                 [this] { return stats_.mispredRatePct(); },
-                 "conditional-branch misprediction rate (%)");
-    g.addFormula("earlyResolved",
-                 [this] { return double(stats_.earlyResolvedBranches); },
-                 "branches that read a computed predicate at rename");
-    g.addFormula("overrideRedirects",
-                 [this] { return double(stats_.overrideRedirects); },
-                 "second-level override front-end redirects");
-    g.addFormula("branchFlushes",
-                 [this] { return double(stats_.branchMispredFlushes); },
-                 "branch misprediction pipeline flushes");
-    g.addFormula("predicateFlushes",
-                 [this] { return double(stats_.predicateFlushes); },
-                 "selective-predication misprediction flushes");
-    g.addFormula("nullified",
-                 [this] { return double(stats_.nullifiedAtRename); },
-                 "instructions cancelled at rename");
-    mem.registerStats(registry.group("mem"));
-}
-
-void
 OoOCore::dumpState() const
 {
     std::size_t completions = 0;
@@ -1260,42 +1225,6 @@ OoOCore::drainPipeline()
 }
 
 void
-OoOCore::warmBranchTables(const isa::Instruction *ins, Addr pc,
-                          bool taken)
-{
-    // Replay the predict/correct/train protocol as an in-order
-    // machine would: after detailed execution every committed
-    // branch's history bit holds the actual outcome (override and
-    // misprediction repair both converge there), so predict, repair
-    // the bit if wrong, then train.
-    BranchContext bctx;
-    bctx.pc = pc;
-    bctx.qpLogical = ins->qp;
-    bctx.qpArchValue = archPred[ins->qp];
-    if (cfg.idealPerfectHistory)
-        bctx.oracleOutcome = taken;
-    predictor::PredState l1st;
-    bpu.l1->predict(bctx, l1st);
-    if (l1st.predTaken != taken)
-        bpu.l1->correctHistory(l1st, taken);
-    bpu.l1->resolve(bctx, l1st, taken);
-    if (bpu.l2) {
-        predictor::PredState l2st;
-        bpu.l2->predict(bctx, l2st);
-        if (l2st.predTaken != taken)
-            bpu.l2->correctHistory(l2st, taken);
-        bpu.l2->resolve(bctx, l2st, taken);
-    }
-    if (bpu.shadow) {
-        predictor::PredState sst;
-        const bool spred = bpu.shadow->predict(bctx, sst);
-        bpu.shadow->resolve(bctx, sst, taken);
-        if (spred != taken)
-            bpu.shadow->correctHistory(sst, taken);
-    }
-}
-
-void
 OoOCore::warmCompare(const isa::Instruction *ins, Addr pc,
                      bool pd1_written, bool pd1_val, bool pd2_written,
                      bool pd2_val, bool warm_tables)
@@ -1310,21 +1239,8 @@ OoOCore::warmCompare(const isa::Instruction *ins, Addr pc,
     const bool v1 = arch_val(ins->pdst1, pd1_written, pd1_val);
     const bool v2 = arch_val(ins->pdst2, pd2_written, pd2_val);
 
-    if (warm_tables && cfg.scheme == PredictionScheme::PredicatePredictor) {
-        CompareContext cctx;
-        cctx.pc = pc;
-        cctx.needSecond =
-            ins->pdst2 != isa::regP0 && ins->pdst2 != invalidReg;
-        if (cfg.idealPerfectHistory) {
-            cctx.oracle1 = pd1_val;
-            cctx.oracle2 = pd2_val;
-        }
-        predictor::PredPredState pst;
-        bpu.predicate->predict(cctx, pst);
-        if (pst.valid && pst.pred1 != v1 && !cfg.idealPerfectHistory)
-            bpu.predicate->correctHistoryAtDepth(cctx, pst, v1, 0, 0);
-        bpu.predicate->resolve(cctx, pst, v1, v2);
-    }
+    if (warm_tables && cfg.scheme == PredictionScheme::PredicatePredictor)
+        bpu.trainCompare(*ins, pc, v1, v2, pd1_val, pd2_val);
 
     // Committed predicate state: PEP-PA's logical file and the
     // architecturally mapped PPRF entries (rename reads both).
@@ -1379,7 +1295,7 @@ OoOCore::warmInstruction(const program::ExecRecord &rec, bool warm_tables,
     }
 
     if (warm_tables && ins->isConditionalBranch())
-        warmBranchTables(ins, rec.pc, rec.branchTaken);
+        bpu.trainBranch(*ins, rec.pc, archPred[ins->qp], rec.branchTaken);
 
     if (ins->isCompare()) {
         warmCompare(ins, rec.pc, rec.pd1Written, rec.pd1Val,
@@ -1432,7 +1348,7 @@ struct OoOCore::FfWarmSink final : program::Emulator::FfSink
     void
     condBranch(const isa::Instruction *ins, Addr pc, bool taken) override
     {
-        core.warmBranchTables(ins, pc, taken);
+        core.bpu.trainBranch(*ins, pc, core.archPred[ins->qp], taken);
     }
 
     void
@@ -1469,10 +1385,11 @@ OoOCore::warmReplay(const std::vector<std::uint64_t> &events)
           case program::WarmEventKind::Mem:
             mem.dataAccess(addr, (flags & 1) != 0, now);
             break;
-          case program::WarmEventKind::Branch:
-            warmBranchTables(&image[addr / isa::instBytes], addr,
-                             (flags & 1) != 0);
+          case program::WarmEventKind::Branch: {
+            const isa::Instruction &ins = image[addr / isa::instBytes];
+            bpu.trainBranch(ins, addr, archPred[ins.qp], (flags & 1) != 0);
             break;
+          }
           case program::WarmEventKind::Compare:
             // Re-applying the compares is idempotent on the committed
             // predicate state the resume constructor already seeded:

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.hh"
 #include "core/bpu.hh"
 #include "core/config.hh"
 #include "core/corestats.hh"
@@ -129,12 +128,6 @@ class OoOCore
 
     /** Print a one-page pipeline snapshot to stderr (debugging aid). */
     void dumpState() const;
-
-    /**
-     * Register this core's counters (and its caches') on a stats
-     * registry, so callers can produce a gem5-style stats dump.
-     */
-    void registerStats(stats::Registry &registry) const;
 
     const CoreConfig &config() const { return cfg; }
 
@@ -349,10 +342,6 @@ class OoOCore
     /** Warm one fast-forwarded instruction's worth of state. */
     void warmInstruction(const program::ExecRecord &rec, bool warm_tables,
                          Addr &warm_line);
-
-    /** Replay the predict/correct/train protocol for one branch. */
-    void warmBranchTables(const isa::Instruction *ins, Addr pc,
-                          bool taken);
 
     /**
      * Commit one fast-forwarded compare: train the predicate predictor

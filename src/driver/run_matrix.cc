@@ -26,18 +26,6 @@ compileRegex(const std::string &pattern)
 } // namespace
 
 std::string
-RunSpec::binaryKey() const
-{
-    return ifConvert ? profile.name + "+ifc" : profile.name;
-}
-
-std::string
-RunSpec::buildKey() const
-{
-    return tracePath.empty() ? binaryKey() : "trace:" + tracePath;
-}
-
-std::string
 RunSpec::label() const
 {
     std::string l = binaryKey() + "/" + schemeName;

@@ -120,6 +120,252 @@ checkpointKey(const RunSpec &s)
            std::to_string(s.measureInsts);
 }
 
+/**
+ * One materialized workload: its binary (generated, or embedded in its
+ * trace artifact), the binary's predecode and, when loaded or
+ * recorded, the trace, shared immutably by every run or replay batch
+ * of the workload.
+ */
+struct Build
+{
+    const sim::Workload *workload; ///< first workload needing it
+    sim::ProgramRef binary;
+    sim::DecodedRef decoded;
+    sim::TraceRef trace;           ///< loaded (replay) or recorded
+    double hostMs = 0.0;           ///< wall time of the build job
+
+    /** The trace runs replay: the loaded one, never a recording. */
+    const program::TraceFile *
+    replayed() const
+    {
+        return workload->tracePath.empty() ? nullptr : trace.get();
+    }
+
+    /** Content hash of the attached trace; empty without one. */
+    std::string
+    traceHash() const
+    {
+        return trace != nullptr ? trace->contentHashHex() : std::string();
+    }
+};
+
+/** The distinct workloads of a sweep and which one each input uses. */
+struct BuildSet
+{
+    std::vector<Build> jobs;
+    std::vector<std::size_t> index; ///< per input workload: its job
+
+    const Build &of(std::size_t workload) const
+    { return jobs[index[workload]]; }
+};
+
+/**
+ * Phase 1 of both tiers: materialize each distinct workload once —
+ * generate the binary (or load its trace artifact), predecode it, and
+ * in record mode capture + store its trace — all under one cache key
+ * (sim::Workload::buildKey()), shared immutably by every consumer. The
+ * job list is derived from @p workloads in order, so the cache layout
+ * is deterministic; the jobs themselves parallelize. Every replaying
+ * workload is then validated against its artifact.
+ */
+template <typename W>
+BuildSet
+buildWorkloads(const std::vector<W> &workloads, const SweepOptions &opts,
+               unsigned threads)
+{
+    const bool record = !opts.recordTraceDir.empty();
+    if (record)
+        makeDirs(opts.recordTraceDir, "trace");
+
+    // Recording horizon: one artifact per binary must serve every cell
+    // of the sweep, so cover its largest run window plus the
+    // oracle-lookahead slack.
+    std::uint64_t record_insts = 0;
+    for (const sim::Workload &w : workloads)
+        record_insts = std::max(record_insts, w.warmupInsts + w.measureInsts);
+    record_insts += program::kTraceRecordSlack;
+
+    BuildSet set;
+    set.index.resize(workloads.size());
+    std::unordered_map<std::string, std::size_t> key_to_job;
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        const auto [it, fresh] =
+            key_to_job.emplace(workloads[i].buildKey(), set.jobs.size());
+        if (fresh)
+            set.jobs.push_back(Build{&workloads[i], nullptr, nullptr,
+                                     nullptr, 0.0});
+        set.index[i] = it->second;
+    }
+
+    obs::Counter &m_builds = obs::metrics().counter("sweep.binaries_built");
+    obs::Histogram &m_build_ms =
+        obs::metrics().histogram("sweep.build_host_ms");
+    parallelFor(set.jobs.size(), threads, [&](std::size_t i) {
+        Build &b = set.jobs[i];
+        const sim::Workload &w = *b.workload;
+        const auto t0 = std::chrono::steady_clock::now();
+        if (!w.tracePath.empty()) {
+            // Replay: the artifact is the workload. No codegen, no
+            // if-conversion profiling, no condition generation happens
+            // anywhere downstream of this load.
+            {
+                obs::ScopedSpan span(obs::tracer(), "trace_load", "build",
+                                     w.binaryKey());
+                // loadOrThrow: a corrupt artifact surfaces as a typed
+                // TraceError out of the sweep (parallelFor rethrows), so
+                // a shard worker can report "corrupt trace" distinctly
+                // instead of dying mid-pool.
+                b.trace = std::make_shared<const program::TraceFile>(
+                    program::TraceFile::loadOrThrow(w.tracePath));
+            }
+            b.binary = sim::traceBinary(b.trace);
+            obs::ScopedSpan span(obs::tracer(), "decode", "build",
+                                 w.binaryKey());
+            b.decoded = sim::decodeShared(b.binary);
+        } else {
+            {
+                obs::ScopedSpan span(obs::tracer(), "binary_build",
+                                     "build", w.binaryKey());
+                b.binary = sim::buildBinaryShared(w.profile, w.ifConvert);
+            }
+            {
+                obs::ScopedSpan span(obs::tracer(), "decode", "build",
+                                     w.binaryKey());
+                b.decoded = sim::decodeShared(b.binary);
+            }
+            if (record) {
+                obs::ScopedSpan span(obs::tracer(), "trace_record",
+                                     "build", w.binaryKey());
+                program::TraceFile::Meta meta;
+                meta.benchmark = w.profile.name;
+                meta.isFp = w.profile.isFp;
+                meta.ifConverted = w.ifConvert;
+                meta.seed = w.profile.seed;
+                auto t = std::make_shared<const program::TraceFile>(
+                    program::TraceFile::record(*b.binary, meta,
+                                               sim::coreSeed(w.profile),
+                                               record_insts,
+                                               b.decoded.get()));
+                t->store(opts.recordTraceDir + "/" + w.binaryKey() +
+                         ".pptrace");
+                b.trace = std::move(t);
+            }
+        }
+        b.hostMs = std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0).count();
+        m_builds.add(1);
+        m_build_ms.observe(b.hostMs);
+    });
+
+    // Validate every replaying workload against its loaded artifact —
+    // not just the first workload of each job, since tracePath is
+    // public API and hand-built workloads could mis-key an artifact two
+    // ways. Demanding the oracle-lookahead slack on top of each run
+    // window makes a too-short artifact fail here, not as a
+    // stream-exhaustion panic mid-sweep; recorded traces always carry
+    // this slack, so same-matrix replays pass.
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        const sim::Workload &w = workloads[i];
+        if (w.tracePath.empty())
+            continue;
+        set.of(i).trace->validate(
+            w.profile.name, w.profile.seed, w.ifConvert,
+            w.warmupInsts + w.measureInsts + program::kTraceRecordSlack);
+    }
+    return set;
+}
+
+/** The sweep's result cache; nullptr when none is configured. */
+std::unique_ptr<cache::ResultCache>
+openResultCache(const SweepOptions &opts)
+{
+    if (opts.resultCacheDir.empty())
+        return nullptr;
+    makeDirs(opts.resultCacheDir, "result cache");
+    return std::make_unique<cache::ResultCache>(opts.resultCacheDir);
+}
+
+/**
+ * The real cache behavior of one sweep: @p rcache's stats (none when
+ * null) plus the @p simulated cells actually executed, also added to
+ * the "<tier>.result_cache_*" and "<tier>.<simulated_metric>" metrics.
+ * The deterministic summary counters never look at any of this.
+ */
+ResultCacheUse
+publishResultCacheUse(const cache::ResultCache *rcache,
+                      std::uint64_t simulated, const std::string &tier,
+                      const std::string &simulated_metric)
+{
+    obs::MetricRegistry &m = obs::metrics();
+    obs::Counter &m_hits = m.counter(tier + ".result_cache_hits");
+    obs::Counter &m_misses = m.counter(tier + ".result_cache_misses");
+    obs::Counter &m_stores = m.counter(tier + ".result_cache_stores");
+    obs::Counter &m_corrupt = m.counter(tier + ".result_cache_corrupt");
+    ResultCacheUse use;
+    if (rcache != nullptr) {
+        const cache::ResultCacheStats st = rcache->stats();
+        use.hits = st.hits;
+        use.misses = st.misses;
+        use.stores = st.stores;
+        use.corrupt = st.corrupt;
+        m_hits.add(st.hits);
+        m_misses.add(st.misses);
+        m_stores.add(st.stores);
+        m_corrupt.add(st.corrupt);
+    }
+    use.simulated = simulated;
+    m.counter(tier + "." + simulated_metric).add(simulated);
+    return use;
+}
+
+/**
+ * Live phase-2 progress line on stderr: completed/total jobs plus an
+ * ETA scaled from elapsed wall time over completed jobs. Thread-safe;
+ * silent when off.
+ */
+class Progress
+{
+  public:
+    Progress(bool on, std::size_t total)
+        : on_(on), total_(total), start_(std::chrono::steady_clock::now())
+    {
+    }
+
+    /** Count one completed job and redraw the line. */
+    void
+    jobDone()
+    {
+        if (!on_)
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++done_;
+        const double elapsed_s = std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start_).count();
+        const double eta_s = elapsed_s / static_cast<double>(done_) *
+            static_cast<double>(total_ - done_);
+        logRawf("\rsweep: %zu/%zu jobs (%.0f%%) eta %.1fs   ", done_,
+                total_,
+                100.0 * static_cast<double>(done_) /
+                    static_cast<double>(total_),
+                eta_s);
+    }
+
+    /** End the line once every job is done. */
+    void
+    finish()
+    {
+        if (on_ && total_ > 0)
+            logRaw("\n");
+    }
+
+  private:
+    const bool on_;
+    const std::size_t total_;
+    const std::chrono::steady_clock::time_point start_;
+    std::mutex mutex_;
+    std::size_t done_ = 0;
+};
+
 } // namespace
 
 SweepCounters
@@ -176,15 +422,6 @@ sweepCountersFor(const std::vector<RunSpec> &specs, bool record)
     return c;
 }
 
-void
-applyTraceDir(std::vector<RunSpec> &specs, const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    for (auto &s : specs)
-        s.tracePath = dir + "/" + s.binaryKey() + ".pptrace";
-}
-
 SweepEngine::SweepEngine(SweepOptions opts) : opts_(opts) {}
 
 std::vector<sim::RunResult>
@@ -199,131 +436,11 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     const unsigned threads = resolveThreads(opts_.threads);
     threadsUsed_ = threads;
 
-    const bool record = !opts_.recordTraceDir.empty();
-    if (record)
-        makeDirs(opts_.recordTraceDir, "trace");
-
-    // Recording horizon: one artifact per binary must serve every cell
-    // of the matrix, so cover the sweep's largest run window plus the
-    // oracle-lookahead slack.
-    std::uint64_t record_insts = 0;
-    for (const RunSpec &s : specs) {
-        record_insts = std::max(record_insts,
-                                s.warmupInsts + s.measureInsts);
-    }
-    record_insts += program::kTraceRecordSlack;
-
-    // Phase 1: materialize each distinct workload once — generate the
-    // binary (or load its trace artifact), predecode it, and in record
-    // mode capture + store its trace — all under one cache key
-    // (RunSpec::buildKey()), shared immutably by every run of the cell.
-    // The build set is derived from the spec list in order, so the
-    // cache layout is deterministic; the builds themselves parallelize.
-    struct BuildJob
-    {
-        const RunSpec *spec;    ///< first spec needing this workload
-        sim::ProgramRef binary;
-        sim::DecodedRef decoded;
-        sim::TraceRef trace;    ///< loaded (replay) or recorded
-    };
-    std::vector<BuildJob> builds;
-    std::unordered_map<std::string, std::size_t> key_to_build;
-    std::vector<std::size_t> spec_build(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const std::string key = specs[i].buildKey();
-        auto it = key_to_build.find(key);
-        if (it == key_to_build.end()) {
-            it = key_to_build.emplace(key, builds.size()).first;
-            builds.push_back(BuildJob{&specs[i], nullptr, nullptr,
-                                      nullptr});
-        }
-        spec_build[i] = it->second;
-    }
-    binariesBuilt_ = builds.size();
+    const BuildSet builds = buildWorkloads(specs, opts_, threads);
     // Counters are a pure function of the spec list and options (shared
     // with the shard supervisor, which reports a merged sweep without
     // running an engine over the full list itself).
-    counters_ = sweepCountersFor(specs, record);
-
-    // Wall time of each build job, amortized over the cell's runs as
-    // their buildHostMs so the result document carries the full host-
-    // time breakdown.
-    std::vector<double> build_ms(builds.size(), 0.0);
-    obs::Counter &m_builds = obs::metrics().counter("sweep.binaries_built");
-    obs::Histogram &m_build_ms =
-        obs::metrics().histogram("sweep.build_host_ms");
-    parallelFor(builds.size(), threads, [&](std::size_t i) {
-        BuildJob &b = builds[i];
-        const RunSpec &s = *b.spec;
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!s.tracePath.empty()) {
-            // Replay: the artifact is the workload. No codegen, no
-            // if-conversion profiling, no condition generation happens
-            // anywhere downstream of this load.
-            {
-                obs::ScopedSpan span(obs::tracer(), "trace_load", "build",
-                                     s.binaryKey());
-                // loadOrThrow: a corrupt artifact surfaces as a typed
-                // TraceError out of run() (parallelFor rethrows), so a
-                // shard worker can report "corrupt trace" distinctly
-                // instead of dying mid-pool.
-                b.trace = std::make_shared<const program::TraceFile>(
-                    program::TraceFile::loadOrThrow(s.tracePath));
-            }
-            b.binary = sim::traceBinary(b.trace);
-            obs::ScopedSpan span(obs::tracer(), "decode", "build",
-                                 s.binaryKey());
-            b.decoded = sim::decodeShared(b.binary);
-        } else {
-            {
-                obs::ScopedSpan span(obs::tracer(), "binary_build",
-                                     "build", s.binaryKey());
-                b.binary = sim::buildBinaryShared(s.profile, s.ifConvert);
-            }
-            {
-                obs::ScopedSpan span(obs::tracer(), "decode", "build",
-                                     s.binaryKey());
-                b.decoded = sim::decodeShared(b.binary);
-            }
-            if (record) {
-                obs::ScopedSpan span(obs::tracer(), "trace_record",
-                                     "build", s.binaryKey());
-                program::TraceFile::Meta meta;
-                meta.benchmark = s.profile.name;
-                meta.isFp = s.profile.isFp;
-                meta.ifConverted = s.ifConvert;
-                meta.seed = s.profile.seed;
-                auto t = std::make_shared<const program::TraceFile>(
-                    program::TraceFile::record(*b.binary, meta,
-                                               sim::coreSeed(s.profile),
-                                               record_insts,
-                                               b.decoded.get()));
-                t->store(opts_.recordTraceDir + "/" + s.binaryKey() +
-                         ".pptrace");
-                b.trace = std::move(t);
-            }
-        }
-        build_ms[i] = std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0).count();
-        m_builds.add(1);
-        m_build_ms.observe(build_ms[i]);
-    });
-
-    // Validate every replaying spec against its loaded artifact — not
-    // just the first spec of each build job, since tracePath is public
-    // API and hand-built specs could mis-key an artifact two ways.
-    // Demanding the oracle-lookahead slack on top of each run window
-    // makes a too-short artifact fail here, not as a stream-exhaustion
-    // panic mid-sweep; recorded traces always carry this slack, so
-    // same-matrix replays pass.
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const RunSpec &s = specs[i];
-        if (s.tracePath.empty())
-            continue;
-        builds[spec_build[i]].trace->validate(
-            s.profile.name, s.profile.seed, s.ifConvert,
-            s.warmupInsts + s.measureInsts + program::kTraceRecordSlack);
-    }
+    counters_ = sweepCountersFor(specs, !opts_.recordTraceDir.empty());
 
     // Result-cache probe: each cell's full semantic key (workload
     // identity — the trace's content hash when one is attached — plus
@@ -336,42 +453,24 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     // a typed recoverable miss inside lookup(); an entry that parses
     // but no longer matches the run schema is handled the same way
     // here.
-    obs::Counter &m_rc_hits =
-        obs::metrics().counter("sweep.result_cache_hits");
-    obs::Counter &m_rc_misses =
-        obs::metrics().counter("sweep.result_cache_misses");
-    obs::Counter &m_rc_stores =
-        obs::metrics().counter("sweep.result_cache_stores");
-    obs::Counter &m_rc_corrupt =
-        obs::metrics().counter("sweep.result_cache_corrupt");
-    obs::Counter &m_simulated =
-        obs::metrics().counter("sweep.runs_simulated");
-    resultCacheUse_ = ResultCacheUse{};
-    std::unique_ptr<cache::ResultCache> rcache;
+    const std::unique_ptr<cache::ResultCache> rcache =
+        openResultCache(opts_);
     std::vector<std::string> rkeys(specs.size());
     std::vector<char> rhit(specs.size(), 0);
     std::vector<sim::RunResult> rcached(specs.size());
-    if (!opts_.resultCacheDir.empty()) {
-        makeDirs(opts_.resultCacheDir, "result cache");
-        rcache.reset(new cache::ResultCache(opts_.resultCacheDir));
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            const BuildJob &b = builds[spec_build[i]];
-            rkeys[i] = cache::runKeyText(
-                specs[i],
-                cache::workloadIdentity(
-                    specs[i],
-                    b.trace != nullptr ? b.trace->contentHashHex()
-                                       : std::string()));
-            const auto payload = rcache->lookup(rkeys[i]);
-            if (!payload)
-                continue;
-            try {
-                rcached[i] = parseRunJson(*payload);
-                rhit[i] = 1;
-            } catch (const ResultParseError &e) {
-                warn("result-cache entry unusable, re-running " +
-                     specs[i].label() + ": " + e.what());
-            }
+    for (std::size_t i = 0; rcache != nullptr && i < specs.size(); ++i) {
+        rkeys[i] = cache::runKeyText(
+            specs[i],
+            cache::workloadIdentity(specs[i], builds.of(i).traceHash()));
+        const auto payload = rcache->lookup(rkeys[i]);
+        if (!payload)
+            continue;
+        try {
+            rcached[i] = parseRunJson(*payload);
+            rhit[i] = 1;
+        } catch (const ResultParseError &e) {
+            warn("result-cache entry unusable, re-running " +
+                 specs[i].label() + ": " + e.what());
         }
     }
 
@@ -384,7 +483,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     struct CkptJob
     {
         const RunSpec *spec;  ///< first spec needing this set
-        std::size_t build;    ///< its workload's build job
+        const Build *build;   ///< its workload
         sampling::WindowCheckpointSet set;
         double buildMs = 0.0;
     };
@@ -404,7 +503,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         auto it = key_to_ckpt.find(key);
         if (it == key_to_ckpt.end()) {
             it = key_to_ckpt.emplace(key, ckpts.size()).first;
-            ckpts.push_back(CkptJob{&specs[i], spec_build[i], {}, 0.0});
+            ckpts.push_back(CkptJob{&specs[i], &builds.of(i), {}, 0.0});
         }
         spec_ckpt[i] = it->second;
     }
@@ -415,7 +514,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     parallelFor(ckpts.size(), threads, [&](std::size_t i) {
         CkptJob &c = ckpts[i];
         const RunSpec &s = *c.spec;
-        const BuildJob &b = builds[c.build];
+        const Build &b = *c.build;
         const auto t0 = std::chrono::steady_clock::now();
         std::string path;
         if (!opts_.checkpointDir.empty()) {
@@ -435,11 +534,9 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
             loaded = true;
         }
         if (!loaded) {
-            const program::TraceFile *replay =
-                s.tracePath.empty() ? nullptr : b.trace.get();
             c.set = sampling::buildWindowCheckpoints(
                 *b.binary, s.profile, s.warmupInsts, s.measureInsts,
-                s.sampling, b.decoded.get(), replay);
+                s.sampling, b.decoded.get(), b.replayed());
             if (!path.empty())
                 c.set.store(path); // atomic: never torn by a kill
         }
@@ -479,64 +576,41 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     obs::Counter &m_runs = obs::metrics().counter("sweep.runs");
     obs::Histogram &m_run_ms =
         obs::metrics().histogram("sweep.run_host_ms");
-    std::mutex progress_mutex;
-    std::size_t progress_done = 0;
-    const auto phase2_start = std::chrono::steady_clock::now();
+    Progress progress(opts_.progress, jobs.size());
     parallelFor(jobs.size(), threads, [&](std::size_t j) {
         const RunJob &job = jobs[j];
         const RunSpec &s = specs[job.spec];
-        const BuildJob &build = builds[spec_build[job.spec]];
-        const sim::ProgramRef &binary = build.binary;
-        const program::TraceFile *replay =
-            s.tracePath.empty() ? nullptr : build.trace.get();
+        const Build &build = builds.of(job.spec);
         {
             obs::ScopedSpan span(obs::tracer(), "run", "sweep",
                                  s.label());
             if (job.window != kNoCkpt) {
                 const CkptJob &c = ckpts[spec_ckpt[job.spec]];
                 window_runs[job.spec][job.window] = sampling::runWindow(
-                    c.set.windows[job.window], *binary,
+                    c.set.windows[job.window], *build.binary,
                     sim::resolveConfig(s.scheme, s.config),
                     sim::coreSeed(s.profile), build.decoded.get(),
-                    replay);
+                    build.replayed());
             } else {
                 results[job.spec] = s.sampling.enabled()
-                    ? sampling::sampledRun(*binary, s.profile, s.scheme,
-                                           s.config, s.warmupInsts,
-                                           s.measureInsts, s.sampling,
-                                           build.decoded.get(), replay)
-                    : sim::run(*binary, s.profile, s.scheme, s.config,
-                               s.warmupInsts, s.measureInsts,
-                               build.decoded.get(), replay);
+                    ? sampling::sampledRun(*build.binary, s.profile,
+                                           s.scheme, s.config,
+                                           s.warmupInsts, s.measureInsts,
+                                           s.sampling, build.decoded.get(),
+                                           build.replayed())
+                    : sim::run(*build.binary, s.profile, s.scheme,
+                               s.config, s.warmupInsts, s.measureInsts,
+                               build.decoded.get(), build.replayed());
             }
         }
-        if (opts_.progress) {
-            // Live progress line: completed/total plus an ETA scaled
-            // from elapsed wall time over completed jobs.
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            ++progress_done;
-            const double elapsed_s =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - phase2_start)
-                    .count();
-            const double eta_s = elapsed_s /
-                static_cast<double>(progress_done) *
-                static_cast<double>(jobs.size() - progress_done);
-            logRawf("\rsweep: %zu/%zu jobs (%.0f%%) eta %.1fs   ",
-                    progress_done, jobs.size(),
-                    100.0 * static_cast<double>(progress_done) /
-                        static_cast<double>(jobs.size()),
-                    eta_s);
-        }
+        progress.jobDone();
     });
-    if (opts_.progress && !specs.empty())
-        logRaw("\n");
+    progress.finish();
 
     // Merge window jobs (in window order — bit-identical to the serial
     // checkpoint route by construction) and finish per-run bookkeeping.
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const RunSpec &s = specs[i];
-        const BuildJob &build = builds[spec_build[i]];
         if (rhit[i]) {
             // Cached cells are taken verbatim — host-time fields
             // included, so a fully warm document is byte-identical to
@@ -554,45 +628,35 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
             merged.result.hostMs += c.buildMs;
             results[i] = merged.result;
         }
-        results[i].buildHostMs = build_ms[spec_build[i]];
-        if (build.trace != nullptr)
-            results[i].traceHash = build.trace->contentHashHex();
+        // The build's wall time is amortized over the cell's runs, so
+        // the result document carries the full host-time breakdown.
+        results[i].buildHostMs = builds.of(i).hostMs;
+        results[i].traceHash = builds.of(i).traceHash();
         m_runs.add(1);
         m_run_ms.observe(results[i].hostMs);
     }
 
     // Store every executed cell's exact emitter bytes, then publish
-    // the real cache behavior (the deterministic summary counters come
-    // from sweepCountersFor and never look at any of this).
-    if (rcache != nullptr) {
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            if (rhit[i])
-                continue;
-            std::ostringstream os;
-            JsonWriter w(os);
-            writeRunJson(w, specs[i], results[i]);
-            try {
-                rcache->store(rkeys[i], os.str());
-            } catch (const cache::ResultCacheError &e) {
-                warn("result-cache store failed for " + specs[i].label() +
-                     ": " + e.what());
-            }
-        }
-        const cache::ResultCacheStats st = rcache->stats();
-        resultCacheUse_.hits = st.hits;
-        resultCacheUse_.misses = st.misses;
-        resultCacheUse_.stores = st.stores;
-        resultCacheUse_.corrupt = st.corrupt;
-        m_rc_hits.add(st.hits);
-        m_rc_misses.add(st.misses);
-        m_rc_stores.add(st.stores);
-        m_rc_corrupt.add(st.corrupt);
-    }
+    // the real cache behavior.
     std::uint64_t simulated = 0;
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        simulated += rhit[i] ? 0 : 1;
-    resultCacheUse_.simulated = simulated;
-    m_simulated.add(simulated);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (rhit[i])
+            continue;
+        ++simulated;
+        if (rcache == nullptr)
+            continue;
+        std::ostringstream os;
+        JsonWriter w(os);
+        writeRunJson(w, specs[i], results[i]);
+        try {
+            rcache->store(rkeys[i], os.str());
+        } catch (const cache::ResultCacheError &e) {
+            warn("result-cache store failed for " + specs[i].label() +
+                 ": " + e.what());
+        }
+    }
+    resultCacheUse_ = publishResultCacheUse(rcache.get(), simulated,
+                                            "sweep", "runs_simulated");
     return results;
 }
 
@@ -641,106 +705,14 @@ SweepEngine::runReplay(
     const unsigned threads = resolveThreads(opts_.threads);
     threadsUsed_ = threads;
 
-    const bool record = !opts_.recordTraceDir.empty();
-    if (record)
-        makeDirs(opts_.recordTraceDir, "trace");
-    std::uint64_t record_insts = 0;
-    for (const auto &w : workloads) {
-        record_insts = std::max(record_insts,
-                                w.warmupInsts + w.measureInsts);
-    }
-    record_insts += program::kTraceRecordSlack;
-
-    // Phase 1: one build per distinct workload key — the same cache
-    // discipline as run(): binary (or trace artifact) + predecode,
-    // shared immutably by the stream extraction and every batch.
-    struct BuildJob
-    {
-        const replay::ReplayWorkloadSpec *spec;
-        sim::ProgramRef binary;
-        sim::DecodedRef decoded;
-        sim::TraceRef trace;
-    };
-    std::vector<BuildJob> builds;
-    std::unordered_map<std::string, std::size_t> key_to_build;
-    std::vector<std::size_t> wl_build(workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        const std::string key = workloads[i].buildKey();
-        auto it = key_to_build.find(key);
-        if (it == key_to_build.end()) {
-            it = key_to_build.emplace(key, builds.size()).first;
-            builds.push_back(BuildJob{&workloads[i], nullptr, nullptr,
-                                      nullptr});
-        }
-        wl_build[i] = it->second;
-    }
-    binariesBuilt_ = builds.size();
-
-    std::vector<double> build_ms(builds.size(), 0.0);
-    parallelFor(builds.size(), threads, [&](std::size_t i) {
-        BuildJob &b = builds[i];
-        const replay::ReplayWorkloadSpec &s = *b.spec;
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!s.tracePath.empty()) {
-            obs::ScopedSpan span(obs::tracer(), "trace_load", "replay",
-                                 s.binaryKey());
-            b.trace = std::make_shared<const program::TraceFile>(
-                program::TraceFile::loadOrThrow(s.tracePath));
-            b.binary = sim::traceBinary(b.trace);
-            b.decoded = sim::decodeShared(b.binary);
-        } else {
-            obs::ScopedSpan span(obs::tracer(), "binary_build", "replay",
-                                 s.binaryKey());
-            b.binary = sim::buildBinaryShared(s.profile, s.ifConvert);
-            b.decoded = sim::decodeShared(b.binary);
-            if (record) {
-                program::TraceFile::Meta meta;
-                meta.benchmark = s.profile.name;
-                meta.isFp = s.profile.isFp;
-                meta.ifConverted = s.ifConvert;
-                meta.seed = s.profile.seed;
-                auto t = std::make_shared<const program::TraceFile>(
-                    program::TraceFile::record(*b.binary, meta,
-                                               sim::coreSeed(s.profile),
-                                               record_insts,
-                                               b.decoded.get()));
-                t->store(opts_.recordTraceDir + "/" + s.binaryKey() +
-                         ".pptrace");
-                b.trace = std::move(t);
-            }
-        }
-        build_ms[i] = std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0).count();
-    });
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        const replay::ReplayWorkloadSpec &s = workloads[i];
-        if (s.tracePath.empty())
-            continue;
-        builds[wl_build[i]].trace->validate(
-            s.profile.name, s.profile.seed, s.ifConvert,
-            s.warmupInsts + s.measureInsts + program::kTraceRecordSlack);
-    }
+    const BuildSet builds = buildWorkloads(workloads, opts_, threads);
 
     // Result-cache probe, per (workload, config) cell: the replay
     // tier's cacheable unit is one pp.replay.v1 config object. Stream
     // extraction below always runs — the workload-level stream fields
     // need it — but every hit cell drops out of the batch fan-out.
-    obs::Counter &m_rc_hits =
-        obs::metrics().counter("replay.result_cache_hits");
-    obs::Counter &m_rc_misses =
-        obs::metrics().counter("replay.result_cache_misses");
-    obs::Counter &m_rc_stores =
-        obs::metrics().counter("replay.result_cache_stores");
-    obs::Counter &m_rc_corrupt =
-        obs::metrics().counter("replay.result_cache_corrupt");
-    obs::Counter &m_simulated =
-        obs::metrics().counter("replay.configs_simulated");
-    resultCacheUse_ = ResultCacheUse{};
-    std::unique_ptr<cache::ResultCache> rcache;
-    if (!opts_.resultCacheDir.empty()) {
-        makeDirs(opts_.resultCacheDir, "result cache");
-        rcache.reset(new cache::ResultCache(opts_.resultCacheDir));
-    }
+    const std::unique_ptr<cache::ResultCache> rcache =
+        openResultCache(opts_);
     std::vector<std::vector<std::string>> rkeys(workloads.size());
     std::vector<std::vector<char>> rhit(workloads.size());
     std::vector<std::vector<replay::ReplayConfigResult>> rcached(
@@ -751,10 +723,8 @@ SweepEngine::runReplay(
         rcached[i].resize(configs.size());
         if (rcache == nullptr)
             continue;
-        const BuildJob &b = builds[wl_build[i]];
         const std::string wl = cache::workloadIdentity(
-            workloads[i], b.trace != nullptr ? b.trace->contentHashHex()
-                                             : std::string());
+            workloads[i], builds.of(i).traceHash());
         for (std::size_t c = 0; c < configs.size(); ++c) {
             rkeys[i][c] =
                 cache::replayKeyText(workloads[i], wl, configs[c]);
@@ -766,34 +736,33 @@ SweepEngine::runReplay(
                 rhit[i][c] = 1;
             } catch (const ResultParseError &e) {
                 warn("result-cache entry unusable, re-evaluating " +
-                     workloads[i].label() + "/" + configs[c].name + ": " +
-                     e.what());
+                     workloads[i].binaryKey() + "/" + configs[c].name +
+                     ": " + e.what());
             }
         }
     }
 
-    // Phase 2: extract each workload's committed outcome stream ONCE —
-    // this is the cached artifact every config batch shares, the replay
-    // tier's analogue of the binary cache.
+    // Extract each workload's committed outcome stream ONCE — this is
+    // the cached artifact every config batch shares, the replay tier's
+    // analogue of the binary cache.
     std::vector<replay::ReplayStream> streams(workloads.size());
     std::vector<double> stream_ms(workloads.size(), 0.0);
     obs::Counter &m_streams =
         obs::metrics().counter("replay.streams_built");
     parallelFor(workloads.size(), threads, [&](std::size_t i) {
         const replay::ReplayWorkloadSpec &s = workloads[i];
-        const BuildJob &b = builds[wl_build[i]];
+        const Build &b = builds.of(i);
         const double t0 = threadCpuMs();
         obs::ScopedSpan span(obs::tracer(), "stream_extract", "replay",
-                             s.label());
+                             s.binaryKey());
         streams[i] = replay::extractStream(
             *b.binary, s.profile, s.warmupInsts, s.measureInsts,
-            b.decoded.get(),
-            s.tracePath.empty() ? nullptr : b.trace.get());
+            b.decoded.get(), b.replayed());
         stream_ms[i] = threadCpuMs() - t0;
         m_streams.add(1);
     });
 
-    // Phase 3: fan config batches across the pool. Each job walks the
+    // Phase 2: fan config batches across the pool. Each job walks the
     // shared stream once with its own cells (and its own architectural
     // predicate walker — per-batch shared state evolves identically in
     // every batch), then writes into disjoint result slots, so the
@@ -809,10 +778,9 @@ SweepEngine::runReplay(
         r.streamEvents = streams[i].events();
         r.streamBranches = streams[i].measureBranches;
         r.streamCompares = streams[i].measureCompares;
-        r.buildHostMs = build_ms[wl_build[i]];
+        r.buildHostMs = builds.of(i).hostMs;
         r.streamHostMs = stream_ms[i];
-        if (builds[wl_build[i]].trace != nullptr)
-            r.traceHash = builds[wl_build[i]].trace->contentHashHex();
+        r.traceHash = builds.of(i).traceHash();
         r.configs.resize(configs.size());
         for (std::size_t c = 0; c < configs.size(); ++c) {
             if (rhit[i][c])
@@ -850,30 +818,34 @@ SweepEngine::runReplay(
     std::vector<double> batch_ms(jobs.size(), 0.0);
     obs::Counter &m_evals =
         obs::metrics().counter("replay.config_evals");
+    Progress progress(opts_.progress, jobs.size());
     parallelFor(jobs.size(), threads, [&](std::size_t j) {
         const BatchJob &job = jobs[j];
         const replay::ReplayWorkloadSpec &s = workloads[job.workload];
         const double t0 = threadCpuMs();
-        obs::ScopedSpan span(obs::tracer(), "replay_batch", "replay",
-                             s.label());
-        std::vector<replay::ReplayCell> cells;
-        cells.reserve(job.cfgs.size());
-        for (const std::size_t c : job.cfgs)
-            cells.emplace_back(configs[c]);
-        replay::PredictorReplay pass(
-            *builds[wl_build[job.workload]].binary,
-            streams[job.workload]);
-        pass.run(cells);
-        for (std::size_t k = 0; k < job.cfgs.size(); ++k) {
-            replay::ReplayConfigResult &cr =
-                results[job.workload].configs[job.cfgs[k]];
-            cr.name = cells[k].name();
-            cr.storageBytes = cells[k].storageBytes();
-            cr.stats = cells[k].stats();
+        {
+            obs::ScopedSpan span(obs::tracer(), "replay_batch", "replay",
+                                 s.binaryKey());
+            std::vector<replay::ReplayCell> cells;
+            cells.reserve(job.cfgs.size());
+            for (const std::size_t c : job.cfgs)
+                cells.emplace_back(configs[c]);
+            replay::PredictorReplay pass(*builds.of(job.workload).binary,
+                                         streams[job.workload]);
+            pass.run(cells);
+            for (std::size_t k = 0; k < job.cfgs.size(); ++k) {
+                replay::ReplayConfigResult &cr =
+                    results[job.workload].configs[job.cfgs[k]];
+                cr.name = cells[k].name();
+                cr.storageBytes = cells[k].storageBytes();
+                cr.stats = cells[k].stats();
+            }
         }
         batch_ms[j] = threadCpuMs() - t0;
         m_evals.add(static_cast<std::uint64_t>(job.cfgs.size()));
+        progress.jobDone();
     });
+    progress.finish();
     for (std::size_t j = 0; j < jobs.size(); ++j)
         results[jobs[j].workload].replayHostMs += batch_ms[j];
 
@@ -894,24 +866,13 @@ SweepEngine::runReplay(
                 rcache->store(rkeys[i][c], os.str());
             } catch (const cache::ResultCacheError &e) {
                 warn("result-cache store failed for " +
-                     workloads[i].label() + "/" + configs[c].name + ": " +
-                     e.what());
+                     workloads[i].binaryKey() + "/" + configs[c].name +
+                     ": " + e.what());
             }
         }
     }
-    if (rcache != nullptr) {
-        const cache::ResultCacheStats st = rcache->stats();
-        resultCacheUse_.hits = st.hits;
-        resultCacheUse_.misses = st.misses;
-        resultCacheUse_.stores = st.stores;
-        resultCacheUse_.corrupt = st.corrupt;
-        m_rc_hits.add(st.hits);
-        m_rc_misses.add(st.misses);
-        m_rc_stores.add(st.stores);
-        m_rc_corrupt.add(st.corrupt);
-    }
-    resultCacheUse_.simulated = simulated;
-    m_simulated.add(simulated);
+    resultCacheUse_ = publishResultCacheUse(rcache.get(), simulated,
+                                            "replay", "configs_simulated");
     return results;
 }
 

@@ -41,7 +41,10 @@ struct SweepOptions
     /** Worker threads; 0 = one per hardware thread. */
     unsigned threads = 0;
 
-    /** Print one progress dot per completed run to stderr. */
+    /**
+     * Keep one live progress line on stderr: completed/total phase-2
+     * jobs (runs, sampled windows or replay config batches) and an ETA.
+     */
     bool progress = false;
 
     /**
@@ -162,11 +165,20 @@ SweepCounters sweepCountersFor(const std::vector<RunSpec> &specs,
                                bool record);
 
 /**
- * Point every spec at its trace artifact under @p dir (the engine's
- * record-mode naming: "<binaryKey>.pptrace"), switching the sweep to
- * replay. No-op when @p dir is empty.
+ * Point every workload (RunSpecs or replay workloads alike) at its
+ * trace artifact under @p dir (the engine's record-mode naming:
+ * "<binaryKey>.pptrace"), switching the sweep to replay. No-op when
+ * @p dir is empty.
  */
-void applyTraceDir(std::vector<RunSpec> &specs, const std::string &dir);
+template <typename W>
+void
+applyTraceDir(std::vector<W> &workloads, const std::string &dir)
+{
+    if (dir.empty())
+        return;
+    for (sim::Workload &w : workloads)
+        w.tracePath = dir + "/" + w.binaryKey() + ".pptrace";
+}
 
 class SweepEngine
 {
@@ -198,9 +210,6 @@ class SweepEngine
     runReplay(const std::vector<replay::ReplayWorkloadSpec> &workloads,
               const std::vector<replay::ReplayConfig> &configs);
 
-    /** Distinct binaries generated by the last run() (cache stat). */
-    std::size_t binariesBuilt() const { return binariesBuilt_; }
-
     /** Shared binary/decode cache statistics of the last run(). */
     const SweepCounters &counters() const { return counters_; }
 
@@ -213,7 +222,6 @@ class SweepEngine
 
   private:
     SweepOptions opts_;
-    std::size_t binariesBuilt_ = 0;
     SweepCounters counters_;
     ResultCacheUse resultCacheUse_;
     unsigned threadsUsed_ = 0;

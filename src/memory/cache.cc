@@ -121,18 +121,5 @@ Cache::flushAll()
     std::fill(mshrBusyUntil.begin(), mshrBusyUntil.end(), 0);
 }
 
-void
-Cache::registerStats(stats::Group &group) const
-{
-    group.addFormula(cfg.name + ".hits",
-                     [this] { return double(numHits); });
-    group.addFormula(cfg.name + ".misses",
-                     [this] { return double(numMisses); });
-    group.addFormula(cfg.name + ".missRate", [this] {
-        const double total = double(numHits + numMisses);
-        return total == 0 ? 0.0 : double(numMisses) / total;
-    });
-}
-
 } // namespace memory
 } // namespace pp

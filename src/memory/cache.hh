@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace pp
@@ -70,7 +69,6 @@ class Cache
     std::uint64_t hits() const { return numHits; }
     std::uint64_t misses() const { return numMisses; }
     std::uint64_t writebacks() const { return numWritebacks; }
-    void registerStats(stats::Group &group) const;
     /// @}
 
     const CacheConfig &config() const { return cfg; }

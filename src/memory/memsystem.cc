@@ -38,13 +38,5 @@ MemSystem::flushAll()
     dtlb.flushAll();
 }
 
-void
-MemSystem::registerStats(stats::Group &group) const
-{
-    l1i->registerStats(group);
-    l1d->registerStats(group);
-    l2->registerStats(group);
-}
-
 } // namespace memory
 } // namespace pp

@@ -10,7 +10,6 @@
 
 #include <memory>
 
-#include "common/stats.hh"
 #include "memory/cache.hh"
 #include "memory/tlb.hh"
 
@@ -50,9 +49,6 @@ class MemSystem
 
     /** Reset all array state between runs. */
     void flushAll();
-
-    /** Register statistics on @p group. */
-    void registerStats(stats::Group &group) const;
 
     const MemSystemConfig &config() const { return cfg; }
 

@@ -134,15 +134,19 @@ void
 TraceFile::validate(const std::string &benchmark, std::uint64_t seed,
                     bool if_converted, std::uint64_t min_insts) const
 {
+    auto mismatch = [&](const std::string &detail) {
+        throw TraceError(TraceError::Kind::Mismatch, path_, kHeaderBytes,
+                         detail);
+    };
     if (meta_.benchmark != benchmark)
-        panic("trace is for benchmark '" + meta_.benchmark +
-              "', run wants '" + benchmark + "'");
-    panicIfNot(meta_.seed == seed,
-               "trace was recorded under a different generation seed");
-    panicIfNot(meta_.ifConverted == if_converted,
-               "trace if-conversion variant does not match the run");
-    panicIfNot(meta_.instCount >= min_insts,
-               "trace recorded region is shorter than the run window");
+        mismatch("trace is for benchmark '" + meta_.benchmark +
+                 "', run wants '" + benchmark + "'");
+    if (meta_.seed != seed)
+        mismatch("trace was recorded under a different generation seed");
+    if (meta_.ifConverted != if_converted)
+        mismatch("trace if-conversion variant does not match the run");
+    if (meta_.instCount < min_insts)
+        mismatch("trace recorded region is shorter than the run window");
 }
 
 std::vector<std::uint8_t>
@@ -261,8 +265,9 @@ TraceFile::store(const std::string &path) const
 
 TraceError::TraceError(Kind kind, const std::string &path,
                        std::uint64_t offset, const std::string &detail)
-    : std::runtime_error("trace file " + path + ": " + detail +
-                         " (byte offset " + std::to_string(offset) + ")"),
+    : std::runtime_error(
+          (path.empty() ? std::string("trace") : "trace file " + path) +
+          ": " + detail + " (byte offset " + std::to_string(offset) + ")"),
       kind_(kind), path_(path), offset_(offset)
 {}
 
@@ -312,7 +317,9 @@ TraceFile::loadOrThrow(const std::string &path)
         throw TraceError(TraceError::Kind::HashMismatch, path, 16,
                          "content hash mismatch (corrupt image)");
     }
-    return decodePayload(bytes, hash);
+    TraceFile trace = decodePayload(bytes, hash);
+    trace.path_ = path;
+    return trace;
 }
 
 TraceFile

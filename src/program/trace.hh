@@ -44,16 +44,17 @@ namespace program
 class DecodedProgram;
 
 /**
- * Recoverable trace-artifact load failure: the file on disk is
- * unreadable, not a trace, the wrong version, truncated, or fails its
- * content hash. Thrown by TraceFile::loadOrThrow() so a supervising
- * process can classify "corrupt artifact" separately from transient
- * worker failures and decide retry-vs-abort itself; the in-process
- * load() wrapper keeps the historical panic behavior.
+ * Recoverable trace-artifact failure: the file on disk is unreadable,
+ * not a trace, the wrong version, truncated, or fails its content hash
+ * (thrown by TraceFile::loadOrThrow()); or it is a sound artifact of
+ * another workload (thrown by TraceFile::validate()). Typed so a
+ * supervising process can classify "corrupt artifact" separately from
+ * transient worker failures and decide retry-vs-abort itself; the
+ * in-process load() wrapper keeps the historical panic behavior.
  *
  * what() carries the path, the failure detail and the byte offset of
- * the offending header field (0 = the file/magic, 8 = version, 16 =
- * content hash; for truncation, the actual size).
+ * the offending field (0 = the file/magic, 8 = version, 16 = content
+ * hash, 24 = the workload metadata; for truncation, the actual size).
  */
 class TraceError : public std::runtime_error
 {
@@ -65,6 +66,7 @@ class TraceError : public std::runtime_error
         BadMagic,     ///< not a trace file
         BadVersion,   ///< trace format version unsupported by this build
         HashMismatch, ///< payload bytes do not match the header hash
+        Mismatch,     ///< a sound artifact of another workload
     };
 
     TraceError(Kind kind, const std::string &path, std::uint64_t offset,
@@ -139,10 +141,11 @@ class TraceFile
     std::string contentHashHex() const;
 
     /**
-     * Panic unless this trace matches the run that wants to consume it
-     * (benchmark/seed/if-conversion identity, and a recorded horizon of
-     * at least @p min_insts) — a stale or mis-keyed trace directory must
-     * fail loudly, not simulate the wrong workload.
+     * Throw TraceError (Kind::Mismatch) unless this trace matches the
+     * run that wants to consume it (benchmark/seed/if-conversion
+     * identity, and a recorded horizon of at least @p min_insts) — a
+     * stale or mis-keyed trace directory must fail loudly, not simulate
+     * the wrong workload.
      */
     void validate(const std::string &benchmark, std::uint64_t seed,
                   bool if_converted, std::uint64_t min_insts) const;
@@ -199,6 +202,7 @@ class TraceFile
     Program binary_;
     std::vector<ConditionStream> streams_;
     std::uint64_t hash_ = 0;
+    std::string path_; ///< file loaded from; empty when recorded
 };
 
 } // namespace program

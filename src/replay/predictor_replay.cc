@@ -3,7 +3,6 @@
 #include <regex>
 
 #include "common/logging.hh"
-#include "predictor/peppa.hh"
 #include "program/emulator.hh"
 #include "program/warm_stream.hh"
 
@@ -128,57 +127,17 @@ extractStream(const program::Program &binary,
 // ---------------------------------------------------------------------
 
 ReplayCell::ReplayCell(const ReplayConfig &rc)
-    : name_(rc.name), cfg_(sim::resolveConfig(rc.scheme, rc.config)),
+    : name_(rc.name), bpu_(sim::resolveConfig(rc.scheme, rc.config)),
       predPred_(isa::numPredRegs, 0), predValid_(isa::numPredRegs, 0)
 {
-    // Mirror core::Bpu's wiring so a replay cell trains the exact
-    // predictor objects a detailed core of the same config would.
-    l1_ = std::make_unique<predictor::Gshare>(cfg_.gshare);
-    switch (cfg_.scheme) {
-      case core::PredictionScheme::Conventional: {
-        auto pcfg = cfg_.perceptron;
-        pcfg.noAlias = cfg_.idealNoAlias;
-        pcfg.perfectHistory = cfg_.idealPerfectHistory;
-        l2_ = std::make_unique<predictor::PerceptronPredictor>(pcfg);
-        break;
-      }
-      case core::PredictionScheme::PepPa:
-        l2_ = std::make_unique<predictor::PepPa>(cfg_.peppa);
-        break;
-      case core::PredictionScheme::PredicatePredictor: {
-        auto ppcfg = cfg_.predicate;
-        ppcfg.noAlias = cfg_.idealNoAlias;
-        ppcfg.perfectHistory = cfg_.idealPerfectHistory;
-        predicate_ =
-            std::make_unique<predictor::PredicatePerceptron>(ppcfg);
-        break;
-      }
-    }
-    if (cfg_.shadowConventional) {
-        shadow_ =
-            std::make_unique<predictor::PerceptronPredictor>(cfg_.perceptron);
-    }
 }
 
 void
 ReplayCell::branch(const isa::Instruction *ins, Addr pc, bool taken,
                    bool qp_arch, bool counting)
 {
-    // The predict -> repair -> train protocol of warmBranchTables():
-    // after the stream's (committed) outcomes every history bit holds
-    // the actual direction, so predict, fix the bit if wrong, train.
-    predictor::BranchContext bctx;
-    bctx.pc = pc;
-    bctx.qpLogical = ins->qp;
-    bctx.qpArchValue = qp_arch;
-    if (cfg_.idealPerfectHistory)
-        bctx.oracleOutcome = taken;
-
-    predictor::PredState l1st;
-    const bool l1_pred = l1_->predict(bctx, l1st);
-    if (l1st.predTaken != taken)
-        l1_->correctHistory(l1st, taken);
-    l1_->resolve(bctx, l1st, taken);
+    const core::Bpu::BranchTraining p =
+        bpu_.trainBranch(*ins, pc, qp_arch, taken);
 
     // The configuration's final direction: the overriding second level
     // for the Conventional/PepPa schemes; the predicted value of the
@@ -186,30 +145,14 @@ ReplayCell::branch(const isa::Instruction *ins, Addr pc, bool taken,
     // models no early resolution (there is no execution timing to
     // resolve against) — that divergence from the detailed core is
     // deliberate and documented in docs/replay_format.md.
-    bool final_pred = l1_pred;
-    if (l2_) {
-        predictor::PredState l2st;
-        final_pred = l2_->predict(bctx, l2st);
-        if (l2st.predTaken != taken)
-            l2_->correctHistory(l2st, taken);
-        l2_->resolve(bctx, l2st, taken);
-    }
-    if (predicate_) {
+    bool final_pred = p.l2;
+    if (bpu_.predicate) {
         // A branch whose predicate was never predicted (produced before
         // the stream started) reads the committed value — which is the
         // branch outcome itself, i.e. the cold case predicts correctly,
         // exactly as an early-resolved branch would.
         final_pred =
             predValid_[ins->qp] != 0 ? predPred_[ins->qp] != 0 : taken;
-    }
-
-    bool shadow_pred = false;
-    if (shadow_) {
-        predictor::PredState sst;
-        shadow_pred = shadow_->predict(bctx, sst);
-        shadow_->resolve(bctx, sst, taken);
-        if (shadow_pred != taken)
-            shadow_->correctHistory(sst, taken);
     }
 
     if (!counting)
@@ -223,9 +166,9 @@ ReplayCell::branch(const isa::Instruction *ins, Addr pc, bool taken,
         else
             ++stats_.mispredNotTaken;
     }
-    if (l1_pred != taken)
+    if (p.l1 != taken)
         ++stats_.l1Mispredicted;
-    if (shadow_ && shadow_pred != taken)
+    if (bpu_.shadow && p.shadow != taken)
         ++stats_.shadowMispredicts;
     switch (ins->op) {
       case isa::Opcode::BrCall:
@@ -247,24 +190,13 @@ void
 ReplayCell::compare(const isa::Instruction *ins, Addr pc, bool v1,
                     bool v2, bool pd1_val, bool pd2_val, bool counting)
 {
-    if (predicate_ == nullptr)
+    if (bpu_.predicate == nullptr)
         return; // compares only touch predicate-predictor tables
 
-    // warmCompare()'s protocol: predict, §3.3 history repair when the
-    // first prediction was wrong, then train with the computed values.
-    predictor::CompareContext cctx;
-    cctx.pc = pc;
-    cctx.needSecond =
+    const predictor::PredPredState pst =
+        bpu_.trainCompare(*ins, pc, v1, v2, pd1_val, pd2_val);
+    const bool need_second =
         ins->pdst2 != isa::regP0 && ins->pdst2 != invalidReg;
-    if (cfg_.idealPerfectHistory) {
-        cctx.oracle1 = pd1_val;
-        cctx.oracle2 = pd2_val;
-    }
-    predictor::PredPredState pst;
-    predicate_->predict(cctx, pst);
-    if (pst.valid && pst.pred1 != v1 && !cfg_.idealPerfectHistory)
-        predicate_->correctHistoryAtDepth(cctx, pst, v1, 0, 0);
-    predicate_->resolve(cctx, pst, v1, v2);
 
     // The cell's view of each predicate register: the value its own
     // predictor last produced for it (what rename would read from a
@@ -274,7 +206,7 @@ ReplayCell::compare(const isa::Instruction *ins, Addr pc, bool v1,
             predPred_[ins->pdst1] = pst.pred1 ? 1 : 0;
             predValid_[ins->pdst1] = 1;
         }
-        if (cctx.needSecond) {
+        if (need_second) {
             predPred_[ins->pdst2] = pst.pred2 ? 1 : 0;
             predValid_[ins->pdst2] = 1;
         }
@@ -285,7 +217,7 @@ ReplayCell::compare(const isa::Instruction *ins, Addr pc, bool v1,
     ++stats_.compares;
     if (pst.valid && pst.pred1 != v1)
         ++stats_.pd1Mispredicts;
-    if (pst.valid && cctx.needSecond && pst.pred2 != v2)
+    if (pst.valid && need_second && pst.pred2 != v2)
         ++stats_.pd2Mispredicts;
     if (pst.valid && pst.conf1) {
         ++stats_.confidentPd1;
@@ -300,11 +232,11 @@ ReplayCell::storageBytes() const
     // Modeled predictor storage: first level plus the scheme's second
     // level. The shadow predictor is instrumentation, not a design
     // point, and is deliberately excluded.
-    std::uint64_t bytes = l1_->storageBytes();
-    if (l2_)
-        bytes += l2_->storageBytes();
-    if (predicate_)
-        bytes += predicate_->storageBytes();
+    std::uint64_t bytes = bpu_.l1->storageBytes();
+    if (bpu_.l2)
+        bytes += bpu_.l2->storageBytes();
+    if (bpu_.predicate)
+        bytes += bpu_.predicate->storageBytes();
     return bytes;
 }
 
@@ -379,7 +311,8 @@ PredictorReplay::walk(const std::vector<std::uint64_t> &events,
             for (ReplayCell &cell : cells)
                 cell.compare(ins, addr, v1, v2, pd1v, pd2v, counting);
             // Commit the architectural writes after every cell saw the
-            // pre-compare state (warmCompare syncs in the same order).
+            // pre-compare state (OoOCore::warmCompare syncs in the same
+            // order).
             // Fetch-time visibility is delayed by one ROB window.
             auto sync_pred = [&](RegIndex l, bool written, bool val) {
                 if (!written || l == isa::regP0 || l == invalidReg)
@@ -409,18 +342,6 @@ PredictorReplay::run(std::vector<ReplayCell> &cells)
 // ---------------------------------------------------------------------
 // ReplayMatrix
 // ---------------------------------------------------------------------
-
-std::string
-ReplayWorkloadSpec::binaryKey() const
-{
-    return ifConvert ? profile.name + "+ifc" : profile.name;
-}
-
-std::string
-ReplayWorkloadSpec::buildKey() const
-{
-    return tracePath.empty() ? binaryKey() : "trace:" + tracePath;
-}
 
 ReplayMatrix::ReplayMatrix()
     : warmup_(sim::defaultWarmup()), measure_(sim::defaultInstructions())
@@ -494,16 +415,6 @@ ReplayMatrix::workloads() const
         out.push_back(std::move(w));
     }
     return out;
-}
-
-void
-applyReplayTraceDir(std::vector<ReplayWorkloadSpec> &workloads,
-                    const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    for (auto &w : workloads)
-        w.tracePath = dir + "/" + w.binaryKey() + ".pptrace";
 }
 
 ReplayWorkloadResult

@@ -13,10 +13,13 @@
  * pass costs one stream extraction plus table updates, so dozens of
  * configs amortize to far less than one detailed run each.
  *
- * Update-timing semantics: the pass replays the predict → repair →
- * train protocol of core::OoOCore::warmBranchTables()/warmCompare() in
- * commit order — the same protocol functional warming applies, so a
- * replayed table is bit-identical to a warmed one over the same stream.
+ * Update-timing semantics: each cell is a core::Bpu trained in commit
+ * order through Bpu::trainBranch()/trainCompare(), the calls the core's
+ * functional warming makes over the same stream. The two differ in one
+ * input only: warming gives PEP-PA's selector the committed predicate
+ * value, while replay gives it the value one ROB window late (the
+ * fetch-time staleness, see PredictorReplay::stalePred_), so PEP-PA
+ * tables diverge and every other table matches a warmed one.
  * The full detailed core trains the same tables in the same (commit)
  * order, but *predicts* at fetch time, several branches earlier in the
  * training sequence, and resolves predicate-guarded branches against
@@ -31,16 +34,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/bpu.hh"
 #include "core/config.hh"
 #include "isa/instruction.hh"
-#include "predictor/direction_predictor.hh"
-#include "predictor/gshare.hh"
-#include "predictor/perceptron.hh"
-#include "predictor/predicate_perceptron.hh"
 #include "program/program.hh"
 #include "program/suite.hh"
 #include "sim/simulator.hh"
@@ -153,27 +152,22 @@ struct ReplayStats
 };
 
 /**
- * One predictor configuration's live state inside a replay pass: its
- * own first/second-level (or predicate) tables — the exact classes the
- * detailed core trains, so the training protocol cannot drift — plus
- * the per-config "last predicted value" of each logical predicate
- * register, which is what a predicate-scheme branch direction is.
+ * One predictor configuration's live state inside a replay pass: the
+ * core::Bpu a detailed core of the same config would build, trained
+ * through the same Bpu::trainBranch()/trainCompare() functional warming
+ * calls, plus the per-config "last predicted value" of each logical
+ * predicate register, which is what a predicate-scheme branch direction
+ * is.
  */
 class ReplayCell
 {
   public:
     explicit ReplayCell(const ReplayConfig &rc);
 
-    /** Not copyable (owns predictor tables). */
-    ReplayCell(const ReplayCell &) = delete;
-    ReplayCell &operator=(const ReplayCell &) = delete;
-    ReplayCell(ReplayCell &&) = default;
-    ReplayCell &operator=(ReplayCell &&) = default;
-
     /**
-     * One committed conditional branch. @p qp_arch is the committed
-     * architectural value of the guarding predicate (the walker's
-     * shared state); @p counting selects the measurement window.
+     * One committed conditional branch. @p qp_arch is the fetch-time
+     * value of the guarding predicate (the walker's shared state);
+     * @p counting selects the measurement window.
      */
     void branch(const isa::Instruction *ins, Addr pc, bool taken,
                 bool qp_arch, bool counting);
@@ -183,26 +177,20 @@ class ReplayCell
      * the predicate destinations hold after the compare (the walker
      * computes them once, shared across cells); @p pd1_val/@p pd2_val
      * are the raw computed condition values of the event (the
-     * perfect-history oracle, mirroring OoOCore::warmCompare).
+     * perfect-history oracle).
      */
     void compare(const isa::Instruction *ins, Addr pc, bool v1, bool v2,
                  bool pd1_val, bool pd2_val, bool counting);
 
     const ReplayStats &stats() const { return stats_; }
     const std::string &name() const { return name_; }
-    const core::CoreConfig &config() const { return cfg_; }
 
     /** Predictor storage modeled by this configuration, in bytes. */
     std::uint64_t storageBytes() const;
 
   private:
     std::string name_;
-    core::CoreConfig cfg_;
-
-    std::unique_ptr<predictor::Gshare> l1_;
-    std::unique_ptr<predictor::DirectionPredictor> l2_;
-    std::unique_ptr<predictor::PredicatePerceptron> predicate_;
-    std::unique_ptr<predictor::PerceptronPredictor> shadow_;
+    core::Bpu bpu_;
 
     /** Last value this cell's predicate predictor produced per logical
      *  register; predValid_ marks registers predicted at least once. */
@@ -274,27 +262,7 @@ class PredictorReplay
 };
 
 /** One workload of a replay sweep (the stream-cache key unit). */
-struct ReplayWorkloadSpec
-{
-    program::BenchmarkProfile profile;
-    bool ifConvert = false;
-    std::uint64_t warmupInsts = 0;
-    std::uint64_t measureInsts = 0;
-
-    /**
-     * Trace artifact to replay instead of generating the workload
-     * (program/trace.hh); empty = generate from the profile.
-     */
-    std::string tracePath;
-
-    /** Key identifying the binary this workload needs. */
-    std::string binaryKey() const;
-
-    /** Cache key for the engine's build/stream caches. */
-    std::string buildKey() const;
-
-    std::string label() const { return binaryKey(); }
-};
+using ReplayWorkloadSpec = sim::Workload;
 
 /** Per-config result of one workload (aligned with the config list). */
 struct ReplayConfigResult
@@ -365,14 +333,6 @@ class ReplayMatrix
     std::uint64_t measure_;
     std::string benchmarkFilter_;
 };
-
-/**
- * Point every workload at its trace artifact under @p dir (the sweep
- * engine's record-mode naming: "<binaryKey>.pptrace"). No-op when
- * @p dir is empty.
- */
-void applyReplayTraceDir(std::vector<ReplayWorkloadSpec> &workloads,
-                         const std::string &dir);
 
 /**
  * Convenience single-workload runner (tests, serial baselines): build

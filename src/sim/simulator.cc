@@ -117,6 +117,18 @@ run(const program::Program &binary,
     return r;
 }
 
+std::string
+Workload::binaryKey() const
+{
+    return ifConvert ? profile.name + "+ifc" : profile.name;
+}
+
+std::string
+Workload::buildKey() const
+{
+    return tracePath.empty() ? binaryKey() : "trace:" + tracePath;
+}
+
 RunResult
 buildAndRun(const program::BenchmarkProfile &profile, bool if_convert,
             const SchemeConfig &scheme, std::uint64_t warmup_insts,

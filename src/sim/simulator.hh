@@ -41,6 +41,39 @@ struct SchemeConfig
     unsigned confidenceBits = 0;
 };
 
+/**
+ * One workload: a benchmark binary over a run window. Both sweep tiers
+ * (driver::RunSpec, replay::ReplayWorkloadSpec) build, cache and key
+ * their programs through it.
+ */
+struct Workload
+{
+    program::BenchmarkProfile profile;
+    bool ifConvert = false;
+    std::uint64_t warmupInsts = 0;
+    std::uint64_t measureInsts = 0;
+
+    /**
+     * Path of a trace artifact (program/trace.hh) to replay instead of
+     * generating the workload. Empty: generate from the profile. When
+     * set, the sweep engine loads the trace (once per distinct path,
+     * shared), validates it against this workload's profile/if-
+     * conversion, and every code path that would have drawn a fresh
+     * condition outcome replays the recorded stream instead.
+     */
+    std::string tracePath;
+
+    /** Key identifying the binary this workload needs. */
+    std::string binaryKey() const;
+
+    /**
+     * Cache key for the engine's binary/decode/trace caches: the trace
+     * path when replaying (two workloads naming the same artifact share
+     * everything), binaryKey() otherwise.
+     */
+    std::string buildKey() const;
+};
+
 /** Result of one measured run. */
 struct RunResult
 {

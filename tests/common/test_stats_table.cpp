@@ -1,50 +1,12 @@
-/** @file Unit tests for the stats registry and text tables. */
+/** @file Unit tests for the text tables. */
 
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "common/stats.hh"
 #include "common/table.hh"
 
 using namespace pp;
-
-TEST(Stats, ScalarArithmetic)
-{
-    stats::Scalar s;
-    EXPECT_EQ(s.value(), 0u);
-    ++s;
-    s += 5;
-    EXPECT_EQ(s.value(), 6u);
-    s.reset();
-    EXPECT_EQ(s.value(), 0u);
-}
-
-TEST(Stats, GroupDumpContainsNamesAndValues)
-{
-    stats::Registry reg;
-    stats::Scalar s;
-    s += 42;
-    auto &g = reg.group("core");
-    g.addScalar("commits", &s, "committed instructions");
-    g.addFormula("ipc", [] { return 1.5; }, "throughput");
-
-    std::ostringstream os;
-    reg.dumpAll(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("core.commits"), std::string::npos);
-    EXPECT_NE(out.find("42"), std::string::npos);
-    EXPECT_NE(out.find("core.ipc"), std::string::npos);
-    EXPECT_NE(out.find("1.5"), std::string::npos);
-    EXPECT_NE(out.find("committed instructions"), std::string::npos);
-}
-
-TEST(Stats, RegistryReturnsSameGroup)
-{
-    stats::Registry reg;
-    EXPECT_EQ(&reg.group("a"), &reg.group("a"));
-    EXPECT_NE(&reg.group("a"), &reg.group("b"));
-}
 
 TEST(TextTable, AlignsColumns)
 {

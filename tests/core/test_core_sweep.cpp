@@ -6,8 +6,6 @@
  * behaviour (same branch mix regardless of microarchitecture).
  */
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 #include "core/core.hh"
@@ -130,23 +128,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SweepPoint> &info) {
         return info.param.label();
     });
-
-TEST(CoreStatsApi, RegisterStatsDumps)
-{
-    const auto prof = program::profileByName("gzip");
-    const auto bin = sim::buildBinary(prof, false);
-    OoOCore cpu(bin, CoreConfig{}, 1);
-    cpu.run(20000);
-
-    stats::Registry reg;
-    cpu.registerStats(reg);
-    std::ostringstream os;
-    reg.dumpAll(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("core.ipc"), std::string::npos);
-    EXPECT_NE(out.find("core.mispredRatePct"), std::string::npos);
-    EXPECT_NE(out.find("mem.l1i.missRate"), std::string::npos);
-}
 
 TEST(CoreStatsApi, HelperFormulas)
 {

@@ -315,12 +315,11 @@ TEST(SweepEngine, BinaryCacheBuildsEachBinaryOnce)
     SweepEngine engine(opts);
     const auto results = engine.run(m);
     EXPECT_EQ(results.size(), 12u);
-    EXPECT_EQ(engine.binariesBuilt(), 6u);
+    EXPECT_EQ(engine.counters().binariesBuilt, 6u);
     EXPECT_EQ(engine.threadsUsed(), 2u);
 
     // The decoded-program cache is keyed like the binary cache: one
     // decode per binary, every other run of the cell a hit.
-    EXPECT_EQ(engine.counters().binariesBuilt, 6u);
     EXPECT_EQ(engine.counters().decodedPrograms, 6u);
     EXPECT_EQ(engine.counters().decodedCacheHits, 6u);
     // No sampled cells: the checkpoint tier is never touched.
@@ -338,6 +337,26 @@ TEST(SweepEngine, BinaryCacheBuildsEachBinaryOnce)
     // results without an engine keep their old byte layout).
     const std::string plain = JsonSink{}.toString(m.specs(), results);
     EXPECT_EQ(plain.find("decoded_cache_hits"), std::string::npos);
+}
+
+TEST(SweepEngine, ReplaySweepReportsProgress)
+{
+    replay::ReplayMatrix m;
+    m.addBenchmark(program::profileByName("gzip"))
+        .addBenchmark(program::profileByName("crafty"))
+        .ifConvert(true)
+        .window(2000, 10000);
+    sim::SchemeConfig pred;
+    pred.scheme = core::PredictionScheme::PredicatePredictor;
+    m.addConfig("predicate", pred);
+    SweepOptions opts;
+    opts.threads = 2;
+    opts.progress = true;
+    testing::internal::CaptureStderr();
+    SweepEngine(opts).runReplay(m);
+    const std::string err = testing::internal::GetCapturedStderr();
+    // One config batch per workload.
+    EXPECT_NE(err.find("sweep: 2/2 jobs (100%)"), std::string::npos) << err;
 }
 
 TEST(SweepEngine, ResultsAlignWithSpecs)

@@ -207,6 +207,32 @@ TEST(TraceLoad, NonFilePathIsATypedIoError)
     }
 }
 
+TEST(TraceLoad, ValidateRejectsMismatchedRun)
+{
+    const BenchmarkProfile profile = profileByName("gzip");
+    const Program binary = sim::buildBinary(profile, false);
+    const TraceFile trace = TraceFile::record(
+        binary, metaFor(profile, false), sim::coreSeed(profile), 1000);
+    auto expect_mismatch = [&](const std::string &benchmark,
+                               std::uint64_t seed, bool if_converted,
+                               std::uint64_t min_insts,
+                               const std::string &detail) {
+        try {
+            trace.validate(benchmark, seed, if_converted, min_insts);
+            ADD_FAILURE() << detail << ": expected TraceError";
+        } catch (const TraceError &e) {
+            EXPECT_EQ(e.kind(), TraceError::Kind::Mismatch) << e.what();
+            EXPECT_NE(std::string(e.what()).find(detail), std::string::npos)
+                << e.what();
+        }
+    };
+    expect_mismatch("mcf", profile.seed, false, 100, "benchmark");
+    expect_mismatch(profile.name, profile.seed + 1, false, 100, "seed");
+    expect_mismatch(profile.name, profile.seed, true, 100, "if-conversion");
+    expect_mismatch(profile.name, profile.seed, false, 5000, "shorter");
+    trace.validate(profile.name, profile.seed, false, 1000);
+}
+
 // ---------------------------------------------------------------------
 // Malformed artifacts die loudly.
 // ---------------------------------------------------------------------
@@ -268,22 +294,6 @@ TEST(TraceDeath, ReplayPastRecordedHorizonPanics)
     Emulator replay(trace.binary(), nullptr, sim::coreSeed(profile),
                     &trace);
     EXPECT_DEATH(replay.skip(50000), "exhausted");
-}
-
-TEST(TraceDeath, ValidateRejectsMismatchedRun)
-{
-    const BenchmarkProfile profile = profileByName("gzip");
-    const Program binary = sim::buildBinary(profile, false);
-    const TraceFile trace = TraceFile::record(
-        binary, metaFor(profile, false), sim::coreSeed(profile), 1000);
-    EXPECT_DEATH(trace.validate("mcf", profile.seed, false, 100),
-                 "benchmark");
-    EXPECT_DEATH(trace.validate(profile.name, profile.seed + 1, false, 100),
-                 "seed");
-    EXPECT_DEATH(trace.validate(profile.name, profile.seed, true, 100),
-                 "if-conversion");
-    EXPECT_DEATH(trace.validate(profile.name, profile.seed, false, 5000),
-                 "shorter");
 }
 
 TEST(TraceDeath, RecordingWhileReplayingPanics)

@@ -15,14 +15,20 @@
  *  - Thread-count determinism: the pp.replay.v1 document is
  *    byte-identical at 1 and 4 threads (modulo *host_ms).
  *  - Trace parity: a stream extracted from a recorded trace artifact
- *    is word-identical to one generated from the profile seed.
+ *    is word-identical to one generated from the profile seed, and a
+ *    sweep replaying the artifacts the engine recorded emits the
+ *    recording sweep's document; a mis-keyed artifact is a typed
+ *    TraceError.
  *  - Golden counters: non-default perceptron and PVT geometries, the
  *    no-alias growth path included, reproduce pinned counters exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <iterator>
 #include <regex>
 
@@ -311,6 +317,47 @@ TEST(PredictorReplay, TraceStreamMatchesGeneratedStream)
     EXPECT_EQ(generated.measureEvents, replayed.measureEvents);
     EXPECT_EQ(generated.measureBranches, replayed.measureBranches);
     EXPECT_EQ(generated.measureCompares, replayed.measureCompares);
+}
+
+TEST(PredictorReplay, EngineTraceDirReplaysTheRecordingSweep)
+{
+    const std::string dir = ::testing::TempDir() + "pp-replay-traces-" +
+        std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    replay::ReplayMatrix matrix;
+    matrix.addBenchmark(program::profileByName("gzip"))
+        .addBenchmark(program::profileByName("crafty"))
+        .ifConvert(true)
+        .window(10000, 60000);
+    for (const char *name : {"conventional", "peppa", "selective"})
+        matrix.addConfig(name, sampling::accuracySchemeByName(name));
+
+    driver::SweepOptions record;
+    record.threads = 2;
+    record.recordTraceDir = dir;
+    const std::string recorded = scrubHostMs(driver::replayJsonString(
+        driver::SweepEngine(record).runReplay(matrix)));
+
+    std::vector<replay::ReplayWorkloadSpec> workloads = matrix.workloads();
+    driver::applyTraceDir(workloads, dir);
+    driver::SweepOptions replay_opts;
+    replay_opts.threads = 2;
+    driver::SweepEngine engine(replay_opts);
+    const std::string replayed = scrubHostMs(driver::replayJsonString(
+        engine.runReplay(workloads, matrix.configs())));
+    EXPECT_EQ(recorded, replayed);
+
+    // crafty's workload pointed at gzip's artifact: a sound file of
+    // another program is a typed error, not a wrong simulation.
+    workloads[1].tracePath = workloads[0].tracePath;
+    try {
+        engine.runReplay(workloads, matrix.configs());
+        ADD_FAILURE() << "expected TraceError";
+    } catch (const program::TraceError &e) {
+        EXPECT_EQ(e.kind(), program::TraceError::Kind::Mismatch)
+            << e.what();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(PredictorReplay, GoldenCountersForNonDefaultGeometries)
