@@ -74,7 +74,7 @@ struct BenchOptions
     /// @{
     std::size_t shards = 0;     ///< >0: supervise N self-exec'd workers
     std::string injectFault;    ///< fault plan forwarded via PP_FAULT
-    std::string shardWorkDir;   ///< fragments + journal (default derived)
+    std::string shardWorkDir;   ///< shard fragments (default derived)
     std::uint64_t shardTimeoutMs = 120000;
     unsigned shardMaxAttempts = 3;
     /// @}
@@ -151,7 +151,7 @@ printUsage(const char *prog, const char *what, bool sweep_flags)
             "                     crash@0:1,hang@1:1 — classes: crash,"
             " hang, truncate,\n"
             "                     corrupt, corrupt-trace\n"
-            "  --shard-work-dir D fragment/journal directory (default:"
+            "  --shard-work-dir D fragment directory (default:"
             " <json>.shards)\n"
             "  --shard-timeout-ms N   per-worker-attempt deadline"
             " (default 120000)\n"

@@ -20,13 +20,14 @@
  *    uses shards == parallel: one contiguous equal-spec-count range per
  *    worker, exactly the old static partition, so the worker owning the
  *    front range serializes the whole sweep. "Steal" uses
- *    kStealShardFactor x parallel smaller batches leased from the
- *    work-stealing queue in descending-cost order, keeping every worker
- *    busy. Both merges must be byte-identical (modulo *host_ms).
+ *    kStealShardFactor x parallel smaller shards, which the supervisor
+ *    starts most expensive first (exec::leaseOrder), each worker taking
+ *    the next as it frees, keeping every worker busy. Both merges must
+ *    be byte-identical (modulo *host_ms).
  *
  *    Two speedup figures come out. The *modeled* one list-schedules the
- *    exact batch costs the queue ranks by (exec::specCost) onto
- *    `parallel` workers — a deterministic makespan ratio, gated at
+ *    shard costs (exec::specCost) in that same order onto `parallel`
+ *    workers — a deterministic makespan ratio, gated at
  *    >= kStealModelBound on every host, that catches scheduling-policy
  *    regressions even on a single-core runner where workers merely
  *    time-slice. The *wall-clock* one is the measured ratio; it is
@@ -139,36 +140,24 @@ skewSpecs(std::uint64_t warmup, std::uint64_t heavy, std::uint64_t light)
 }
 
 /**
- * Makespan of list-scheduling `costs` (already in lease order, i.e.
- * descending) onto `workers` greedy workers — exactly what the pump
- * threads do: whoever frees first takes the next-ranked batch. The
- * static partition is the degenerate case workers == batches.
+ * Makespan, in specCost units, of the supervisor's schedule of
+ * `shards` contiguous shards on `workers` pump threads: shards start in
+ * exec::leaseOrder order, each on whichever worker frees first. The
+ * static partition is the degenerate case workers == shards.
  */
 std::uint64_t
-listMakespan(const std::vector<std::uint64_t> &costs, unsigned workers)
+modeledMakespan(const std::vector<driver::RunSpec> &specs,
+                std::size_t shards, unsigned workers)
 {
+    const auto ranges = exec::shardRanges(specs.size(), shards);
     std::vector<std::uint64_t> load(std::max(workers, 1u), 0);
-    for (const std::uint64_t c : costs)
-        *std::min_element(load.begin(), load.end()) += c;
-    return *std::max_element(load.begin(), load.end());
-}
-
-/** Per-shard summed specCost in the queue's lease (descending) order. */
-std::vector<std::uint64_t>
-rankedBatchCosts(const std::vector<driver::RunSpec> &specs,
-                 std::size_t shards)
-{
-    std::vector<std::uint64_t> costs;
-    for (const auto &[begin, end] : exec::shardRanges(specs.size(),
-                                                      shards)) {
-        std::uint64_t c = 0;
-        for (std::size_t i = begin; i < end; ++i)
-            c += exec::specCost(specs[i]);
-        costs.push_back(c);
+    for (const std::size_t s : exec::leaseOrder(specs, ranges)) {
+        std::uint64_t cost = 0;
+        for (std::size_t i = ranges[s].first; i < ranges[s].second; ++i)
+            cost += exec::specCost(specs[i]);
+        *std::min_element(load.begin(), load.end()) += cost;
     }
-    std::sort(costs.begin(), costs.end(),
-              std::greater<std::uint64_t>());
-    return costs;
+    return *std::max_element(load.begin(), load.end());
 }
 
 std::string
@@ -324,10 +313,8 @@ runStealStatic(const std::string &self, std::uint64_t warmup,
         sweep(r.stealShards, work_root + "/steal", r.stealMs);
 
     r.speedup = r.staticMs / r.stealMs;
-    r.modeledStaticCost =
-        listMakespan(rankedBatchCosts(specs, r.staticShards), parallel);
-    r.modeledStealCost =
-        listMakespan(rankedBatchCosts(specs, r.stealShards), parallel);
+    r.modeledStaticCost = modeledMakespan(specs, r.staticShards, parallel);
+    r.modeledStealCost = modeledMakespan(specs, r.stealShards, parallel);
     r.modeledSpeedup = static_cast<double>(r.modeledStaticCost) /
         static_cast<double>(r.modeledStealCost);
     r.wallGateEnforced = std::thread::hardware_concurrency() >= parallel;

@@ -1,6 +1,5 @@
 #include "cache/result_cache.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +9,7 @@
 #include "common/atomic_io.hh"
 #include "common/fnv.hh"
 #include "common/json_min.hh"
+#include "program/suite.hh"
 
 namespace pp
 {
@@ -20,17 +20,6 @@ namespace
 {
 
 constexpr const char *kSchema = "pp.rcache.v1";
-
-/** %.17g like the sinks, so a key never depends on stream state. */
-std::string
-fmt(double v)
-{
-    if (!std::isfinite(v))
-        return "nan";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 std::string
 escapeJson(const std::string &s)
@@ -139,36 +128,12 @@ schemeConfigKeyText(const sim::SchemeConfig &s)
 }
 
 std::string
-profileKeyText(const program::BenchmarkProfile &p)
-{
-    std::ostringstream os;
-    os << "name=" << p.name << ",fp=" << p.isFp << ",seed=" << p.seed
-       << ",nf=" << p.numFunctions << ",rpf=" << p.regionsPerFunction
-       << ",bl=" << p.blockLenMin << ":" << p.blockLenMax
-       << ",lt=" << p.loopTripMin << ":" << p.loopTripMax
-       << ",db=" << p.dataBytes;
-    os << ",w=" << fmt(p.wHammock) << "/" << fmt(p.wDiamond) << "/"
-       << fmt(p.wCorrChain) << "/" << fmt(p.wInnerLoop) << "/"
-       << fmt(p.wCompute) << "/" << fmt(p.wCall);
-    os << ",g=" << fmt(p.pEasyBiased) << "/" << fmt(p.pMidBiased) << "/"
-       << fmt(p.pPattern) << "/" << fmt(p.pCorrGuard);
-    os << ",dd=" << fmt(p.dataDepLo) << ":" << fmt(p.dataDepHi)
-       << ",cn=" << fmt(p.corrNoise);
-    os << ",cbd=" << p.cmpBrDistMin << ":" << p.cmpBrDistMax
-       << ",hf=" << fmt(p.hoistFrac) << ",mf=" << fmt(p.memFrac)
-       << ",ff=" << fmt(p.fpFrac);
-    os << ",ifc=" << fmt(p.ifcMispredThreshold) << ":"
-       << p.ifcMaxBlockLen;
-    return os.str();
-}
-
-std::string
 workloadIdentity(const sim::Workload &workload,
                  const std::string &trace_hash)
 {
     if (!trace_hash.empty())
         return "trace:" + trace_hash;
-    return "profile:{" + profileKeyText(workload.profile) +
+    return "profile:{" + program::profileKeyText(workload.profile) +
            "},ifc=" + (workload.ifConvert ? "1" : "0");
 }
 
@@ -345,24 +310,11 @@ ResultCache::store(const std::string &key_text, const std::string &payload)
         return;
     std::error_code ec;
     std::filesystem::create_directories(dir_ + "/objects", ec);
-    const std::string path = objectPath(key_text);
-    // Idempotent on disk: an existing (valid or not-yet-replaced)
-    // object keeps its index line; only a NEW object appends one, so
-    // re-adding the same result never duplicates the index.
-    const bool existed = std::filesystem::exists(path, ec);
     std::string error;
-    if (!writeFileAtomic(path, envelopeJson(key_text, payload), &error))
+    if (!writeFileAtomic(objectPath(key_text),
+                         envelopeJson(key_text, payload), &error))
         throw ResultCacheError("cannot write result-cache entry: " +
                                error);
-    if (!existed) {
-        const std::string line =
-            "{\"key_hash\":\"" + hashHex(fnv1a(key_text)) +
-            "\",\"payload_hash\":\"" + hashHex(fnv1a(payload)) +
-            "\",\"bytes\":" + std::to_string(payload.size()) + "}";
-        if (!appendLineDurable(dir_ + "/index.jsonl", line, &error))
-            throw ResultCacheError("cannot append result-cache index: " +
-                                   error);
-    }
 }
 
 ResultCacheStats

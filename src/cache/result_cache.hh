@@ -13,11 +13,11 @@
  *
  * Two tiers:
  *  - an in-memory map (per ResultCache instance), and
- *  - an on-disk object store reusing the sweep_store layout:
- *    "<dir>/objects/<fnv1a(key) 16hex>.json" plus an append-only
- *    "<dir>/index.jsonl" — written atomically (common/atomic_io.hh),
- *    so entries survive processes and ship between hosts via a shared
- *    directory (concurrent shard workers included).
+ *  - an on-disk object store, one file per cell:
+ *    "<dir>/objects/<fnv1a(key) 16hex>.json", written atomically
+ *    (common/atomic_io.hh), so entries survive processes and ship
+ *    between hosts via a shared directory (concurrent shard workers
+ *    included).
  *
  * Each object is a self-checking envelope:
  *
@@ -93,9 +93,6 @@ std::string coreConfigKeyText(const core::CoreConfig &c);
 /** Complete serialization of a scheme configuration. */
 std::string schemeConfigKeyText(const sim::SchemeConfig &s);
 
-/** Complete serialization of a benchmark generator profile. */
-std::string profileKeyText(const program::BenchmarkProfile &p);
-
 /**
  * Workload identity: "trace:<content hash>" when the workload is a
  * trace artifact (@p trace_hash non-empty), else the full profile
@@ -135,8 +132,8 @@ class ResultCache
 {
   public:
     /**
-     * @p dir: the on-disk tier's directory (objects/ + index.jsonl are
-     * created on first store). Empty = in-memory only.
+     * @p dir: the on-disk tier's directory (objects/ is created on
+     * first store). Empty = in-memory only.
      */
     explicit ResultCache(std::string dir);
 
@@ -149,9 +146,8 @@ class ResultCache
 
     /**
      * Insert @p payload under @p key_text: into the memory tier, and —
-     * when a directory is configured — atomically into the disk tier.
-     * The index line is appended only when the object file is new, so
-     * re-stores are idempotent on disk.
+     * when a directory is configured — atomically into the disk tier,
+     * replacing any object already there.
      */
     void store(const std::string &key_text, const std::string &payload);
 

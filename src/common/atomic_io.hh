@@ -3,8 +3,8 @@
  * Crash-safe file writes.
  *
  * Every durable artifact in the repo — result sinks, trace artifacts,
- * sweep-store objects, shard fragments, the supervisor's completed-shard
- * journal — goes through one of two primitives:
+ * sweep-store objects and index, shard fragments, result-cache
+ * objects — goes through one of two primitives:
  *
  *  - writeFileAtomic(): write the whole document to "<path>.tmp.<pid>"
  *    and rename(2) it into place. rename is atomic on POSIX, so a

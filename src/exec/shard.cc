@@ -1,7 +1,9 @@
 #include "exec/shard.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "common/atomic_io.hh"
@@ -142,6 +144,23 @@ specCost(const driver::RunSpec &spec)
     const std::uint64_t windows =
         spec.measureInsts / spec.sampling.periodInsts + 1;
     return windows * spec.sampling.windowInsts() + window / 16;
+}
+
+std::vector<std::size_t>
+leaseOrder(const std::vector<driver::RunSpec> &specs,
+           const std::vector<std::pair<std::size_t, std::size_t>> &ranges)
+{
+    std::vector<std::uint64_t> cost(ranges.size(), 0);
+    for (std::size_t i = 0; i < ranges.size(); ++i)
+        for (std::size_t s = ranges[i].first; s < ranges[i].second; ++s)
+            cost[i] += specCost(specs[s]);
+    std::vector<std::size_t> order(ranges.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+    return order;
 }
 
 std::string

@@ -62,10 +62,19 @@ shardRanges(std::size_t n, std::size_t shards);
  * Deterministic relative cost estimate of one spec, in detailed-window
  * instructions: a full run charges its whole window; a sampled run
  * charges its detailed windows plus a fast-forward discount. Purely a
- * scheduling annotation — the work-stealing queue ranks batches by it
- * so expensive full-sim cells lease first; results never depend on it.
+ * scheduling annotation — leaseOrder() ranks shards by it so expensive
+ * full-sim cells start first; results never depend on it.
  */
 std::uint64_t specCost(const driver::RunSpec &spec);
+
+/**
+ * The order the supervisor starts shards in: indices into @p ranges by
+ * descending summed specCost() of each range, ties broken by shard
+ * index.
+ */
+std::vector<std::size_t>
+leaseOrder(const std::vector<driver::RunSpec> &specs,
+           const std::vector<std::pair<std::size_t, std::size_t>> &ranges);
 
 /**
  * Result-cache statistics one worker observed, carried in optional

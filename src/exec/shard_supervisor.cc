@@ -4,19 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <system_error>
 #include <thread>
-#include <unordered_map>
 
-#include "common/atomic_io.hh"
-#include "common/json_min.hh"
 #include "common/logging.hh"
 #include "exec/shard.hh"
-#include "exec/steal_queue.hh"
 #include "exec/subprocess.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_event.hh"
@@ -35,37 +29,6 @@ fragmentName(std::size_t shard)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "shard-%03zu.json", shard);
     return buf;
-}
-
-/** Last journaled (begin, end) per shard; bad lines are skipped (the
- *  only torn line a kill can leave is the last, see atomic_io.hh). */
-std::unordered_map<std::size_t, std::pair<std::size_t, std::size_t>>
-readJournal(const std::string &path)
-{
-    std::unordered_map<std::size_t, std::pair<std::size_t, std::size_t>>
-        done;
-    std::ifstream is(path);
-    if (!is)
-        return done;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        try {
-            const jsonmin::JsonValue v = jsonmin::parseJson(line);
-            const jsonmin::JsonValue *shard = v.get("shard");
-            const jsonmin::JsonValue *begin = v.get("begin");
-            const jsonmin::JsonValue *end = v.get("end");
-            if (shard == nullptr || begin == nullptr || end == nullptr)
-                continue;
-            done[static_cast<std::size_t>(shard->number)] = {
-                static_cast<std::size_t>(begin->number),
-                static_cast<std::size_t>(end->number)};
-        } catch (const jsonmin::JsonParseError &) {
-            continue;
-        }
-    }
-    return done;
 }
 
 std::string
@@ -116,7 +79,6 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
     if (ec)
         fatal("cannot create shard work directory " + opts_.workDir +
               ": " + ec.message());
-    const std::string journal = opts_.workDir + "/journal.jsonl";
 
     // Instruments are registered up front so a clean run still reports
     // zeroed failure counters in its metrics snapshot.
@@ -134,8 +96,6 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
         obs::metrics().histogram("sweep.shard_backoff_ms");
     obs::Histogram &m_attempt_ms =
         obs::metrics().histogram("sweep.shard_attempt_ms");
-    obs::Histogram &m_steal_ms =
-        obs::metrics().histogram("sweep.shard_steal_ms");
     obs::Histogram &m_lease_size = obs::metrics().histogram(
         "sweep.lease_batch_size", {1, 2, 4, 8, 16, 32, 64, 128});
     obs::Counter &m_rc_hits =
@@ -143,36 +103,11 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
     obs::Counter &m_runs_sim =
         obs::metrics().counter("sweep.runs_simulated");
 
-    const auto journaled = opts_.resume
-        ? readJournal(journal)
-        : std::unordered_map<std::size_t,
-                             std::pair<std::size_t, std::size_t>>{};
-
     std::vector<sim::RunResult> results(specs.size());
     stats_ = ShardStats{};
     std::mutex state_mutex;
     std::vector<std::string> errors;
     std::atomic<bool> abort{false};
-
-    // Durable work-stealing queue: every shard is enqueued ranked by
-    // summed spec cost (expensive full-sim shards lease first);
-    // already-journaled shards drain instantly through the resume
-    // short-circuit below.
-    StealQueue queue(opts_.workDir + "/queue");
-    {
-        std::vector<StealBatch> batches;
-        batches.reserve(ranges.size());
-        for (std::size_t i = 0; i < ranges.size(); ++i) {
-            StealBatch b;
-            b.shard = i;
-            b.begin = ranges[i].first;
-            b.end = ranges[i].second;
-            for (std::size_t s = b.begin; s < b.end; ++s)
-                b.cost += specCost(specs[s]);
-            batches.push_back(b);
-        }
-        queue.populate(batches);
-    }
 
     auto noteWorkerStats = [&](const ShardWorkerStats &ws) {
         m_rc_hits.add(ws.resultCacheHits);
@@ -193,11 +128,11 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
         const std::string frag =
             opts_.workDir + "/" + fragmentName(shard);
 
-        // Resume: a journaled shard whose fragment still verifies is
-        // done; anything stale or damaged silently re-runs.
-        const auto it = journaled.find(shard);
-        if (it != journaled.end() && it->second.first == begin &&
-            it->second.second == end) {
+        // Resume: a fragment left by a previous run that verifies for
+        // this shard's range is the shard's result; a stale or damaged
+        // one re-runs.
+        std::error_code exists_ec;
+        if (opts_.resume && std::filesystem::exists(frag, exists_ec)) {
             try {
                 ShardWorkerStats ws;
                 place(begin,
@@ -207,7 +142,7 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
                 ++stats_.resumedShards;
                 return;
             } catch (const ShardError &e) {
-                warn("journaled fragment rejected, re-running shard " +
+                warn("fragment rejected, re-running shard " +
                      std::to_string(shard) + ": " + e.what());
             }
         }
@@ -258,18 +193,6 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
                     place(begin,
                           readShardFragment(frag, specs, begin, end, &ws));
                     noteWorkerStats(ws);
-                    std::string jerr;
-                    if (!appendLineDurable(
-                            journal,
-                            "{\"shard\":" + std::to_string(shard) +
-                                ",\"begin\":" + std::to_string(begin) +
-                                ",\"end\":" + std::to_string(end) +
-                                ",\"fragment\":\"" +
-                                fragmentName(shard) +
-                                "\",\"attempts\":" +
-                                std::to_string(attempt) + "}",
-                            &jerr))
-                        warn("cannot journal shard completion: " + jerr);
                     logDebugf("shard %zu done: specs [%zu,%zu) in %u "
                               "attempt(s)",
                               shard, begin, end, attempt);
@@ -364,28 +287,19 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
     parallel = static_cast<unsigned>(
         std::min<std::size_t>(parallel, ranges.size()));
 
+    // Most expensive shard first; each pump thread takes the next one
+    // off a shared cursor until the list runs out or a shard fails
+    // permanently.
+    const std::vector<std::size_t> order = leaseOrder(specs, ranges);
+    std::atomic<std::size_t> next{0};
     auto pump = [&]() {
-        for (;;) {
-            if (abort.load())
+        while (!abort.load()) {
+            const std::size_t k = next.fetch_add(1);
+            if (k >= order.size())
                 return;
-            const auto t0 = std::chrono::steady_clock::now();
-            std::optional<StealLease> lease = queue.lease();
-            m_steal_ms.observe(
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-            if (!lease)
-                return;
-            m_lease_size.observe(static_cast<double>(
-                lease->batch.end - lease->batch.begin));
-            runShard(lease->batch.shard);
-            if (abort.load()) {
-                // Failed (or aborted by a sibling): park the batch back
-                // in pending/ so a resumed supervisor retries it.
-                queue.release(*lease);
-                return;
-            }
-            queue.complete(*lease);
+            const auto [begin, end] = ranges[order[k]];
+            m_lease_size.observe(static_cast<double>(end - begin));
+            runShard(order[k]);
         }
     };
     if (parallel <= 1) {

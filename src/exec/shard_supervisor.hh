@@ -7,14 +7,14 @@
  * (exec/subprocess.hh), verifies the self-checking pp.shard.v1 fragment
  * each worker writes, and merges the results back at their spec
  * indices. Shards are not statically assigned to supervisor threads:
- * they sit in a durable work-stealing queue (exec/steal_queue.hh)
- * ranked by summed specCost(), and each thread leases the most
- * expensive remaining shard — so a cost-skewed matrix never serializes
- * behind one unlucky worker. Because specs order deterministically and
- * every result lands at its own index, the merged result vector — and
- * therefore the pp.sweep.v1 document written from it — is
- * byte-identical to a clean single-process run, regardless of shard
- * count, steal order, failure schedule or retry order.
+ * they are started most expensive first (leaseOrder(), by summed
+ * specCost()), each thread taking the next one as it frees — so a
+ * cost-skewed matrix never serializes behind one unlucky worker.
+ * Because specs order deterministically and every result lands at its
+ * own index, the merged result vector — and therefore the pp.sweep.v1
+ * document written from it — is byte-identical to a clean
+ * single-process run, regardless of shard count, start order, failure
+ * schedule or retry order.
  *
  * Failure taxonomy and policy:
  *  - crash          worker killed by a signal or exited nonzero
@@ -36,12 +36,13 @@
  * stderr — a run is never silently dropped.
  *
  * Crash safety: fragments and sinks are written atomically
- * (common/atomic_io.hh) and completed shards are journaled with
- * O_APPEND single-line appends. A re-run supervisor (same work dir)
- * re-verifies journaled fragments and re-runs only what is missing.
+ * (common/atomic_io.hh), and a fragment is the only record that its
+ * shard is done. A re-run supervisor (same work dir) takes every
+ * fragment that verifies for its shard's range as that shard's result
+ * and re-runs the rest.
  *
  * Observability: sweep.shard_retries / sweep.shard_failures.<class>
- * counters, sweep.shard_backoff_ms / sweep.shard_steal_ms /
+ * counters, sweep.shard_backoff_ms / sweep.shard_attempt_ms /
  * sweep.lease_batch_size histograms, aggregated worker
  * sweep.result_cache_hits / sweep.runs_simulated counters, and
  * per-attempt "shard_attempt" spans through the obs registry/tracer.
@@ -86,7 +87,7 @@ struct ShardOptions
     std::uint64_t backoffBaseMs = 100;
     std::uint64_t backoffMaxMs = 5000;
 
-    /** Fragment + journal directory (created if missing). */
+    /** Fragment directory (created if missing). */
     std::string workDir = "shards";
 
     /**
@@ -102,7 +103,11 @@ struct ShardOptions
     /** --inject-fault spec forwarded to workers via PP_FAULT. */
     std::string faultSpec;
 
-    /** Re-use verified fragments journaled by a previous run. */
+    /**
+     * Take a fragment a previous run left in workDir as its shard's
+     * result when it verifies for the shard's range; off, every shard
+     * re-runs.
+     */
     bool resume = true;
 };
 
@@ -111,7 +116,7 @@ struct ShardStats
 {
     std::uint64_t attempts = 0;       ///< worker processes launched
     std::uint64_t retries = 0;        ///< failed attempts that re-ran
-    std::uint64_t resumedShards = 0;  ///< shards served from the journal
+    std::uint64_t resumedShards = 0;  ///< shards served from fragments
     std::uint64_t crashFailures = 0;
     std::uint64_t timeoutFailures = 0;
     std::uint64_t corruptOutputFailures = 0;

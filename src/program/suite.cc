@@ -1,5 +1,9 @@
 #include "program/suite.hh"
 
+#include <cmath>
+#include <cstdio>
+#include <sstream>
+
 #include "common/logging.hh"
 
 namespace pp
@@ -37,7 +41,42 @@ base(const std::string &name, bool fp, std::uint64_t seed)
     return p;
 }
 
+/** %.17g like the sinks, so a key never depends on stream state. */
+std::string
+fmt(double v)
+{
+    if (!std::isfinite(v))
+        return "nan";
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
 } // namespace
+
+std::string
+profileKeyText(const BenchmarkProfile &p)
+{
+    std::ostringstream os;
+    os << "name=" << p.name << ",fp=" << p.isFp << ",seed=" << p.seed
+       << ",nf=" << p.numFunctions << ",rpf=" << p.regionsPerFunction
+       << ",bl=" << p.blockLenMin << ":" << p.blockLenMax
+       << ",lt=" << p.loopTripMin << ":" << p.loopTripMax
+       << ",db=" << p.dataBytes;
+    os << ",w=" << fmt(p.wHammock) << "/" << fmt(p.wDiamond) << "/"
+       << fmt(p.wCorrChain) << "/" << fmt(p.wInnerLoop) << "/"
+       << fmt(p.wCompute) << "/" << fmt(p.wCall);
+    os << ",g=" << fmt(p.pEasyBiased) << "/" << fmt(p.pMidBiased) << "/"
+       << fmt(p.pPattern) << "/" << fmt(p.pCorrGuard);
+    os << ",dd=" << fmt(p.dataDepLo) << ":" << fmt(p.dataDepHi)
+       << ",cn=" << fmt(p.corrNoise);
+    os << ",cbd=" << p.cmpBrDistMin << ":" << p.cmpBrDistMax
+       << ",hf=" << fmt(p.hoistFrac) << ",mf=" << fmt(p.memFrac)
+       << ",ff=" << fmt(p.fpFrac);
+    os << ",ifc=" << fmt(p.ifcMispredThreshold) << ":"
+       << p.ifcMaxBlockLen;
+    return os.str();
+}
 
 std::vector<BenchmarkProfile>
 intSuite()

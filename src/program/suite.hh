@@ -85,6 +85,13 @@ struct BenchmarkProfile
     /// @}
 };
 
+/**
+ * Complete serialization of a profile, every field included (doubles
+ * as %.17g). Profiles with equal texts generate the same binary, so the
+ * text (or its hash) keys generated workloads.
+ */
+std::string profileKeyText(const BenchmarkProfile &p);
+
 /** The 11 integer-like profiles (SPECint2000 names). */
 std::vector<BenchmarkProfile> intSuite();
 

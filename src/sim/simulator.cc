@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "common/fnv.hh"
 #include "core/core.hh"
 #include "obs/trace_event.hh"
 #include "program/codegen.hh"
@@ -126,7 +127,12 @@ Workload::binaryKey() const
 std::string
 Workload::buildKey() const
 {
-    return tracePath.empty() ? binaryKey() : "trace:" + tracePath;
+    if (!tracePath.empty())
+        return "trace:" + tracePath;
+    // The name alone does not pin the binary: a re-seeded profile
+    // keeps its name.
+    return binaryKey() + "#" +
+           hashHex(fnv1a(program::profileKeyText(profile)));
 }
 
 RunResult

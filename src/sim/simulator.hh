@@ -63,13 +63,18 @@ struct Workload
      */
     std::string tracePath;
 
-    /** Key identifying the binary this workload needs. */
+    /**
+     * Name of the binary this workload needs: the profile name, plus
+     * "+ifc" when if-converted. Two profiles may share it.
+     */
     std::string binaryKey() const;
 
     /**
-     * Cache key for the engine's binary/decode/trace caches: the trace
-     * path when replaying (two workloads naming the same artifact share
-     * everything), binaryKey() otherwise.
+     * Cache key for the engine's binary/decode/trace and checkpoint
+     * caches: "trace:<path>" when replaying (two workloads naming the
+     * same artifact share everything), otherwise binaryKey() plus "#"
+     * and the FNV-1a hash of program::profileKeyText(profile), so two
+     * profiles share a binary only when every field agrees.
      */
     std::string buildKey() const;
 };

@@ -216,25 +216,6 @@ TEST(ResultCacheStore, PersistsAcrossInstancesAndCountsStats)
     EXPECT_EQ(c2.stats().corrupt, 0u);
 }
 
-TEST(ResultCacheStore, ReStoreAppendsNoDuplicateIndexLine)
-{
-    const std::string dir = uniqueDir("idemp");
-    const std::string key = keyOf(baseSpec());
-
-    cache::ResultCache c(dir);
-    c.store(key, "payload-a");
-    cache::ResultCache c2(dir); // fresh memory tier, same disk tier
-    c2.store(key, "payload-a");
-
-    std::ifstream is(dir + "/index.jsonl");
-    std::size_t lines = 0;
-    std::string line;
-    while (std::getline(is, line))
-        if (!line.empty())
-            ++lines;
-    EXPECT_EQ(lines, 1u);
-}
-
 TEST(ResultCacheStore, MemoryOnlyWithoutDirectory)
 {
     cache::ResultCache c("");

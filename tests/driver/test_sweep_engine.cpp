@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <regex>
+#include <string>
+
+#include <unistd.h>
 
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
@@ -69,6 +73,34 @@ expectIdentical(const sim::RunResult &a, const sim::RunResult &b)
     EXPECT_EQ(a.ipc, b.ipc);
     EXPECT_EQ(a.mispredRatePct, b.mispredRatePct);
     EXPECT_EQ(a.earlyResolvedPct, b.earlyResolvedPct);
+}
+
+/** gzip re-seeded under its own name, as a re-seeded suite keeps
+ *  every program's name. */
+program::BenchmarkProfile
+reseededGzip()
+{
+    program::BenchmarkProfile p = program::profileByName("gzip");
+    p.seed ^= 0x1234567;
+    return p;
+}
+
+/** Specs of @p profiles under the conventional scheme, with
+ *  @p sampling unless it is the default (full-detail) policy. */
+std::vector<RunSpec>
+conventionalSpecs(const std::vector<program::BenchmarkProfile> &profiles,
+                  std::uint64_t warmup, std::uint64_t measure,
+                  const sampling::SamplingPolicy &sampling = {})
+{
+    sim::SchemeConfig conv;
+    conv.scheme = core::PredictionScheme::Conventional;
+    RunMatrix m;
+    for (const auto &p : profiles)
+        m.addBenchmark(p);
+    m.addScheme("conventional", conv).window(warmup, measure);
+    if (sampling.enabled())
+        m.addSampling("smarts", sampling);
+    return m.specs();
 }
 
 } // namespace
@@ -337,6 +369,52 @@ TEST(SweepEngine, BinaryCacheBuildsEachBinaryOnce)
     // results without an engine keep their old byte layout).
     const std::string plain = JsonSink{}.toString(m.specs(), results);
     EXPECT_EQ(plain.find("decoded_cache_hits"), std::string::npos);
+}
+
+TEST(SweepEngine, SameNamedProfilesGetTheirOwnBinaries)
+{
+    // Two profiles named "gzip" that differ in their seed are two
+    // programs: one sweep over both must match two separate sweeps.
+    const auto gzip = program::profileByName("gzip");
+    const auto reseeded = reseededGzip();
+    SweepOptions opts;
+    opts.threads = 1;
+    SweepEngine joint(opts);
+    const auto both =
+        joint.run(conventionalSpecs({gzip, reseeded}, 2000, 20000));
+    const auto alone = SweepEngine(opts).run(
+        conventionalSpecs({gzip}, 2000, 20000));
+    const auto alone_reseeded = SweepEngine(opts).run(
+        conventionalSpecs({reseeded}, 2000, 20000));
+
+    ASSERT_EQ(both.size(), 2u);
+    expectIdentical(both[0], alone[0]);
+    expectIdentical(both[1], alone_reseeded[0]);
+    EXPECT_EQ(joint.counters().binariesBuilt, 2u);
+}
+
+TEST(SweepEngine, CheckpointDirKeepsSameNamedProfilesApart)
+{
+    // A checkpoint directory filled by gzip holds nothing for the
+    // re-seeded gzip, which must get its cold-run numbers from it.
+    const auto smarts = sampling::SamplingPolicy::smarts(20000);
+    const std::string dir = ::testing::TempDir() + "ppsweep-ckpt-" +
+        std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    SweepOptions filled;
+    filled.checkpointDir = dir;
+    SweepEngine(filled).run(conventionalSpecs(
+        {program::profileByName("gzip")}, 5000, 200000, smarts));
+    ASSERT_FALSE(std::filesystem::is_empty(dir));
+
+    const auto specs =
+        conventionalSpecs({reseededGzip()}, 5000, 200000, smarts);
+    const auto cold = SweepEngine(SweepOptions{}).run(specs);
+    const auto warm = SweepEngine(filled).run(specs);
+    ASSERT_EQ(warm.size(), 1u);
+    EXPECT_TRUE(warm[0].sampled);
+    expectIdentical(warm[0], cold[0]);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepEngine, ReplaySweepReportsProgress)

@@ -31,7 +31,6 @@
 #include "exec/fault.hh"
 #include "exec/shard.hh"
 #include "exec/shard_supervisor.hh"
-#include "exec/steal_queue.hh"
 #include "program/suite.hh"
 #include "sampling/sampling_policy.hh"
 
@@ -223,80 +222,23 @@ TEST(SpecCost, FullChargesWindowSampledChargesDetailedWork)
 }
 
 // ---------------------------------------------------------------------
-// Work-stealing queue
+// Lease order
 // ---------------------------------------------------------------------
 
-TEST(StealQueue, LeasesDescendingCostThenDrains)
+TEST(LeaseOrder, DescendingCostTiesByShardIndex)
 {
-    exec::StealQueue queue(uniqueDir("queue-order"));
-    // Deliberately out of order, with a cost tie (shards 1 and 3).
-    queue.populate({{0, 0, 2, 500},
-                    {1, 2, 4, 900},
-                    {2, 4, 5, 2000},
-                    {3, 5, 6, 900}});
+    // Four shards with summed costs 500, 900, 2000 and 900: deliberately
+    // out of order, with a cost tie (shards 1 and 3).
+    std::vector<driver::RunSpec> specs(6);
+    const std::uint64_t window[] = {250, 250, 450, 450, 2000, 900};
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        specs[i].measureInsts = window[i];
+    const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+        {0, 2}, {2, 4}, {4, 5}, {5, 6}};
 
-    std::vector<std::size_t> order;
-    std::vector<exec::StealLease> leases;
-    while (auto lease = queue.lease()) {
-        order.push_back(lease->batch.shard);
-        leases.push_back(*lease);
-    }
     // Most expensive first; the tie breaks by shard index.
-    EXPECT_EQ(order, (std::vector<std::size_t>{2, 1, 3, 0}));
-
-    for (const auto &lease : leases)
-        queue.complete(lease);
-    EXPECT_FALSE(queue.lease().has_value());
-    // complete() retired the files for good: a fresh queue over the
-    // same directory has nothing to recover.
-    EXPECT_TRUE(
-        std::filesystem::is_empty(std::filesystem::path(queue.leasedDir())));
-}
-
-TEST(StealQueue, RecoversOrphansAndReleasedLeases)
-{
-    const std::string dir = uniqueDir("queue-orphan");
-    const std::vector<exec::StealBatch> batches = {{0, 0, 3, 100},
-                                                   {1, 3, 6, 200}};
-    exec::StealQueue queue(dir);
-    queue.populate(batches);
-
-    // release() puts a claimed batch straight back.
-    auto first = queue.lease();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->batch.shard, 1u);
-    queue.release(*first);
-    auto again = queue.lease();
-    ASSERT_TRUE(again.has_value());
-    EXPECT_EQ(again->batch.shard, 1u);
-
-    // A lease orphaned by a dead supervisor (never completed) is swept
-    // back to pending by the next populate() over the same directory.
-    exec::StealQueue resumed(dir);
-    resumed.populate(batches);
-    std::size_t leased = 0;
-    while (resumed.lease())
-        ++leased;
-    EXPECT_EQ(leased, 2u);
-}
-
-TEST(StealQueue, DiscardsEntriesFromAnotherSpecList)
-{
-    const std::string dir = uniqueDir("queue-stale");
-    exec::StealQueue queue(dir);
-    queue.populate({{0, 0, 1, 100}});
-    // A leftover file from some other enumeration must never be leased
-    // against this one.
-    ASSERT_TRUE(writeFileAtomic(queue.pendingDir() + "/b9999-s999.json",
-                                "{\"shard\":999}\n"));
-
-    auto lease = queue.lease();
-    ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(lease->batch.shard, 0u);
-    queue.complete(*lease);
-    EXPECT_FALSE(queue.lease().has_value()); // stale entry discarded
-    EXPECT_TRUE(std::filesystem::is_empty(
-        std::filesystem::path(queue.pendingDir())));
+    EXPECT_EQ(exec::leaseOrder(specs, ranges),
+              (std::vector<std::size_t>{2, 1, 3, 0}));
 }
 
 // ---------------------------------------------------------------------
@@ -520,7 +462,7 @@ TEST(ShardSupervisor, RecoversFromCorruptTraceArtifact)
     EXPECT_EQ(supervisor.stats().retries, 1u);
 }
 
-TEST(ShardSupervisor, ResumesCompletedShardsFromJournal)
+TEST(ShardSupervisor, ResumesCompletedShardsFromFragments)
 {
     const auto specs = fig5Specs();
     const std::string dir = uniqueDir("resume");
@@ -533,7 +475,7 @@ TEST(ShardSupervisor, ResumesCompletedShardsFromJournal)
         EXPECT_EQ(supervisor.stats().attempts, 2u);
     }
     // Second supervisor, same work dir, but a worker that can only
-    // fail: completing proves every shard came from the journal and no
+    // fail: completing proves every shard came from its fragment and no
     // worker ever ran.
     auto opts = baseOptions(dir);
     opts.shards = 2;
@@ -544,6 +486,41 @@ TEST(ShardSupervisor, ResumesCompletedShardsFromJournal)
     EXPECT_EQ(mergedJson(specs, resumed), mergedJson(specs, first));
     EXPECT_EQ(supervisor.stats().resumedShards, 2u);
     EXPECT_EQ(supervisor.stats().attempts, 0u);
+}
+
+TEST(ShardSupervisor, VerifiedFragmentAloneResumesAndDamagedOneReRuns)
+{
+    // No earlier supervisor: both fragments of a 2-shard run are written
+    // straight into the work dir, and the second one has a flipped byte.
+    // The first verifies and is the shard's result; the second fails its
+    // check and its shard re-runs in one worker.
+    const auto specs = fig5Specs();
+    const std::string dir = uniqueDir("fragresume");
+    const auto ranges = exec::shardRanges(specs.size(), 2);
+    ASSERT_EQ(ranges.size(), 2u);
+    // The supervisor's fragment names: shard-<NNN>.json.
+    const char *names[] = {"shard-000.json", "shard-001.json"};
+    for (std::size_t s = 0; s < ranges.size(); ++s) {
+        const std::vector<driver::RunSpec> slice(
+            specs.begin() + ranges[s].first,
+            specs.begin() + ranges[s].second);
+        driver::SweepEngine engine{driver::SweepOptions{}};
+        std::string fragment = exec::shardFragmentJson(
+            ranges[s].first, slice, engine.run(slice));
+        if (s == 1)
+            fragment[fragment.size() / 2] ^= 0x01;
+        ASSERT_TRUE(writeFileAtomic(dir + "/" + names[s], fragment));
+    }
+
+    auto opts = baseOptions(dir);
+    opts.shards = 2;
+    exec::ShardSupervisor supervisor(opts);
+    const auto results = supervisor.run(specs);
+
+    EXPECT_EQ(mergedJson(specs, results), referenceJson(specs));
+    EXPECT_EQ(supervisor.stats().resumedShards, 1u);
+    EXPECT_EQ(supervisor.stats().attempts, 1u);
+    EXPECT_EQ(supervisor.stats().retries, 0u);
 }
 
 TEST(ShardSupervisor, NoResumeReRunsEveryShard)
@@ -568,8 +545,8 @@ TEST(ShardSupervisor, WorkStealingSurvivesFullFaultMatrixAtAnyWidth)
 {
     // Every failure class at once — kill -9, a hang, a torn fragment
     // and a flipped payload byte — across six two-spec batches, at
-    // one, two and eight concurrent workers. Whatever the steal order,
-    // the merged document must match the in-process reference.
+    // one, two and eight concurrent workers. Whichever worker runs which
+    // shard, the merged document must match the in-process reference.
     const auto specs = fig5Specs();
     const std::string reference = referenceJson(specs);
     for (const unsigned parallel : {1u, 2u, 8u}) {

@@ -41,8 +41,8 @@
  *    as written by --metrics-json on the sweep harnesses, --shards
  *    runs included) — every histogram (per-phase host-time
  *    distributions like sweep.build_host_ms / sweep.run_host_ms, and
- *    the supervisor's sweep.shard_backoff_ms / sweep.shard_attempt_ms /
- *    sweep.shard_steal_ms plus the sweep.lease_batch_size spread)
+ *    the supervisor's sweep.shard_backoff_ms / sweep.shard_attempt_ms
+ *    plus the sweep.lease_batch_size spread)
  *    becomes a bucket-count bar chart, and the scalar counters/gauges
  *    (the sweep.result_cache_* and sweep.runs_simulated cache counters
  *    included) land in one summary table.
