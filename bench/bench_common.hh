@@ -170,10 +170,10 @@ printUsage(const char *prog, const char *what, bool sweep_flags)
 /**
  * Remove every occurrence of the valueless @p flag from (argc, argv)
  * before parseBenchArgs() sees it (which fatal()s on unknown flags);
- * returns whether it was present. Lets a harness layer its own mode
- * switches (e.g. --full-sim) on top of the shared flag set. A switch
- * that selects the sweep must also be appended to forwardArgs, or
- * --shards workers run a different one.
+ * returns whether it was present. Lets a harness layer its own
+ * switches (bench_predictor_replay's --serial, --check) on top of the
+ * shared flag set. A switch that changes the swept matrix must also be
+ * appended to forwardArgs, or --shards workers sweep a different one.
  */
 inline bool
 stripFlag(int &argc, char **argv, const char *flag)
@@ -593,18 +593,19 @@ sweepSuite(const BenchOptions &opts,
  * traces, threads) to @p matrix — whose benchmarks and configs the
  * harness has set — and emit the pp.replay.v1 sink when --json was
  * given. Replay is a predictor-tables-only tier, so the timing/sampling
- * flags of the full-sim path (--csv, --smarts, --checkpoint-dir,
- * --shards) are rejected rather than silently ignored; rerun with
- * --full-sim to use them.
+ * flags of the full-simulation sweeps (--csv, --smarts,
+ * --checkpoint-dir, --shards) are rejected rather than silently
+ * ignored.
  */
 inline std::vector<replay::ReplayWorkloadResult>
 replaySweep(const BenchOptions &opts, replay::ReplayMatrix &matrix)
 {
     if (!opts.csvPath.empty())
-        fatal("--csv needs the full-sim tier; rerun with --full-sim");
+        fatal("--csv writes full-simulation results; the replay tier"
+              " writes --json only");
     if (opts.smartsPeriod > 0 || !opts.checkpointDir.empty())
         fatal("--smarts/--checkpoint-dir are sampling flags; the replay"
-              " tier has no timing windows (rerun with --full-sim)");
+              " tier has no timing windows");
     if (opts.shards > 0 || opts.workerMode)
         fatal("--shards is not supported for replay sweeps yet");
 

@@ -15,6 +15,8 @@
 #define PP_COMMON_JSON_MIN_HH
 
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -259,6 +261,28 @@ inline JsonValue
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+/**
+ * The unsigned integer field @p key of @p obj, for the readers of the
+ * repo's counter-bearing documents. Throws @p Error, prefixed with
+ * @p what, when the field is missing or is not a finite, non-negative,
+ * integral number below 2^64: casting any other double to
+ * std::uint64_t is undefined behaviour, and strtod accepts "inf".
+ */
+template <typename Error>
+std::uint64_t
+u64Field(const JsonValue &obj, const char *key, const char *what)
+{
+    const JsonValue *v = obj.get(key);
+    if (v == nullptr)
+        throw Error(std::string(what) + ": missing field '" + key + "'");
+    if (v->kind != JsonValue::Kind::Number || !(v->number >= 0.0) ||
+        !(v->number < 18446744073709551616.0) ||
+        v->number != std::floor(v->number))
+        throw Error(std::string(what) + ": field '" + key +
+                    "' is not an unsigned integer");
+    return static_cast<std::uint64_t>(v->number);
 }
 
 /** Read @p path whole and parse it; throws JsonParseError on failure. */

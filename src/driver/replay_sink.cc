@@ -37,26 +37,6 @@ writeReplayConfigJson(JsonWriter &w, const replay::ReplayConfigResult &c,
     w.endObject();
 }
 
-namespace
-{
-
-std::uint64_t
-u64Field(const jsonmin::JsonValue &obj, const char *key)
-{
-    const jsonmin::JsonValue *v = obj.get(key);
-    if (v == nullptr)
-        throw ResultParseError(
-            std::string("replay config object: missing field '") + key +
-            "'");
-    if (v->kind != jsonmin::JsonValue::Kind::Number)
-        throw ResultParseError(
-            std::string("replay config object: field '") + key +
-            "' is not a number");
-    return static_cast<std::uint64_t>(v->number);
-}
-
-} // namespace
-
 replay::ReplayConfigResult
 parseReplayConfigJson(const std::string &text)
 {
@@ -71,27 +51,31 @@ parseReplayConfigJson(const std::string &text)
     if (name == nullptr ||
         name->kind != jsonmin::JsonValue::Kind::String)
         throw ResultParseError("replay config object: bad 'name'");
+    auto count = [&doc](const char *key) {
+        return jsonmin::u64Field<ResultParseError>(doc, key,
+                                                   "replay config object");
+    };
     replay::ReplayConfigResult out;
     out.name = name->str;
-    out.storageBytes = u64Field(doc, "storage_bytes");
+    out.storageBytes = count("storage_bytes");
     replay::ReplayStats &s = out.stats;
-    s.condBranches = u64Field(doc, "cond_branches");
-    s.mispredicted = u64Field(doc, "mispredicted");
-    s.l1Mispredicted = u64Field(doc, "l1_mispredicted");
-    s.mispredTaken = u64Field(doc, "mispred_taken");
-    s.mispredNotTaken = u64Field(doc, "mispred_not_taken");
-    s.brBranches = u64Field(doc, "br_branches");
-    s.brMispredicted = u64Field(doc, "br_mispredicted");
-    s.callBranches = u64Field(doc, "call_branches");
-    s.callMispredicted = u64Field(doc, "call_mispredicted");
-    s.retBranches = u64Field(doc, "ret_branches");
-    s.retMispredicted = u64Field(doc, "ret_mispredicted");
-    s.compares = u64Field(doc, "compares");
-    s.pd1Mispredicts = u64Field(doc, "pd1_mispredicts");
-    s.pd2Mispredicts = u64Field(doc, "pd2_mispredicts");
-    s.confidentPd1 = u64Field(doc, "confident_pd1");
-    s.confidentPd1Wrong = u64Field(doc, "confident_pd1_wrong");
-    s.shadowMispredicts = u64Field(doc, "shadow_mispredicts");
+    s.condBranches = count("cond_branches");
+    s.mispredicted = count("mispredicted");
+    s.l1Mispredicted = count("l1_mispredicted");
+    s.mispredTaken = count("mispred_taken");
+    s.mispredNotTaken = count("mispred_not_taken");
+    s.brBranches = count("br_branches");
+    s.brMispredicted = count("br_mispredicted");
+    s.callBranches = count("call_branches");
+    s.callMispredicted = count("call_mispredicted");
+    s.retBranches = count("ret_branches");
+    s.retMispredicted = count("ret_mispredicted");
+    s.compares = count("compares");
+    s.pd1Mispredicts = count("pd1_mispredicts");
+    s.pd2Mispredicts = count("pd2_mispredicts");
+    s.confidentPd1 = count("confident_pd1");
+    s.confidentPd1Wrong = count("confident_pd1_wrong");
+    s.shadowMispredicts = count("shadow_mispredicts");
     return out;
 }
 

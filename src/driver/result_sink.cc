@@ -286,12 +286,6 @@ num(const jsonmin::JsonValue &obj, const char *key)
     return v.number;
 }
 
-std::uint64_t
-u64(const jsonmin::JsonValue &obj, const char *key)
-{
-    return static_cast<std::uint64_t>(num(obj, key));
-}
-
 } // namespace
 
 sim::RunResult
@@ -309,8 +303,10 @@ parseRunJson(const jsonmin::JsonValue &run)
     if (sampled.kind != jsonmin::JsonValue::Kind::Bool)
         throw ResultParseError("run object: 'sampled' is not a bool");
     out.sampled = sampled.boolean;
-    out.measuredInsts = u64(run, "measured_insts");
-    out.detailedInsts = u64(run, "detailed_insts");
+    out.measuredInsts = jsonmin::u64Field<ResultParseError>(
+        run, "measured_insts", "run object");
+    out.detailedInsts = jsonmin::u64Field<ResultParseError>(
+        run, "detailed_insts", "run object");
     out.ipcErrorBound = num(run, "ipc_error_bound");
     if (const jsonmin::JsonValue *th = run.get("trace_hash")) {
         if (th->kind != jsonmin::JsonValue::Kind::String)
@@ -324,7 +320,8 @@ parseRunJson(const jsonmin::JsonValue &run)
     out.windowHostMs = num(run, "window_host_ms");
     const jsonmin::JsonValue &counters = member(run, "counters");
     for (const auto &f : core::kCoreStatsFields)
-        out.stats.*f.member = u64(counters, f.name);
+        out.stats.*f.member = jsonmin::u64Field<ResultParseError>(
+            counters, f.name, "run object");
     return out;
 }
 

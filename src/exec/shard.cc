@@ -55,33 +55,10 @@ member(const jsonmin::JsonValue &obj, const char *key)
     return *v;
 }
 
-double
-num(const jsonmin::JsonValue &obj, const char *key)
-{
-    const jsonmin::JsonValue &v = member(obj, key);
-    if (v.kind != jsonmin::JsonValue::Kind::Number)
-        throw ShardError(std::string("shard fragment: field '") + key +
-                         "' is not a number");
-    return v.number;
-}
-
 std::uint64_t
 u64(const jsonmin::JsonValue &obj, const char *key)
 {
-    return static_cast<std::uint64_t>(num(obj, key));
-}
-
-/** Optional numeric header field; absent = 0. */
-std::uint64_t
-u64OrZero(const jsonmin::JsonValue &obj, const char *key)
-{
-    const jsonmin::JsonValue *v = obj.get(key);
-    if (v == nullptr)
-        return 0;
-    if (v->kind != jsonmin::JsonValue::Kind::Number)
-        throw ShardError(std::string("shard fragment: field '") + key +
-                         "' is not a number");
-    return static_cast<std::uint64_t>(v->number);
+    return jsonmin::u64Field<ShardError>(obj, key, "shard fragment");
 }
 
 /** The identity fields of one run object, as a RunSpec for comparison
@@ -244,8 +221,13 @@ readShardFragment(const std::string &path,
                          ": runs array does not match the range");
     }
     if (stats != nullptr) {
-        stats->resultCacheHits = u64OrZero(doc, "result_cache_hits");
-        stats->runsSimulated = u64OrZero(doc, "runs_simulated");
+        // Optional header fields: a fragment written without worker
+        // stats omits them.
+        auto count = [&doc](const char *key) {
+            return doc.get(key) == nullptr ? 0 : u64(doc, key);
+        };
+        stats->resultCacheHits = count("result_cache_hits");
+        stats->runsSimulated = count("runs_simulated");
     }
     std::vector<sim::RunResult> out;
     out.reserve(runs.items.size());

@@ -15,17 +15,59 @@ namespace pp
 namespace sampling
 {
 
-namespace
-{
-
 void
-addInto(core::CoreStats &acc, const core::CoreStats &delta)
+WindowTally::add(std::uint64_t start_inst, const core::CoreStats &delta)
 {
     for (const auto &f : core::kCoreStatsFields)
-        acc.*f.member += delta.*f.member;
+        total.*f.member += delta.*f.member;
+    samples.push_back(WindowSample{start_inst, delta});
 }
 
-} // namespace
+SampledRun
+WindowTally::finish(const std::string &benchmark,
+                    std::uint64_t measure_insts,
+                    std::uint64_t detailed_insts, bool exact)
+{
+    SampledRun out;
+    sim::RunResult &r = out.result;
+    r.benchmark = benchmark;
+    r.sampled = true;
+    r.measuredInsts = total.committedInsts;
+    r.detailedInsts = detailed_insts;
+    r.ipc = total.ipc();
+    r.mispredRatePct = total.mispredRatePct();
+    r.accuracyPct = 100.0 - r.mispredRatePct;
+    r.shadowMispredRatePct = total.shadowMispredRatePct();
+    r.earlyResolvedPct = total.earlyResolvedPct();
+
+    // Every window swallowed by drain overshoot (a window shorter than
+    // the pipeline's in-flight slack) leaves no measurement to
+    // extrapolate: scaling would divide by zero.
+    if (exact || total.committedInsts == 0) {
+        r.stats = total;
+    } else {
+        const double scale = static_cast<double>(measure_insts) /
+            static_cast<double>(total.committedInsts);
+        for (const auto &f : core::kCoreStatsFields) {
+            r.stats.*f.member = static_cast<std::uint64_t>(std::llround(
+                static_cast<double>(total.*f.member) * scale));
+        }
+    }
+
+    std::vector<double> window_ipc;
+    std::vector<double> window_mispred;
+    for (const WindowSample &w : samples) {
+        window_ipc.push_back(w.stats.ipc());
+        window_mispred.push_back(w.stats.mispredRatePct());
+    }
+    const double ipc_half = ciHalfWidth(window_ipc);
+    r.ipcErrorBound = r.ipc > 0.0 ? 100.0 * ipc_half / r.ipc : 0.0;
+    out.mispredCiPp = ciHalfWidth(window_mispred);
+
+    out.windows = samples.size();
+    out.samples = std::move(samples);
+    return out;
+}
 
 double
 tCritical95(std::size_t df)
@@ -76,11 +118,11 @@ sampledRunDetailed(const program::Program &binary,
                    const program::DecodedProgram *decoded,
                    const program::TraceFile *trace)
 {
-    SampledRun out;
     if (!policy.enabled()) {
-        out.result = sim::run(binary, profile, scheme, base_cfg,
-                              warmup_insts, measure_insts, decoded, trace);
-        return out;
+        SampledRun full;
+        full.result = sim::run(binary, profile, scheme, base_cfg,
+                               warmup_insts, measure_insts, decoded, trace);
+        return full;
     }
     panicIfNot(measure_insts > 0, "sampled run with empty region");
     panicIfNot(policy.measureInsts > 0,
@@ -99,9 +141,7 @@ sampledRunDetailed(const program::Program &binary,
     // detailed execution on the correct path.
     core::OoOCore cpu(binary, cfg, seed, decoded, trace);
 
-    core::CoreStats total;
-    std::vector<double> window_ipc;
-    std::vector<double> window_mispred;
+    WindowTally tally;
 
     // All window boundaries are absolute program positions; detailed
     // run() targets subtract the fast-forwarded total, so commit-width
@@ -134,7 +174,6 @@ sampledRunDetailed(const program::Program &binary,
             const std::uint64_t pos = cpu.programPosition();
             if (warm_start > pos) {
                 const std::uint64_t ff = warm_start - pos;
-                out.fastForwardInsts += ff;
                 const std::uint64_t horizon = policy.warmingHorizon;
                 if (policy.functionalWarming && horizon != 0 &&
                     ff > horizon) {
@@ -171,27 +210,8 @@ sampledRunDetailed(const program::Program &binary,
         if (overshot)
             continue;
 
-        addInto(total, delta);
-        window_ipc.push_back(delta.ipc());
-        window_mispred.push_back(delta.mispredRatePct());
-        out.samples.push_back(WindowSample{s, delta});
-        ++out.windows;
+        tally.add(s, delta);
     }
-    const std::uint64_t detailed = cpu.coreStats().committedInsts;
-
-    sim::RunResult r;
-    r.benchmark = profile.name;
-    r.sampled = true;
-    r.measuredInsts = total.committedInsts;
-    r.detailedInsts = detailed;
-
-    // Rates come from the pooled windows (ratio estimators), exactly
-    // the formulas a full run applies to its one window.
-    r.ipc = total.ipc();
-    r.mispredRatePct = total.mispredRatePct();
-    r.accuracyPct = 100.0 - r.mispredRatePct;
-    r.shadowMispredRatePct = total.shadowMispredRatePct();
-    r.earlyResolvedPct = total.earlyResolvedPct();
 
     // Counters: exact sums when the windows left no architectural gap —
     // back-to-back windows (period <= window measure), or one window
@@ -204,35 +224,18 @@ sampledRunDetailed(const program::Program &binary,
     // not under-report. Normal tiling falls short of the region only by
     // the first boundary's commit slack.
     const bool tiles = policy.periodInsts <= policy.measureInsts &&
-        total.committedInsts + cfg.commitWidth >= measure_insts;
-    const bool single_full =
-        out.windows == 1 && policy.measureInsts >= measure_insts;
-    if (total.committedInsts == 0) {
-        // Every window was swallowed by drain overshoot (a window
-        // shorter than the pipeline's in-flight slack): there is no
-        // measurement to extrapolate — scaling would divide by zero.
-        r.stats = total;
-    } else if (ff_in_region == 0 && (tiles || single_full)) {
-        r.stats = total;
-    } else {
-        const double scale = static_cast<double>(measure_insts) /
-            static_cast<double>(total.committedInsts);
-        for (const auto &f : core::kCoreStatsFields) {
-            r.stats.*f.member = static_cast<std::uint64_t>(std::llround(
-                static_cast<double>(total.*f.member) * scale));
-        }
-    }
+        tally.total.committedInsts + cfg.commitWidth >= measure_insts;
+    const bool single_full = tally.samples.size() == 1 &&
+        policy.measureInsts >= measure_insts;
+    SampledRun out = tally.finish(
+        profile.name, measure_insts, cpu.coreStats().committedInsts,
+        ff_in_region == 0 && (tiles || single_full));
+    out.fastForwardInsts = ff_total;
 
-    const double ipc_half = ciHalfWidth(window_ipc);
-    r.ipcErrorBound = r.ipc > 0.0 ? 100.0 * ipc_half / r.ipc : 0.0;
-    out.mispredCiPp = ciHalfWidth(window_mispred);
-
-    const auto host_end = std::chrono::steady_clock::now();
-    r.hostMs = std::chrono::duration<double, std::milli>(
-        host_end - host_start).count();
-    r.ffHostMs = ff_ms;
-    r.windowHostMs = window_ms;
-    out.result = r;
+    out.result.hostMs = std::chrono::duration<double, std::milli>(
+        std::chrono::steady_clock::now() - host_start).count();
+    out.result.ffHostMs = ff_ms;
+    out.result.windowHostMs = window_ms;
     return out;
 }
 

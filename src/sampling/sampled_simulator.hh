@@ -17,6 +17,7 @@
 #define PP_SAMPLING_SAMPLED_SIMULATOR_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/corestats.hh"
@@ -59,6 +60,36 @@ struct SampledRun
 
     /** Per-window raw deltas, in region order. */
     std::vector<WindowSample> samples;
+};
+
+/**
+ * The window tally and estimate tail both sampled estimators share
+ * (sampledRunDetailed() and mergeWindowRuns()): add() each measured
+ * window in region order, then finish() pools them into the estimate.
+ */
+struct WindowTally
+{
+    /** Summed measurement deltas of the windows added so far. */
+    core::CoreStats total;
+
+    /** The windows added so far, in region order. */
+    std::vector<WindowSample> samples;
+
+    /** Add the window whose measurement starts at @p start_inst. */
+    void add(std::uint64_t start_inst, const core::CoreStats &delta);
+
+    /**
+     * The estimate, moving the samples into it. Rates come from the
+     * pooled windows (ratio estimators: exactly the formulas a full run
+     * applies to its one window). Counters are the exact sums when
+     * @p exact or when nothing was measured, else extrapolated to
+     * @p measure_insts per measured instruction. IPC and misprediction
+     * get t-distribution CI bounds. Host times and fastForwardInsts are
+     * the caller's.
+     */
+    SampledRun finish(const std::string &benchmark,
+                      std::uint64_t measure_insts,
+                      std::uint64_t detailed_insts, bool exact);
 };
 
 /**

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 
 #include "common/atomic_io.hh"
@@ -25,13 +24,6 @@ constexpr std::uint64_t kCkptSetMagic = 0x31762e74706b6370ull; // "pckpt.v1"
 constexpr std::uint64_t kCkptSetVersion = 1;
 constexpr const char *kWhat = "checkpoint-set image";
 constexpr std::size_t kHeaderBytes = 24; // magic, version, content hash
-
-void
-addInto(core::CoreStats &acc, const core::CoreStats &delta)
-{
-    for (const auto &f : core::kCoreStatsFields)
-        acc.*f.member += delta.*f.member;
-}
 
 double
 elapsedMs(const std::chrono::steady_clock::time_point &since)
@@ -336,12 +328,7 @@ mergeWindowRuns(const WindowCheckpointSet &set,
     panicIfNot(runs.size() == set.windows.size(),
                "window-run count does not match the checkpoint set");
 
-    SampledRun out;
-    out.fastForwardInsts = set.builderInsts;
-
-    core::CoreStats total;
-    std::vector<double> window_ipc;
-    std::vector<double> window_mispred;
+    WindowTally tally;
     std::uint64_t detailed = 0;
     double warm_ms = 0.0;
     double window_ms = 0.0;
@@ -350,52 +337,22 @@ mergeWindowRuns(const WindowCheckpointSet &set,
         detailed += wr.coreCommitted;
         warm_ms += wr.warmHostMs;
         window_ms += wr.windowHostMs;
-        if (wr.overshot)
-            continue;
-        addInto(total, wr.delta);
-        window_ipc.push_back(wr.delta.ipc());
-        window_mispred.push_back(wr.delta.mispredRatePct());
-        out.samples.push_back(
-            WindowSample{set.windows[i].measureStart, wr.delta});
-        ++out.windows;
+        if (!wr.overshot)
+            tally.add(set.windows[i].measureStart, wr.delta);
     }
-
-    sim::RunResult r;
-    r.benchmark = benchmark;
-    r.sampled = true;
-    r.measuredInsts = total.committedInsts;
-    r.detailedInsts = detailed;
-    r.ipc = total.ipc();
-    r.mispredRatePct = total.mispredRatePct();
-    r.accuracyPct = 100.0 - r.mispredRatePct;
-    r.shadowMispredRatePct = total.shadowMispredRatePct();
-    r.earlyResolvedPct = total.earlyResolvedPct();
 
     // A gapped policy can never tile the region, so the only exact case
     // is the degenerate single window spanning it (then bit-identical
     // to full simulation); everything else extrapolates per measured
     // instruction, exactly as the serial tail does.
-    const bool single_full =
-        out.windows == 1 && set.policy.measureInsts >= measure_insts;
-    if (total.committedInsts == 0 || single_full) {
-        r.stats = total;
-    } else {
-        const double scale = static_cast<double>(measure_insts) /
-            static_cast<double>(total.committedInsts);
-        for (const auto &f : core::kCoreStatsFields) {
-            r.stats.*f.member = static_cast<std::uint64_t>(std::llround(
-                static_cast<double>(total.*f.member) * scale));
-        }
-    }
-
-    const double ipc_half = ciHalfWidth(window_ipc);
-    r.ipcErrorBound = r.ipc > 0.0 ? 100.0 * ipc_half / r.ipc : 0.0;
-    out.mispredCiPp = ciHalfWidth(window_mispred);
-
-    r.ffHostMs = warm_ms;
-    r.windowHostMs = window_ms;
-    r.hostMs = warm_ms + window_ms;
-    out.result = r;
+    const bool single_full = tally.samples.size() == 1 &&
+        set.policy.measureInsts >= measure_insts;
+    SampledRun out =
+        tally.finish(benchmark, measure_insts, detailed, single_full);
+    out.fastForwardInsts = set.builderInsts;
+    out.result.ffHostMs = warm_ms;
+    out.result.windowHostMs = window_ms;
+    out.result.hostMs = warm_ms + window_ms;
     return out;
 }
 

@@ -445,4 +445,18 @@ TEST(ResultCacheParse, RunJsonRoundTripsByteIdentically)
                  driver::ResultParseError);
     EXPECT_THROW(driver::parseRunJson(std::string("nonsense")),
                  driver::ResultParseError);
+
+    // A counter must be an integer std::uint64_t can hold; casting any
+    // other double to it is undefined.
+    const std::string cycles =
+        "\"cycles\":" + std::to_string(results[0].stats.cycles);
+    ASSERT_NE(bytes.find(cycles), std::string::npos);
+    for (const char *bad : {"-1", "1e300", "1.5", "inf"}) {
+        std::string damaged = bytes;
+        damaged.replace(damaged.find(cycles), cycles.size(),
+                        std::string("\"cycles\":") + bad);
+        EXPECT_THROW(driver::parseRunJson(damaged),
+                     driver::ResultParseError)
+            << bad;
+    }
 }

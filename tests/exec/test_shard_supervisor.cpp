@@ -289,6 +289,15 @@ TEST(ShardFragment, DetectsDamage)
         exec::readShardFragment(dir + "/short.json", specs, 0, 2),
         exec::ShardError);
 
+    // A header count no std::uint64_t holds, under a valid payload
+    // hash -> typed error, not an undefined cast.
+    std::string negative = fragment;
+    negative.replace(negative.find("\"begin\":0"), 9, "\"begin\":-1");
+    ASSERT_TRUE(writeFileAtomic(dir + "/negative.json", negative));
+    EXPECT_THROW(
+        exec::readShardFragment(dir + "/negative.json", specs, 0, 2),
+        exec::ShardError);
+
     // Range mismatch -> stale fragment rejected.
     ASSERT_TRUE(writeFileAtomic(dir + "/frag.json", fragment));
     EXPECT_THROW(exec::readShardFragment(dir + "/frag.json", specs, 2, 4),
