@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <ctime>
 #include <cstdio>
+#include <deque>
 #include <exception>
 #include <filesystem>
 #include <functional>
@@ -36,52 +38,99 @@ namespace
 {
 
 /**
- * Run fn(0..n-1) on up to @p threads workers pulling indices from a
- * shared atomic counter. The first exception thrown by any task is
- * rethrown on the calling thread after all workers join.
+ * Run item(0..n-1) in order, and every job those items return, on up to
+ * @p threads workers. A worker runs a queued job (first queued, first
+ * run) whenever one is ready and starts the next item only when none
+ * is, so the jobs of one item drain before later items pile up theirs.
+ * A worker finding neither waits while another still runs an item (its
+ * jobs are yet to come) and leaves once none does. The first exception
+ * stops every worker from taking more work and is rethrown on the
+ * calling thread after all workers join.
  */
+template <typename Job>
 void
-parallelFor(std::size_t n, unsigned threads,
-            const std::function<void(std::size_t)> &fn)
+streamFor(std::size_t n, unsigned threads,
+          const std::function<std::vector<Job>(std::size_t)> &item,
+          const std::function<void(const Job &)> &job)
 {
     if (n == 0)
         return;
-    if (threads <= 1 || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::mutex err_mutex;
+    std::mutex mutex;
+    std::condition_variable wake;
+    std::deque<Job> ready;
+    std::size_t next = 0;
+    unsigned starting = 0; ///< items running, their jobs not yet queued
     std::exception_ptr first_error;
 
     auto worker = [&]() {
+        std::unique_lock<std::mutex> lock(mutex);
         for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= n)
+            wake.wait(lock, [&] {
+                return first_error || !ready.empty() || next < n ||
+                       starting == 0;
+            });
+            if (first_error)
                 return;
             try {
-                fn(i);
+                if (!ready.empty()) {
+                    const Job j = std::move(ready.front());
+                    ready.pop_front();
+                    lock.unlock();
+                    job(j);
+                    lock.lock();
+                } else if (next < n) {
+                    const std::size_t i = next++;
+                    ++starting;
+                    lock.unlock();
+                    std::vector<Job> jobs = item(i);
+                    lock.lock();
+                    --starting;
+                    for (Job &j : jobs)
+                        ready.push_back(std::move(j));
+                    wake.notify_all();
+                } else {
+                    return;
+                }
             } catch (...) {
-                std::lock_guard<std::mutex> lock(err_mutex);
+                if (!lock.owns_lock())
+                    lock.lock();
                 if (!first_error)
                     first_error = std::current_exception();
+                wake.notify_all();
                 return;
             }
         }
     };
 
-    const unsigned spawn =
-        static_cast<unsigned>(std::min<std::size_t>(threads, n));
-    std::vector<std::thread> pool;
-    pool.reserve(spawn);
-    for (unsigned t = 0; t < spawn; ++t)
-        pool.emplace_back(worker);
-    for (auto &th : pool)
-        th.join();
+    if (threads <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(threads);
+        for (unsigned t = 0; t < threads; ++t)
+            pool.emplace_back(worker);
+        for (auto &th : pool)
+            th.join();
+    }
     if (first_error)
         std::rethrow_exception(first_error);
+}
+
+/**
+ * Run fn(0..n-1) on up to @p threads workers: streamFor() over items
+ * that queue no jobs, so no more workers than items.
+ */
+void
+parallelFor(std::size_t n, unsigned threads,
+            const std::function<void(std::size_t)> &fn)
+{
+    streamFor<std::size_t>(
+        n, static_cast<unsigned>(std::min<std::size_t>(threads, n)),
+        [&](std::size_t i) {
+            fn(i);
+            return std::vector<std::size_t>{};
+        },
+        [](const std::size_t &) {});
 }
 
 unsigned
@@ -474,54 +523,91 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         }
     }
 
-    // Phase 1.5: one window-checkpoint set per distinct (workload,
-    // region, policy) among the checkpoint-eligible sampled specs
-    // (sampling/window_checkpoint.hh), so N scheme/config cells on the
-    // same workload pay for one functional pass. Keyed in
-    // first-appearance order like the builds; the sets build — or load
-    // from the on-disk pp.ckpt.v1 cache — in parallel.
-    struct CkptJob
+    // Phase 2: one pool runs every miss cell. Its work items, in
+    // first-appearance order of the specs, are a whole run per
+    // non-eligible spec and one window-checkpoint set per distinct
+    // (workload, region, policy) among the checkpoint-eligible sampled
+    // specs (sampling/window_checkpoint.hh), so N scheme/config cells on
+    // the same workload pay for one functional pass. A worker runs a
+    // queued window job when one is ready; otherwise it takes the next
+    // item: it simulates the run, or builds the set (or loads it from
+    // the on-disk pp.ckpt.v1 cache) and queues one job per window for
+    // every cell sharing it — windows are independent given their
+    // checkpoint. The worker that finishes a set's last window merges
+    // the set's cells in window order (bit-identical to the serial
+    // checkpoint route by construction) and frees the set, so a sweep
+    // holds only the sets its running windows need. results[i] belongs
+    // to specs[i] regardless of which worker produced it or when.
+    struct CkptSet
     {
-        const RunSpec *spec;  ///< first spec needing this set
-        const Build *build;   ///< its workload
+        std::vector<std::size_t> cells; ///< miss specs sharing it
         sampling::WindowCheckpointSet set;
         double buildMs = 0.0;
     };
     constexpr std::size_t kNoCkpt = static_cast<std::size_t>(-1);
-    std::vector<CkptJob> ckpts;
+    std::vector<CkptSet> ckpts;
     std::unordered_map<std::string, std::size_t> key_to_ckpt;
     std::vector<std::size_t> spec_ckpt(specs.size(), kNoCkpt);
+    // Items by spec index: the spec's whole run, or the set it is the
+    // first to need.
+    std::vector<std::size_t> items;
+    std::size_t total_jobs = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const RunSpec &s = specs[i];
-        // A cache-hit cell needs no checkpoint set (and must not force
-        // one to be built on its behalf).
+        // A cache-hit cell needs no job at all, and must not force a
+        // checkpoint set to be built on its behalf.
         if (rhit[i])
             continue;
-        if (!sampling::checkpointEligible(s.sampling))
+        if (!sampling::checkpointEligible(s.sampling)) {
+            items.push_back(i);
+            ++total_jobs;
             continue;
+        }
         const std::string key = checkpointKey(s);
         auto it = key_to_ckpt.find(key);
         if (it == key_to_ckpt.end()) {
             it = key_to_ckpt.emplace(key, ckpts.size()).first;
-            ckpts.push_back(CkptJob{&specs[i], &builds.of(i), {}, 0.0});
+            ckpts.emplace_back();
+            items.push_back(i);
         }
         spec_ckpt[i] = it->second;
+        ckpts[it->second].cells.push_back(i);
+        total_jobs += s.sampling.windowsInRegion(s.measureInsts);
     }
     if (!ckpts.empty() && !opts_.checkpointDir.empty())
         makeDirs(opts_.checkpointDir, "checkpoint");
+
+    struct WindowJob
+    {
+        std::size_t spec;
+        std::size_t window;
+    };
+    std::vector<std::vector<sampling::WindowRunResult>> window_runs(
+        specs.size());
+    std::vector<std::atomic<std::size_t>> windows_left(ckpts.size());
+    std::atomic<std::size_t> resident{0};
+    std::atomic<std::size_t> resident_peak{0};
+    std::vector<sim::RunResult> results(specs.size());
     obs::Counter &m_ckpts =
         obs::metrics().counter("sweep.checkpoint_sets");
-    parallelFor(ckpts.size(), threads, [&](std::size_t i) {
-        CkptJob &c = ckpts[i];
-        const RunSpec &s = *c.spec;
-        const Build &b = *c.build;
+    Progress progress(opts_.progress, total_jobs);
+
+    // Build or load set k and queue its window jobs.
+    auto startSet = [&](std::size_t k) {
+        CkptSet &c = ckpts[k];
+        const RunSpec &s = specs[c.cells.front()];
+        const Build &b = builds.of(c.cells.front());
+        const std::size_t held = resident.fetch_add(1) + 1;
+        std::size_t peak = resident_peak.load();
+        while (held > peak &&
+               !resident_peak.compare_exchange_weak(peak, held)) {
+        }
         const auto t0 = std::chrono::steady_clock::now();
         std::string path;
         if (!opts_.checkpointDir.empty()) {
             path = opts_.checkpointDir + "/" +
                    hashHex(fnv1a(checkpointKey(s))) + ".ppckpt";
         }
-        bool loaded = false;
         if (!path.empty() && std::filesystem::exists(path)) {
             // A cached set round-trips exactly (pure integer payload),
             // so the sweep's results are byte-identical to a cold
@@ -531,9 +617,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
             obs::ScopedSpan span(obs::tracer(), "ckpt_load", "build",
                                  s.label());
             c.set = sampling::WindowCheckpointSet::loadOrThrow(path);
-            loaded = true;
-        }
-        if (!loaded) {
+        } else {
             c.set = sampling::buildWindowCheckpoints(
                 *b.binary, s.profile, s.warmupInsts, s.measureInsts,
                 s.sampling, b.decoded.get(), b.replayed());
@@ -543,56 +627,48 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         c.buildMs = std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0).count();
         m_ckpts.add(1);
-    });
 
-    // Phase 2: execute every run. Checkpoint-eligible sampled specs fan
-    // out one job per window — windows are independent given their
-    // checkpoint — and merge in window order below; every other spec is
-    // one whole-run job. results[i] belongs to specs[i] regardless of
-    // which worker produced it or when.
-    struct RunJob
-    {
-        std::size_t spec;
-        std::size_t window; ///< kNoCkpt = the whole run
-    };
-    std::vector<RunJob> jobs;
-    std::vector<std::vector<sampling::WindowRunResult>> window_runs(
-        specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (rhit[i])
-            continue; // served from the result cache: no job at all
-        if (spec_ckpt[i] != kNoCkpt) {
-            const std::size_t n =
-                ckpts[spec_ckpt[i]].set.windows.size();
+        const std::size_t n = c.set.windows.size();
+        windows_left[k].store(n * c.cells.size());
+        std::vector<WindowJob> jobs;
+        jobs.reserve(n * c.cells.size());
+        for (const std::size_t i : c.cells) {
             window_runs[i].resize(n);
             for (std::size_t w = 0; w < n; ++w)
-                jobs.push_back(RunJob{i, w});
-        } else {
-            jobs.push_back(RunJob{i, kNoCkpt});
+                jobs.push_back(WindowJob{i, w});
         }
-    }
+        return jobs;
+    };
 
-    std::vector<sim::RunResult> results(specs.size());
-    obs::Counter &m_runs = obs::metrics().counter("sweep.runs");
-    obs::Histogram &m_run_ms =
-        obs::metrics().histogram("sweep.run_host_ms");
-    Progress progress(opts_.progress, jobs.size());
-    parallelFor(jobs.size(), threads, [&](std::size_t j) {
-        const RunJob &job = jobs[j];
-        const RunSpec &s = specs[job.spec];
-        const Build &build = builds.of(job.spec);
-        {
-            obs::ScopedSpan span(obs::tracer(), "run", "sweep",
-                                 s.label());
-            if (job.window != kNoCkpt) {
-                const CkptJob &c = ckpts[spec_ckpt[job.spec]];
-                window_runs[job.spec][job.window] = sampling::runWindow(
-                    c.set.windows[job.window], *build.binary,
-                    sim::resolveConfig(s.scheme, s.config),
-                    sim::coreSeed(s.profile), build.decoded.get(),
-                    build.replayed());
-            } else {
-                results[job.spec] = s.sampling.enabled()
+    // Merge every cell of set k, then free the set.
+    auto finishSet = [&](std::size_t k) {
+        CkptSet &c = ckpts[k];
+        for (const std::size_t i : c.cells) {
+            const RunSpec &s = specs[i];
+            sampling::SampledRun merged = sampling::mergeWindowRuns(
+                c.set, window_runs[i], s.profile.name, s.measureInsts);
+            // The shared set's build (or load) cost is attributed to
+            // every run that consumed it, like buildHostMs.
+            merged.result.ffHostMs += c.buildMs;
+            merged.result.hostMs += c.buildMs;
+            results[i] = merged.result;
+            window_runs[i] = {};
+        }
+        c.set = {};
+        resident.fetch_sub(1);
+    };
+
+    const std::function<std::vector<WindowJob>(std::size_t)> item =
+        [&](std::size_t item_index) {
+            const std::size_t i = items[item_index];
+            if (spec_ckpt[i] != kNoCkpt)
+                return startSet(spec_ckpt[i]);
+            const RunSpec &s = specs[i];
+            const Build &build = builds.of(i);
+            {
+                obs::ScopedSpan span(obs::tracer(), "run", "sweep",
+                                     s.label());
+                results[i] = s.sampling.enabled()
                     ? sampling::sampledRun(*build.binary, s.profile,
                                            s.scheme, s.config,
                                            s.warmupInsts, s.measureInsts,
@@ -602,31 +678,46 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
                                s.config, s.warmupInsts, s.measureInsts,
                                build.decoded.get(), build.replayed());
             }
-        }
-        progress.jobDone();
-    });
+            progress.jobDone();
+            return std::vector<WindowJob>{};
+        };
+    const std::function<void(const WindowJob &)> window =
+        [&](const WindowJob &job) {
+            const RunSpec &s = specs[job.spec];
+            const Build &build = builds.of(job.spec);
+            const std::size_t k = spec_ckpt[job.spec];
+            {
+                obs::ScopedSpan span(obs::tracer(), "run", "sweep",
+                                     s.label());
+                window_runs[job.spec][job.window] = sampling::runWindow(
+                    ckpts[k].set.windows[job.window], *build.binary,
+                    sim::resolveConfig(s.scheme, s.config),
+                    sim::coreSeed(s.profile), build.decoded.get(),
+                    build.replayed());
+            }
+            progress.jobDone();
+            // The countdown orders every window's result before the
+            // merge, which the last window to finish runs.
+            if (windows_left[k].fetch_sub(1) == 1)
+                finishSet(k);
+        };
+    streamFor(items.size(), threads, item, window);
     progress.finish();
+    obs::metrics()
+        .gauge("sweep.checkpoint_sets_resident_peak")
+        .set(static_cast<double>(resident_peak.load()));
 
-    // Merge window jobs (in window order — bit-identical to the serial
-    // checkpoint route by construction) and finish per-run bookkeeping.
+    // Per-run bookkeeping, in spec order.
+    obs::Counter &m_runs = obs::metrics().counter("sweep.runs");
+    obs::Histogram &m_run_ms =
+        obs::metrics().histogram("sweep.run_host_ms");
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const RunSpec &s = specs[i];
         if (rhit[i]) {
             // Cached cells are taken verbatim — host-time fields
             // included, so a fully warm document is byte-identical to
             // the cold one without any scrubbing.
             results[i] = rcached[i];
             continue;
-        }
-        if (spec_ckpt[i] != kNoCkpt) {
-            const CkptJob &c = ckpts[spec_ckpt[i]];
-            sampling::SampledRun merged = sampling::mergeWindowRuns(
-                c.set, window_runs[i], s.profile.name, s.measureInsts);
-            // The shared set's build (or load) cost is attributed to
-            // every run that consumed it, like buildHostMs.
-            merged.result.ffHostMs += c.buildMs;
-            merged.result.hostMs += c.buildMs;
-            results[i] = merged.result;
         }
         // The build's wall time is amortized over the cell's runs, so
         // the result document carries the full host-time breakdown.

@@ -63,10 +63,12 @@ struct SweepOptions
      * policy) set is loaded from "<hash>.ppckpt" here when present,
      * built and atomically stored otherwise — so repeated sweeps (and
      * concurrent shard workers sharing the directory) skip the
-     * functional pass. Empty: in-memory caching only. Serialization
-     * round-trips exactly, so results are byte-identical either way,
-     * and the in-memory counters deliberately ignore disk hits (they
-     * stay a pure function of the spec list).
+     * functional pass. Empty: every set is built, none stored. Either
+     * way a set is held in memory only while its windows run (see
+     * run()). Serialization round-trips exactly, so results are
+     * byte-identical either way, and the in-memory counters
+     * deliberately ignore disk hits (they stay a pure function of the
+     * spec list).
      */
     std::string checkpointDir;
 
@@ -188,7 +190,12 @@ class SweepEngine
     /** Execute every cell of @p matrix; results align with specs(). */
     std::vector<sim::RunResult> run(const RunMatrix &matrix);
 
-    /** Execute an explicit spec list; results align with @p specs. */
+    /**
+     * Execute an explicit spec list; results align with @p specs.
+     * Window-checkpoint sets stream through the pool: each is built or
+     * loaded when a worker runs out of window jobs and freed once its
+     * last window merges, so at most one set per worker is resident.
+     */
     std::vector<sim::RunResult> run(const std::vector<RunSpec> &specs);
 
     /**

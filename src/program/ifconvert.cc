@@ -14,30 +14,34 @@ profileConditionHardness(const AsmProgram &prog, const IfConvertOptions &opts)
     const Program binary = prog.assemble(1 << 20, "profile");
     Emulator emu(binary, opts.profileSeed);
 
+    // A condition is drawn once per compare executed under a true QP and
+    // nowhere else, so its recorded stream is exactly the outcome
+    // sequence a record-by-record profile sees; the skip tier produces
+    // it without materializing a record per instruction.
     const std::size_t ncond = binary.conditions().size();
-    std::vector<SatCounter> bimodal(ncond, SatCounter(2, 1));
-    std::vector<std::uint64_t> evals(ncond, 0);
-    std::vector<std::uint64_t> misses(ncond, 0);
-
-    for (std::uint64_t i = 0; i < opts.profileSteps; ++i) {
-        const ExecRecord rec = emu.step();
-        if (!rec.ins->isCompare() || !rec.qpVal)
-            continue;
-        const CondId id = rec.ins->condId;
-        ++evals[id];
-        if (bimodal[id].taken() != rec.condVal)
-            ++misses[id];
-        if (rec.condVal)
-            bimodal[id].increment();
-        else
-            bimodal[id].decrement();
-    }
+    std::vector<ConditionStream> streams(ncond);
+    emu.recordConditions(&streams);
+    emu.skip(opts.profileSteps);
+    emu.recordConditions(nullptr);
 
     std::vector<double> rates(ncond, 0.0);
     for (std::size_t c = 0; c < ncond; ++c) {
-        if (evals[c] >= opts.minEvals)
-            rates[c] = static_cast<double>(misses[c]) /
-                static_cast<double>(evals[c]);
+        const ConditionStream &outcomes = streams[c];
+        if (outcomes.length < opts.minEvals)
+            continue;
+        SatCounter bimodal(2, 1);
+        std::uint64_t misses = 0;
+        for (std::uint64_t k = 0; k < outcomes.length; ++k) {
+            const bool taken = outcomes.at(k);
+            if (bimodal.taken() != taken)
+                ++misses;
+            if (taken)
+                bimodal.increment();
+            else
+                bimodal.decrement();
+        }
+        rates[c] = static_cast<double>(misses) /
+            static_cast<double>(outcomes.length);
     }
     return rates;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sat_counter.hh"
 #include "program/codegen.hh"
 #include "program/emulator.hh"
 #include "program/ifconvert.hh"
@@ -84,6 +85,49 @@ TEST(IfConvert, ThresholdOneConvertsNothing)
     const AsmProgram conv = ifConvert(plain, opts, &stats);
     EXPECT_EQ(stats.regionsConverted, 0u);
     EXPECT_EQ(conv.items().size(), plain.items().size());
+}
+
+TEST(IfConvert, ProfileMatchesARecordByRecordReference)
+{
+    // The profile runs on the skip tier over recorded condition
+    // streams; the reference steps record by record and scores every
+    // true-QP compare as it executes. Same seeds and step count as the
+    // if-conversion each binary build runs, so the rates must be equal
+    // to the bit on every profile.
+    for (const BenchmarkProfile &prof : extendedSuite()) {
+        SCOPED_TRACE(prof.name);
+        IfConvertOptions opts;
+        opts.profileSeed = prof.seed ^ 0x5eedf00dull;
+        const AsmProgram plain = CodeGenerator(prof).generate();
+
+        const Program binary = plain.assemble(1 << 20, "profile");
+        Emulator emu(binary, opts.profileSeed);
+        const std::size_t ncond = binary.conditions().size();
+        std::vector<SatCounter> bimodal(ncond, SatCounter(2, 1));
+        std::vector<std::uint64_t> evals(ncond, 0);
+        std::vector<std::uint64_t> misses(ncond, 0);
+        for (std::uint64_t i = 0; i < opts.profileSteps; ++i) {
+            const ExecRecord rec = emu.step();
+            if (!rec.ins->isCompare() || !rec.qpVal)
+                continue;
+            const CondId id = rec.ins->condId;
+            ++evals[id];
+            if (bimodal[id].taken() != rec.condVal)
+                ++misses[id];
+            if (rec.condVal)
+                bimodal[id].increment();
+            else
+                bimodal[id].decrement();
+        }
+        std::vector<double> expected(ncond, 0.0);
+        for (std::size_t c = 0; c < ncond; ++c) {
+            if (evals[c] >= opts.minEvals)
+                expected[c] = static_cast<double>(misses[c]) /
+                    static_cast<double>(evals[c]);
+        }
+
+        EXPECT_EQ(profileConditionHardness(plain, opts), expected);
+    }
 }
 
 TEST(IfConvert, ThresholdZeroConvertsAllSmallRegions)

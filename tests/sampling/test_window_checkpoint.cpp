@@ -14,7 +14,11 @@
  *    standalone serial sampled path at any thread count, with or
  *    without the on-disk checkpoint cache;
  *  - the sweep summary's checkpoint counters stay a pure function of
- *    the spec list.
+ *    the spec list;
+ *  - the engine streams its sets: documents stay byte-identical at any
+ *    thread count and with a partly warm result cache, a corrupt later
+ *    set fails typed, at most one set per worker is resident, and the
+ *    progress line still reaches 100%.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +35,7 @@
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
 #include "driver/sweep_engine.hh"
+#include "obs/metrics.hh"
 #include "program/warm_stream.hh"
 #include "sampling/accuracy_contract.hh"
 #include "sampling/sampled_simulator.hh"
@@ -580,4 +585,144 @@ TEST(WindowCheckpoint, EngineCountersAndDiskCacheAreDeterministic)
     ASSERT_TRUE(corrupted);
     driver::SweepEngine bad(disk);
     EXPECT_THROW(bad.run(specs), CheckpointError);
+}
+
+namespace
+{
+
+/**
+ * One checkpoint set per named benchmark, each shared by two scheme
+ * cells (conventional, selective) in spec order. Not if-converted, so
+ * building the binaries costs no profiling pass.
+ */
+std::vector<driver::RunSpec>
+setsOf(const std::vector<std::string> &names)
+{
+    driver::RunMatrix m;
+    for (const std::string &name : names)
+        m.addBenchmark(program::profileByName(name));
+    m.ifConvert(false)
+        .addScheme("conventional",
+                   sampling::accuracySchemeByName("conventional"))
+        .addScheme("selective",
+                   sampling::accuracySchemeByName("selective"))
+        .addSampling("gap", gappedPolicy())
+        .window(5000, 20000);
+    return m.specs();
+}
+
+std::string
+sweepDoc(const driver::SweepOptions &opts,
+         const std::vector<driver::RunSpec> &specs,
+         driver::ResultCacheUse *use = nullptr)
+{
+    driver::SweepEngine engine(opts);
+    const auto results = engine.run(specs);
+    if (use != nullptr)
+        *use = engine.resultCacheUse();
+    return scrubHostMs(
+        driver::JsonSink{engine.counters()}.toString(specs, results));
+}
+
+} // namespace
+
+TEST(StreamedSets, ColdAndPartlyWarmSweepsMatchAColdSerialRun)
+{
+    // Six sets stream through the pool: each is built when a worker
+    // runs out of window jobs and freed after its last window. Neither
+    // the thread count nor a result cache that serves some cells (all
+    // of gzip's, half of swim's, so one set is skipped and one is built
+    // for a single cell) may change a byte.
+    const auto specs =
+        setsOf({"gzip", "swim", "crafty", "mcf", "twolf", "art"});
+    ASSERT_EQ(driver::sweepCountersFor(specs, false).checkpointsBuilt, 6u);
+    driver::SweepOptions serial;
+    serial.threads = 1;
+    const std::string cold = sweepDoc(serial, specs);
+
+    const std::vector<driver::RunSpec> primer{specs[0], specs[1],
+                                              specs[2]};
+    const obs::Counter &sets_made =
+        obs::metrics().counter("sweep.checkpoint_sets");
+    for (unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(threads);
+        driver::SweepOptions opts;
+        opts.threads = threads;
+        EXPECT_EQ(sweepDoc(opts, specs), cold);
+
+        opts.resultCacheDir = tempPath("streamed_rcache_" +
+                                       std::to_string(threads));
+        std::filesystem::remove_all(opts.resultCacheDir);
+        sweepDoc(opts, primer);
+        driver::ResultCacheUse use;
+        const std::uint64_t sets_before = sets_made.value();
+        EXPECT_EQ(sweepDoc(opts, specs, &use), cold);
+        EXPECT_EQ(use.hits, primer.size());
+        EXPECT_EQ(use.simulated, specs.size() - primer.size());
+        EXPECT_EQ(sets_made.value() - sets_before, 5u); // not gzip's
+    }
+}
+
+TEST(StreamedSets, ACorruptLaterSetFailsTypedWithoutAHang)
+{
+    // The corrupt artifact belongs to the second set, so at one thread
+    // the first set's windows have already run when the load fails, and
+    // at four the other workers are mid-build or mid-window: each must
+    // stop and let run() throw the typed error.
+    const auto specs = setsOf({"gzip", "swim", "crafty", "mcf"});
+    driver::SweepOptions opts;
+    opts.checkpointDir = tempPath("streamed_corrupt_ckpt");
+    std::filesystem::remove_all(opts.checkpointDir);
+    driver::SweepEngine(opts).run({specs[2], specs[3]});
+    namespace fs = std::filesystem;
+    std::vector<fs::path> files;
+    for (const auto &e : fs::directory_iterator(opts.checkpointDir))
+        files.push_back(e.path());
+    ASSERT_EQ(files.size(), 1u);
+    {
+        std::fstream f(files[0],
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(24);
+        const char x = 0x7f;
+        f.write(&x, 1);
+    }
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        opts.threads = threads;
+        driver::SweepEngine engine(opts);
+        EXPECT_THROW(engine.run(specs), CheckpointError);
+    }
+    // With the corrupt set the only work, the other three workers wait
+    // for its windows; the failure must wake them.
+    driver::SweepEngine engine(opts);
+    EXPECT_THROW(engine.run({specs[2], specs[3]}), CheckpointError);
+}
+
+TEST(StreamedSets, ResidentSetsAreBoundedByTheWorkers)
+{
+    // Every set is resident from the start of its build to the merge
+    // after its last window; a worker builds only when no window job
+    // is queued, so at most one set per worker is held at once (the
+    // bound checked here leaves slack). A sweep that built every set
+    // before the first window would read 8.
+    const auto specs = setsOf(
+        {"gzip", "swim", "crafty", "mcf", "twolf", "art", "vpr", "gcc"});
+    ASSERT_EQ(driver::sweepCountersFor(specs, false).checkpointsBuilt, 8u);
+    obs::Gauge &peak =
+        obs::metrics().gauge("sweep.checkpoint_sets_resident_peak");
+    driver::SweepOptions opts;
+    opts.threads = 2;
+    opts.progress = true;
+    testing::internal::CaptureStderr();
+    driver::SweepEngine(opts).run(specs);
+    const std::string progress = testing::internal::GetCapturedStderr();
+    EXPECT_GE(peak.value(), 1.0);
+    EXPECT_LE(peak.value(), 4.0);
+    // The job total counts every window before its set exists.
+    EXPECT_NE(progress.find("sweep: 80/80 jobs (100%)"), std::string::npos)
+        << progress;
+
+    opts.threads = 1;
+    driver::SweepEngine(opts).run(specs);
+    EXPECT_EQ(peak.value(), 1.0);
 }

@@ -129,3 +129,29 @@ TEST(SweepStore, DistinctLabelsAndBytesStillAppend)
     EXPECT_EQ(objectCount(store), 2u);
     EXPECT_NE(lines.back().find("\"seq\":2"), std::string::npos);
 }
+
+TEST(SweepStore, ListRejectsASeqThatIsNotAnUnsignedInteger)
+{
+    // A hand-edited or foreign index line must fail as a parse error
+    // naming the line, not print a wrapped or undefined integer.
+    for (const char *seq : {"-1", "1.5", "1e300"}) {
+        SCOPED_TRACE(seq);
+        const std::string store = uniqueDir("badseq");
+        std::filesystem::create_directories(store + "/objects");
+        ASSERT_TRUE(writeFileAtomic(
+            store + "/index.jsonl",
+            "{\"seq\":0,\"label\":\"ci\",\"commit\":\"deadbeef\","
+            "\"kind\":\"pp.sweep.v1\",\"object\":\"a\"}\n"
+            "{\"seq\":" + std::string(seq) + ",\"label\":\"ci\","
+            "\"commit\":\"deadbeef\",\"kind\":\"pp.sweep.v1\","
+            "\"object\":\"b\"}\n"));
+        const auto list = exec::Subprocess::run(
+            {binDir() + "/sweep_store", "list", "--store", store});
+        EXPECT_EQ(list.exitCode, 2) << list.out << list.err;
+        EXPECT_NE(list.err.find("bad index line 2"), std::string::npos)
+            << list.err;
+        EXPECT_NE(list.err.find("'seq'"), std::string::npos) << list.err;
+        EXPECT_EQ(list.out.find("18446744073709551615"), std::string::npos)
+            << list.out;
+    }
+}

@@ -760,20 +760,22 @@ loadTrends(const std::string &store)
         out.push_back(TrendMetric{std::string(m.title) + " — " + m.unit,
                                   m.unit, {}, {}});
     std::string line;
-    while (std::getline(is, line)) {
+    for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
         if (line.empty())
             continue;
         JsonValue entry;
+        std::uint64_t seq = 0;
         try {
             entry = pp::jsonmin::parseJson(line);
+            seq = pp::jsonmin::u64Field<pp::jsonmin::JsonParseError>(
+                entry, "seq", "index entry");
         } catch (const pp::jsonmin::JsonParseError &e) {
-            std::fprintf(stderr, "sweep_report: bad index line: %s\n",
-                         e.what());
+            std::fprintf(stderr, "sweep_report: bad index line %zu: %s\n",
+                         lineno, e.what());
             std::exit(2);
         }
         const JsonValue *kind = entry.get("kind");
         const JsonValue *object = entry.get("object");
-        const JsonValue *seq = entry.get("seq");
         if (kind == nullptr || object == nullptr)
             continue;
         for (std::size_t i = 0; i < std::size(kTrendMetrics); ++i) {
@@ -813,8 +815,7 @@ loadTrends(const std::string &store)
             std::string label =
                 commit != nullptr && !commit->str.empty()
                     ? commit->str.substr(0, 7)
-                    : "#" + std::to_string(static_cast<long long>(
-                          seq != nullptr ? seq->number : 0));
+                    : "#" + std::to_string(seq);
             out[i].labels.push_back(std::move(label));
             out[i].values.push_back(value->number);
         }

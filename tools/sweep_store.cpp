@@ -224,25 +224,26 @@ cmdList(const std::string &store)
     std::printf("%-5s %-20s %-12s %-24s %s\n", "seq", "label", "commit",
                 "kind", "object");
     std::string line;
-    while (std::getline(is, line)) {
+    for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
         if (line.empty())
             continue;
         JsonValue e;
+        std::uint64_t seq = 0;
         try {
             e = pp::jsonmin::parseJson(line);
+            seq = pp::jsonmin::u64Field<pp::jsonmin::JsonParseError>(
+                e, "seq", "index entry");
         } catch (const pp::jsonmin::JsonParseError &err) {
-            std::fprintf(stderr, "sweep_store: bad index line: %s\n",
-                         err.what());
+            std::fprintf(stderr, "sweep_store: bad index line %zu: %s\n",
+                         lineno, err.what());
             return 2;
         }
         auto str = [&](const char *k) {
             const JsonValue *v = e.get(k);
             return v != nullptr ? v->str : std::string();
         };
-        const JsonValue *seq = e.get("seq");
         std::printf("%-5llu %-20s %-12s %-24s %s\n",
-                    static_cast<unsigned long long>(
-                        seq != nullptr ? seq->number : 0),
+                    static_cast<unsigned long long>(seq),
                     str("label").c_str(),
                     str("commit").substr(0, 12).c_str(),
                     str("kind").c_str(), str("object").c_str());
