@@ -189,8 +189,6 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
 std::string
 ResultCache::objectPath(const std::string &key_text) const
 {
-    if (dir_.empty())
-        return "";
     return dir_ + "/objects/" + hashHex(fnv1a(key_text)) + ".json";
 }
 
@@ -262,19 +260,6 @@ ResultCache::readEntry(const std::string &path,
 std::optional<std::string>
 ResultCache::lookup(const std::string &key_text)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = mem_.find(key_text);
-        if (it != mem_.end()) {
-            ++stats_.hits;
-            return it->second;
-        }
-    }
-    if (dir_.empty()) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.misses;
-        return std::nullopt;
-    }
     const std::string path = objectPath(key_text);
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) {
@@ -286,7 +271,6 @@ ResultCache::lookup(const std::string &key_text)
         std::string payload = readEntry(path, key_text);
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.hits;
-        mem_.emplace(key_text, payload);
         return payload;
     } catch (const ResultCacheError &) {
         // Recoverable by construction: the cell re-simulates and
@@ -301,13 +285,6 @@ ResultCache::lookup(const std::string &key_text)
 void
 ResultCache::store(const std::string &key_text, const std::string &payload)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        mem_[key_text] = payload;
-        ++stats_.stores;
-    }
-    if (dir_.empty())
-        return;
     std::error_code ec;
     std::filesystem::create_directories(dir_ + "/objects", ec);
     std::string error;
@@ -315,6 +292,8 @@ ResultCache::store(const std::string &key_text, const std::string &payload)
                          envelopeJson(key_text, payload), &error))
         throw ResultCacheError("cannot write result-cache entry: " +
                                error);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.stores;
 }
 
 ResultCacheStats

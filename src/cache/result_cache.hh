@@ -11,13 +11,13 @@
  * the bytes the sink would have written, a warm sweep re-emits a
  * byte-identical document without executing a single simulation.
  *
- * Two tiers:
- *  - an in-memory map (per ResultCache instance), and
- *  - an on-disk object store, one file per cell:
- *    "<dir>/objects/<fnv1a(key) 16hex>.json", written atomically
- *    (common/atomic_io.hh), so entries survive processes and ship
- *    between hosts via a shared directory (concurrent shard workers
- *    included).
+ * The store is an on-disk directory, one object file per cell:
+ * "<dir>/objects/<fnv1a(key) 16hex>.json", written atomically
+ * (common/atomic_io.hh), so entries survive processes and ship between
+ * hosts via a shared directory (concurrent shard workers included).
+ * Every lookup reads and verifies the object: a sweep probes each cell
+ * once, before it stores any, so an in-memory copy would answer only
+ * a duplicate spec's second lookup, which the disk answers the same.
  *
  * Each object is a self-checking envelope:
  *
@@ -44,7 +44,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "driver/run_matrix.hh"
 #include "replay/predictor_replay.hh"
@@ -74,10 +73,10 @@ class ResultCacheError : public std::runtime_error
  *  part of any deterministic document; see SweepCounters for those). */
 struct ResultCacheStats
 {
-    std::uint64_t hits = 0;     ///< lookups served (memory or disk)
+    std::uint64_t hits = 0;     ///< lookups served
     std::uint64_t misses = 0;   ///< lookups not served
-    std::uint64_t stores = 0;   ///< entries written (memory; +disk if set)
-    std::uint64_t corrupt = 0;  ///< damaged disk entries (subset of misses)
+    std::uint64_t stores = 0;   ///< entries written
+    std::uint64_t corrupt = 0;  ///< damaged entries (subset of misses)
 };
 
 /** @name Key-text builders
@@ -131,29 +130,26 @@ std::string runCounterKey(const driver::RunSpec &spec);
 class ResultCache
 {
   public:
-    /**
-     * @p dir: the on-disk tier's directory (objects/ is created on
-     * first store). Empty = in-memory only.
-     */
+    /** @p dir: the store's directory (objects/ is created on first
+     *  store). */
     explicit ResultCache(std::string dir);
 
     /**
      * Exact result bytes for @p key_text, or nullopt on a miss. A
-     * damaged disk entry is a miss (counted in stats().corrupt), never
-     * a panic and never a stale hit.
+     * damaged entry is a miss (counted in stats().corrupt), never a
+     * panic and never a stale hit.
      */
     std::optional<std::string> lookup(const std::string &key_text);
 
     /**
-     * Insert @p payload under @p key_text: into the memory tier, and —
-     * when a directory is configured — atomically into the disk tier,
-     * replacing any object already there.
+     * Write @p payload under @p key_text atomically, replacing any
+     * object already there.
      */
     void store(const std::string &key_text, const std::string &payload);
 
     ResultCacheStats stats() const;
 
-    /** Object-file path a key maps to ("" without a disk tier). */
+    /** Object-file path a key maps to. */
     std::string objectPath(const std::string &key_text) const;
 
     /**
@@ -171,7 +167,6 @@ class ResultCache
   private:
     std::string dir_;
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, std::string> mem_;
     ResultCacheStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "common/atomic_io.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -82,10 +83,13 @@ bool
 writeFileAtomic(const std::string &path, const std::string &contents,
                 std::string *error)
 {
-    // The pid suffix keeps concurrent writers of the same target (e.g.
-    // retried shard workers racing a supervisor timeout) off each
-    // other's tmp files; last rename wins with a complete document.
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    // A tmp name unique to this call keeps concurrent writers of the
+    // same target — retried shard workers racing a supervisor timeout,
+    // or two threads of one process — off each other's tmp files; last
+    // rename wins with a complete document.
+    static std::atomic<std::uint64_t> calls{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(calls.fetch_add(1));
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
         setError(error, "cannot open " + tmp);

@@ -6,10 +6,12 @@
  * sweep-store objects and index, shard fragments, result-cache
  * objects — goes through one of two primitives:
  *
- *  - writeFileAtomic(): write the whole document to "<path>.tmp.<pid>"
- *    and rename(2) it into place. rename is atomic on POSIX, so a
- *    reader (or a process resuming after a crash) sees either the old
- *    complete file or the new complete file, never a torn prefix.
+ *  - writeFileAtomic(): write the whole document to
+ *    "<path>.tmp.<pid>.<n>" (n counts the process's calls, so no two
+ *    writers share a tmp file) and rename(2) it into place. rename is
+ *    atomic on POSIX, so a reader (or a process resuming after a
+ *    crash) sees either the old complete file or the new complete
+ *    file, never a torn prefix.
  *  - appendLineDurable(): append one newline-terminated line with a
  *    single write(2) on an O_APPEND descriptor. POSIX serializes
  *    O_APPEND writes, so concurrent appenders never interleave bytes

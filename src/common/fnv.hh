@@ -1,8 +1,9 @@
 /**
  * @file
  * FNV-1a 64-bit hashing, shared by every content-identity check in the
- * repo: trace artifacts (program/trace.cc), sweep-store object names
- * (tools/sweep_store.cpp) and shard-fragment payload hashes (exec/).
+ * repo: binary artifact frames (common/bytestream.cc), sweep-store
+ * object names (tools/sweep_store.cpp) and shard-fragment payload
+ * hashes (exec/).
  * One definition keeps the identities interoperable — a hash printed by
  * one subsystem can be compared against a hash computed by another.
  */

@@ -6,14 +6,14 @@
  * simulator bugs, fatal() for user/configuration errors — both
  * [[noreturn]], both unconditional.
  *
- * Invariant checks sit on hot paths (every simulated cycle, every
- * decoded artifact word), so their success path must not allocate.
- * panicIfNot() therefore takes only a string literal. A message that
- * has to be composed (std::string concatenation, a path, a number) is
- * built only once the check has failed:
+ * Invariant checks sit on hot paths (every simulated cycle), so their
+ * success path must not allocate. panicIfNot() therefore takes only a
+ * string literal. A message that has to be composed (std::string
+ * concatenation, a path, a number) is built only once the check has
+ * failed:
  *
  *     if (!ok)
- *         panic(std::string(what) + " truncated");
+ *         panic(std::string(what) + " out of range");
  *
  * Diagnostics are leveled and thread-safe: warn() / inform() /
  * logDebug() (and their printf-style *f twins) emit one atomic line to

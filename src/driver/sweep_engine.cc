@@ -246,6 +246,25 @@ buildWorkloads(const std::vector<W> &workloads, const SweepOptions &opts,
         set.index[i] = it->second;
     }
 
+    // A trace is named by binaryKey(), which same-named profiles share
+    // (a re-seeded suite, say), while each of their builds records its
+    // own: refuse to write two into one file before building either.
+    auto record_path = [&](const sim::Workload &w) {
+        return opts.recordTraceDir + "/" + w.binaryKey() + ".pptrace";
+    };
+    std::unordered_map<std::string, const sim::Workload *> recorders;
+    for (const Build &b : set.jobs) {
+        if (!record || !b.workload->tracePath.empty())
+            continue;
+        const std::string path = record_path(*b.workload);
+        const auto [it, fresh] = recorders.emplace(path, b.workload);
+        if (!fresh) {
+            fatal("cannot record workloads '" + it->second->buildKey() +
+                  "' and '" + b.workload->buildKey() +
+                  "' to one trace " + path);
+        }
+    }
+
     obs::Counter &m_builds = obs::metrics().counter("sweep.binaries_built");
     obs::Histogram &m_build_ms =
         obs::metrics().histogram("sweep.build_host_ms");
@@ -261,7 +280,7 @@ buildWorkloads(const std::vector<W> &workloads, const SweepOptions &opts,
                 obs::ScopedSpan span(obs::tracer(), "trace_load", "build",
                                      w.binaryKey());
                 // loadOrThrow: a corrupt artifact surfaces as a typed
-                // TraceError out of the sweep (parallelFor rethrows), so
+                // ArtifactError out of the sweep (parallelFor rethrows), so
                 // a shard worker can report "corrupt trace" distinctly
                 // instead of dying mid-pool.
                 b.trace = std::make_shared<const program::TraceFile>(
@@ -295,8 +314,7 @@ buildWorkloads(const std::vector<W> &workloads, const SweepOptions &opts,
                                                sim::coreSeed(w.profile),
                                                record_insts,
                                                b.decoded.get()));
-                t->store(opts.recordTraceDir + "/" + w.binaryKey() +
-                         ".pptrace");
+                t->store(record_path(w));
                 b.trace = std::move(t);
             }
         }
@@ -611,7 +629,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         if (!path.empty() && std::filesystem::exists(path)) {
             // A cached set round-trips exactly (pure integer payload),
             // so the sweep's results are byte-identical to a cold
-            // build. Corruption surfaces as a typed CheckpointError out
+            // build. Corruption surfaces as a typed ArtifactError out
             // of run(), classified by shard workers like a corrupt
             // trace.
             obs::ScopedSpan span(obs::tracer(), "ckpt_load", "build",

@@ -54,6 +54,8 @@ struct SweepOptions
      * run window of the sweep plus kTraceRecordSlack, so any cell of
      * the same matrix replays from it. Ignored for specs that already
      * name a tracePath (those replay; there is nothing new to record).
+     * Fatal, before anything is built, when two profiles that differ
+     * share a binaryKey (and so one file name).
      */
     std::string recordTraceDir;
 

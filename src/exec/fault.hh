@@ -19,8 +19,8 @@
  *    "corrupt" flips one payload byte — both defeat the fragment's
  *    self-check, exercising the corrupt-output path.
  *  - "corrupt-trace" is consumed by TraceFile::loadOrThrow() itself
- *    (program/trace.cc), producing a genuine typed TraceError
- *    end-to-end.
+ *    (program/trace.cc), producing a genuine typed ArtifactError
+ *    (HashMismatch) end-to-end; checkpoint-set loads ignore it.
  */
 
 #ifndef PP_EXEC_FAULT_HH

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/atomic_io.hh"
+#include "common/bytestream.hh"
 #include "common/fnv.hh"
 #include "common/json_min.hh"
 #include "common/logging.hh"
@@ -14,8 +15,6 @@
 #include "driver/result_sink.hh"
 #include "driver/sweep_engine.hh"
 #include "exec/fault.hh"
-#include "program/trace.hh"
-#include "sampling/window_checkpoint.hh"
 
 namespace pp
 {
@@ -272,16 +271,11 @@ runShardWorker(const std::vector<driver::RunSpec> &specs,
     std::vector<sim::RunResult> results;
     try {
         results = engine.run(slice);
-    } catch (const program::TraceError &e) {
-        // Typed artifact failure: report it distinctly so the
-        // supervisor classifies corrupt-trace, not crash.
-        std::fprintf(stderr, "corrupt trace artifact: %s\n", e.what());
-        std::exit(kTraceErrorExit);
-    } catch (const sampling::CheckpointError &e) {
-        // Same classification: a corrupt cached checkpoint set is an
-        // artifact failure, not a worker crash.
-        std::fprintf(stderr, "corrupt checkpoint artifact: %s\n",
-                     e.what());
+    } catch (const ArtifactError &e) {
+        // A damaged or mis-keyed trace or checkpoint set: report it
+        // distinctly so the supervisor classifies corrupt-trace, not
+        // crash.
+        std::fprintf(stderr, "corrupt artifact: %s\n", e.what());
         std::exit(kTraceErrorExit);
     }
     ShardWorkerStats wstats;

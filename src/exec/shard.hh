@@ -36,9 +36,9 @@ namespace exec
 {
 
 /**
- * Exit code a worker uses for a corrupt/unloadable artifact — a trace
- * (program::TraceError) or a window-checkpoint set
- * (sampling::CheckpointError) — so the supervisor can classify
+ * Exit code a worker uses for a corrupt, unloadable or mis-keyed
+ * artifact — a trace or a window-checkpoint set, either one an
+ * ArtifactError (common/bytestream.hh) — so the supervisor can classify
  * corrupt-artifact separately from a plain crash.
  */
 constexpr int kTraceErrorExit = 3;
@@ -128,10 +128,9 @@ readShardFragment(const std::string &path,
  * share one functional pass per workload; @p result_cache_dir likewise
  * to the engine's content-addressed result cache
  * (cache/result_cache.hh), and the worker's real hit/simulated counts
- * ride in the fragment header for supervisor aggregation. A TraceError
- * or CheckpointError exits with kTraceErrorExit after printing the
- * typed message to stderr; success returns normally (the caller exits
- * 0).
+ * ride in the fragment header for supervisor aggregation. An
+ * ArtifactError exits with kTraceErrorExit after printing the typed
+ * message to stderr; success returns normally (the caller exits 0).
  */
 void runShardWorker(const std::vector<driver::RunSpec> &specs,
                     std::size_t begin, std::size_t end, unsigned threads,

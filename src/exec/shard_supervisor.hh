@@ -21,8 +21,8 @@
  *  - timeout        wall-clock deadline hit; worker SIGKILLed
  *  - corrupt-output fragment missing, torn, unparseable, failing its
  *                   payload hash, or holding runs of other specs
- *  - corrupt-trace  worker reported a typed TraceError (exit code
- *                   kTraceErrorExit) for a workload artifact
+ *  - corrupt-trace  worker reported a typed ArtifactError (exit code
+ *                   kTraceErrorExit) for a trace or checkpoint set
  *
  * All classes are retried with exponential backoff — a shard re-runs
  * bit-identically from its spec range (and trace artifacts), so

@@ -229,20 +229,6 @@ Emulator::Checkpoint::serialize() const
     return out;
 }
 
-Emulator::Checkpoint
-Emulator::Checkpoint::deserialize(const std::vector<std::uint8_t> &bytes)
-{
-    ByteReader r{bytes, kCkptWhat};
-    panicIfNot(r.u64() == kCkptMagic,
-               "not an emulator checkpoint image (bad magic)");
-    Checkpoint c;
-    readHead(r, c);
-    c.dataMem = PagedImage::capture(r.u64Vec());
-    readTail(r, c);
-    r.expectEnd();
-    return c;
-}
-
 std::vector<std::uint8_t>
 Emulator::Checkpoint::serializeDelta(const Checkpoint &base) const
 {
@@ -262,25 +248,41 @@ Emulator::Checkpoint::serializeDelta(const Checkpoint &base) const
 }
 
 Emulator::Checkpoint
-Emulator::Checkpoint::deserializeDelta(
-    const std::vector<std::uint8_t> &bytes, const Checkpoint &base)
+Emulator::Checkpoint::deserialize(ByteReader &r, const Checkpoint *base)
 {
-    ByteReader r{bytes, kCkptWhat};
-    panicIfNot(r.u64() == kCkptDeltaMagic,
-               "not an emulator checkpoint delta image (bad magic)");
+    const std::size_t magic_at = r.at;
+    if (r.u64() != (base == nullptr ? kCkptMagic : kCkptDeltaMagic))
+        r.fail(ArtifactError::Kind::BadMagic, magic_at,
+               base == nullptr
+                   ? "not an emulator checkpoint image (bad magic)"
+                   : "not an emulator checkpoint delta image (bad magic)");
     Checkpoint c;
     readHead(r, c);
-    PagedImage::Builder mem(base.dataMem);
-    const std::size_t changed = r.length(2);
-    for (std::size_t i = 0; i < changed; ++i) {
-        const std::uint64_t idx = r.u64();
-        if (idx >= base.dataMem.size())
-            panic(std::string(kCkptWhat) +
-                  " delta touches memory out of range");
-        mem.set(static_cast<std::size_t>(idx), r.u64());
+    if (base == nullptr) {
+        c.dataMem = PagedImage::capture(r.u64Vec());
+    } else {
+        PagedImage::Builder mem(base->dataMem);
+        const std::size_t changed = r.length(2);
+        for (std::size_t i = 0; i < changed; ++i) {
+            const std::size_t field = r.at;
+            const std::uint64_t idx = r.u64();
+            if (idx >= base->dataMem.size())
+                r.fail(ArtifactError::Kind::Malformed, field,
+                       "delta touches memory out of range");
+            mem.set(static_cast<std::size_t>(idx), r.u64());
+        }
+        c.dataMem = std::move(mem).publish();
     }
-    c.dataMem = std::move(mem).publish();
     readTail(r, c);
+    return c;
+}
+
+Emulator::Checkpoint
+Emulator::Checkpoint::deserialize(const std::vector<std::uint8_t> &bytes,
+                                  const Checkpoint *base)
+{
+    ByteReader r{bytes, kCkptWhat};
+    Checkpoint c = deserialize(r, base);
     r.expectEnd();
     return c;
 }

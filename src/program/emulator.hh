@@ -42,6 +42,9 @@
 
 namespace pp
 {
+
+struct ByteReader;
+
 namespace program
 {
 
@@ -248,8 +251,20 @@ class Emulator
         /** Portable little-endian byte image (versioned). */
         std::vector<std::uint8_t> serialize() const;
 
-        /** Parse a serialize() image; fatal on malformed input. */
-        static Checkpoint deserialize(const std::vector<std::uint8_t> &bytes);
+        /**
+         * Parse a serialize() image, or with @p base a serializeDelta()
+         * image over *base (the result shares every page the delta
+         * leaves untouched with it). Throws ArtifactError on malformed
+         * input.
+         */
+        static Checkpoint deserialize(const std::vector<std::uint8_t> &bytes,
+                                      const Checkpoint *base = nullptr);
+
+        /**
+         * deserialize() of the image at @p r's position, leaving @p r
+         * after it: a checkpoint set decodes its windows in place.
+         */
+        static Checkpoint deserialize(ByteReader &r, const Checkpoint *base);
 
         /**
          * Delta image against @p base (an earlier checkpoint of the
@@ -262,14 +277,6 @@ class Emulator
          * Fatal if the shapes differ from @p base.
          */
         std::vector<std::uint8_t> serializeDelta(const Checkpoint &base) const;
-
-        /**
-         * Parse a serializeDelta() image over the same @p base. The
-         * result shares every page the delta leaves untouched with
-         * @p base.
-         */
-        static Checkpoint deserializeDelta(
-            const std::vector<std::uint8_t> &bytes, const Checkpoint &base);
     };
 
     /**

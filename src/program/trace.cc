@@ -1,10 +1,8 @@
 #include "program/trace.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "common/atomic_io.hh"
 #include "common/bytestream.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
@@ -18,9 +16,8 @@ namespace program
 namespace
 {
 
-constexpr std::uint64_t kTraceMagic = 0x70707472616365ull; // "pptrace"
-constexpr const char *kWhat = "trace file";
-constexpr std::size_t kHeaderBytes = 24; // magic, version, content hash
+constexpr ArtifactFormat kTraceFormat{0x70707472616365ull, // "pptrace"
+                                      kTraceVersion, "trace file"};
 
 void
 putInstruction(std::vector<std::uint8_t> &out, const isa::Instruction &i)
@@ -98,6 +95,8 @@ TraceFile::TraceFile(Meta meta, Program binary,
                      std::vector<ConditionStream> streams)
     : TraceFile(std::move(meta), std::move(binary), std::move(streams), 0)
 {
+    panicIfNot(streams_.size() == binary_.conditions().size(),
+               "trace streams sized for a different program");
     const std::vector<std::uint8_t> body = payload();
     hash_ = fnv1a(body.data(), body.size());
 }
@@ -108,8 +107,6 @@ TraceFile::TraceFile(Meta meta, Program binary,
     : meta_(std::move(meta)), binary_(std::move(binary)),
       streams_(std::move(streams)), hash_(hash)
 {
-    panicIfNot(streams_.size() == binary_.conditions().size(),
-               "trace streams sized for a different program");
 }
 
 TraceFile
@@ -135,8 +132,8 @@ TraceFile::validate(const std::string &benchmark, std::uint64_t seed,
                     bool if_converted, std::uint64_t min_insts) const
 {
     auto mismatch = [&](const std::string &detail) {
-        throw TraceError(TraceError::Kind::Mismatch, path_, kHeaderBytes,
-                         detail);
+        throw ArtifactError(ArtifactError::Kind::Mismatch, kTraceFormat.name,
+                            path_, kFrameBytes, detail);
     };
     if (meta_.benchmark != benchmark)
         mismatch("trace is for benchmark '" + meta_.benchmark +
@@ -180,38 +177,15 @@ TraceFile::payload() const
 std::vector<std::uint8_t>
 TraceFile::serialize() const
 {
-    std::vector<std::uint8_t> out;
-    putU64(out, kTraceMagic);
-    putU64(out, kTraceVersion);
-    putU64(out, hash_);
-    const std::vector<std::uint8_t> body = payload();
-    out.insert(out.end(), body.begin(), body.end());
-    return out;
+    return frameArtifact(kTraceFormat, payload());
 }
 
 TraceFile
-TraceFile::deserialize(const std::vector<std::uint8_t> &bytes)
+TraceFile::deserialize(const std::vector<std::uint8_t> &bytes,
+                       const std::string &path)
 {
-    ByteReader r{bytes, kWhat};
-    panicIfNot(r.u64() == kTraceMagic, "not a trace file (bad magic)");
-    const std::uint64_t version = r.u64();
-    panicIfNot(version == kTraceVersion,
-               "unsupported trace file version");
-    const std::uint64_t want_hash = r.u64();
-    // Hash check first: a flipped bit anywhere in the payload must
-    // report as corruption, not as whatever structural error it
-    // happens to decode into.
-    panicIfNot(fnv1a(bytes.data() + r.at, bytes.size() - r.at) ==
-                   want_hash,
-               "trace file content hash mismatch (corrupt image)");
-    return decodePayload(bytes, want_hash);
-}
-
-TraceFile
-TraceFile::decodePayload(const std::vector<std::uint8_t> &bytes,
-                         std::uint64_t hash)
-{
-    ByteReader r{bytes, kWhat, kHeaderBytes};
+    const std::uint64_t hash = checkFrame(kTraceFormat, bytes, path);
+    ByteReader r{bytes, kTraceFormat.name, kFrameBytes, &path};
     Meta meta;
     meta.benchmark = r.str();
     meta.isFp = r.u64() != 0;
@@ -231,12 +205,18 @@ TraceFile::decodePayload(const std::vector<std::uint8_t> &bytes,
     // Stream lengths are bit counts, not word counts, so they cannot go
     // through ByteReader::length()'s word-granular bound; validate the
     // implied word count instead.
-    std::vector<ConditionStream> streams(r.length());
+    const std::size_t streams_at = r.at;
+    const std::size_t n_streams = r.length();
+    if (n_streams != specs.size())
+        r.fail(ArtifactError::Kind::Malformed, streams_at,
+               "stream count differs from the condition count");
+    std::vector<ConditionStream> streams(n_streams);
     for (ConditionStream &s : streams) {
+        const std::size_t field = r.at;
         const std::uint64_t bits = r.u64();
-        const std::uint64_t words = (bits + 63) / 64;
+        const std::uint64_t words = bits / 64 + (bits % 64 != 0 ? 1 : 0);
         if (words > (bytes.size() - r.at) / 8)
-            panic(std::string(kWhat) + " truncated");
+            r.fail(ArtifactError::Kind::Truncated, field, "truncated");
         s.length = bits;
         s.words.resize(static_cast<std::size_t>(words));
         for (auto &w : s.words)
@@ -244,40 +224,24 @@ TraceFile::decodePayload(const std::vector<std::uint8_t> &bytes,
     }
     r.expectEnd();
 
-    return TraceFile(std::move(meta),
-                     Program(std::move(image), std::move(specs),
-                             data_bytes, prog_name),
-                     std::move(streams), hash);
+    TraceFile trace(std::move(meta),
+                    Program(std::move(image), std::move(specs), data_bytes,
+                            prog_name),
+                    std::move(streams), hash);
+    trace.path_ = path;
+    return trace;
 }
 
 void
 TraceFile::store(const std::string &path) const
 {
-    const std::vector<std::uint8_t> bytes = serialize();
-    std::string error;
-    if (!writeFileAtomic(path,
-                         std::string(reinterpret_cast<const char *>(
-                                         bytes.data()),
-                                     bytes.size()),
-                         &error))
-        panic("error writing trace file: " + error);
+    storeArtifact(kTraceFormat, path, serialize());
 }
-
-TraceError::TraceError(Kind kind, const std::string &path,
-                       std::uint64_t offset, const std::string &detail)
-    : std::runtime_error(
-          (path.empty() ? std::string("trace") : "trace file " + path) +
-          ": " + detail + " (byte offset " + std::to_string(offset) + ")"),
-      kind_(kind), path_(path), offset_(offset)
-{}
 
 TraceFile
 TraceFile::loadOrThrow(const std::string &path)
 {
-    std::vector<std::uint8_t> bytes;
-    std::string error;
-    if (!readFileBytes(path, bytes, &error))
-        throw TraceError(TraceError::Kind::Io, path, 0, error);
+    std::vector<std::uint8_t> bytes = readArtifact(kTraceFormat, path);
 
     // Deterministic fault injection for the supervisor tests/CI: flip
     // one mid-image byte of the in-memory copy only — the artifact on
@@ -287,49 +251,7 @@ TraceFile::loadOrThrow(const std::string &path)
         !bytes.empty())
         bytes[bytes.size() / 2] ^= 0x01;
 
-    // Header validation mirrors deserialize() but reports recoverable
-    // typed errors with the offending header offset. After the hash
-    // matches, the structural decode below can only fail on a 64-bit
-    // hash collision, which stays a panic (a simulator bug in practice).
-    if (bytes.size() < kHeaderBytes) {
-        throw TraceError(TraceError::Kind::Truncated, path, bytes.size(),
-                         "truncated header (" +
-                             std::to_string(bytes.size()) + " bytes)");
-    }
-    auto header_u64 = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        for (std::size_t b = 0; b < 8; ++b)
-            v |= static_cast<std::uint64_t>(bytes[at + b]) << (8 * b);
-        return v;
-    };
-    if (header_u64(0) != kTraceMagic) {
-        throw TraceError(TraceError::Kind::BadMagic, path, 0,
-                         "not a trace file (bad magic)");
-    }
-    if (header_u64(8) != kTraceVersion) {
-        throw TraceError(TraceError::Kind::BadVersion, path, 8,
-                         "unsupported version " +
-                             std::to_string(header_u64(8)));
-    }
-    const std::uint64_t hash = header_u64(16);
-    if (fnv1a(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes) !=
-        hash) {
-        throw TraceError(TraceError::Kind::HashMismatch, path, 16,
-                         "content hash mismatch (corrupt image)");
-    }
-    TraceFile trace = decodePayload(bytes, hash);
-    trace.path_ = path;
-    return trace;
-}
-
-TraceFile
-TraceFile::load(const std::string &path)
-{
-    try {
-        return loadOrThrow(path);
-    } catch (const TraceError &e) {
-        panic(e.what());
-    }
+    return deserialize(bytes, path);
 }
 
 } // namespace program

@@ -19,20 +19,20 @@
  * the unit of distribution: a remote worker needs the artifact, not the
  * generator plus a seed.
  *
- * Serialization reuses the little-endian u64 framing of the emulator
- * checkpoints (common/bytestream.hh). The header carries a magic, a
- * format version, and an FNV-1a content hash over the payload that is
- * verified on load, so a corrupt or truncated artifact fails loudly.
+ * Serialization is the artifact codec every binary format shares
+ * (common/bytestream.hh): a frame of magic, format version and FNV-1a
+ * content hash over the payload, verified before any decode, and a
+ * decoder that turns every malformed byte into a typed ArtifactError.
  */
 
 #ifndef PP_PROGRAM_TRACE_HH
 #define PP_PROGRAM_TRACE_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/bytestream.hh"
 #include "program/condition.hh"
 #include "program/program.hh"
 
@@ -42,45 +42,6 @@ namespace program
 {
 
 class DecodedProgram;
-
-/**
- * Recoverable trace-artifact failure: the file on disk is unreadable,
- * not a trace, the wrong version, truncated, or fails its content hash
- * (thrown by TraceFile::loadOrThrow()); or it is a sound artifact of
- * another workload (thrown by TraceFile::validate()). Typed so a
- * supervising process can classify "corrupt artifact" separately from
- * transient worker failures and decide retry-vs-abort itself; the
- * in-process load() wrapper keeps the historical panic behavior.
- *
- * what() carries the path, the failure detail and the byte offset of
- * the offending field (0 = the file/magic, 8 = version, 16 = content
- * hash, 24 = the workload metadata; for truncation, the actual size).
- */
-class TraceError : public std::runtime_error
-{
-  public:
-    enum class Kind
-    {
-        Io,           ///< cannot open/read the file
-        Truncated,    ///< shorter than the fixed header
-        BadMagic,     ///< not a trace file
-        BadVersion,   ///< trace format version unsupported by this build
-        HashMismatch, ///< payload bytes do not match the header hash
-        Mismatch,     ///< a sound artifact of another workload
-    };
-
-    TraceError(Kind kind, const std::string &path, std::uint64_t offset,
-               const std::string &detail);
-
-    Kind kind() const { return kind_; }
-    const std::string &path() const { return path_; }
-    std::uint64_t offset() const { return offset_; }
-
-  private:
-    Kind kind_;
-    std::string path_;
-    std::uint64_t offset_;
-};
 
 /** Trace format version accepted by this build. */
 constexpr std::uint64_t kTraceVersion = 1;
@@ -141,7 +102,7 @@ class TraceFile
     std::string contentHashHex() const;
 
     /**
-     * Throw TraceError (Kind::Mismatch) unless this trace matches the
+     * Throw ArtifactError (Kind::Mismatch) unless this trace matches the
      * run that wants to consume it (benchmark/seed/if-conversion
      * identity, and a recorded horizon of at least @p min_insts) — a
      * stale or mis-keyed trace directory must fail loudly, not simulate
@@ -153,21 +114,25 @@ class TraceFile
     /** Portable little-endian byte image (versioned, content-hashed). */
     std::vector<std::uint8_t> serialize() const;
 
-    /** Parse a serialize() image; fatal on malformed or corrupt input. */
-    static TraceFile deserialize(const std::vector<std::uint8_t> &bytes);
+    /**
+     * Parse a serialize() image read from @p path ("" in memory: the
+     * path only names the file in errors and in validate()). Throws
+     * ArtifactError on truncation, bad magic/version, a content-hash
+     * mismatch (checked before any structural decode) or malformed
+     * structure.
+     */
+    static TraceFile deserialize(const std::vector<std::uint8_t> &bytes,
+                                 const std::string &path = "");
 
     /**
-     * Write the serialized image to @p path atomically (tmp file +
-     * rename, common/atomic_io.hh) so a killed writer never leaves a
-     * torn artifact under the final name; panic on I/O failure.
+     * Write the serialized image to @p path atomically (storeArtifact(),
+     * common/bytestream.hh); panic on I/O failure.
      */
     void store(const std::string &path) const;
 
     /**
-     * Read and deserialize @p path; throws TraceError on I/O failure,
-     * truncation, bad magic/version or a content-hash mismatch. The
-     * hash is checked before any structural decode, so every corruption
-     * reports as TraceError, not as a decode panic.
+     * Read @p path and deserialize() it; throws ArtifactError, of kind
+     * Io when the file cannot be read.
      *
      * Fault injection: when the PP_FAULT environment variable is
      * "corrupt-trace", one byte of the in-memory image is flipped after
@@ -177,24 +142,12 @@ class TraceFile
      */
     static TraceFile loadOrThrow(const std::string &path);
 
-    /** loadOrThrow(), with failures kept as panics for in-process
-     *  callers that treat a bad artifact as an unrecoverable bug. */
-    static TraceFile load(const std::string &path);
-
   private:
     /** deserialize()'s ctor: adopts the already-verified hash instead
-     *  of re-serializing the whole payload to recompute it. */
+     *  of re-serializing the whole payload to recompute it (and leaves
+     *  the stream count to deserialize()'s typed check). */
     TraceFile(Meta meta, Program binary,
               std::vector<ConditionStream> streams, std::uint64_t hash);
-
-    /**
-     * Decode the payload after a header whose magic, version and
-     * content @p hash the caller has already verified (deserialize()
-     * by panic, loadOrThrow() by TraceError), so each load hashes the
-     * image once. Structural errors still panic.
-     */
-    static TraceFile decodePayload(const std::vector<std::uint8_t> &bytes,
-                                   std::uint64_t hash);
 
     std::vector<std::uint8_t> payload() const;
 

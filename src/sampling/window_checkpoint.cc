@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cstdint>
 
-#include "common/atomic_io.hh"
 #include "common/bytestream.hh"
-#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "core/core.hh"
 #include "obs/trace_event.hh"
@@ -20,10 +18,8 @@ namespace sampling
 namespace
 {
 
-constexpr std::uint64_t kCkptSetMagic = 0x31762e74706b6370ull; // "pckpt.v1"
-constexpr std::uint64_t kCkptSetVersion = 1;
-constexpr const char *kWhat = "checkpoint-set image";
-constexpr std::size_t kHeaderBytes = 24; // magic, version, content hash
+constexpr ArtifactFormat kCkptSetFormat{0x31762e74706b6370ull, // "pckpt.v1"
+                                        1, "checkpoint file"};
 
 double
 elapsedMs(const std::chrono::steady_clock::time_point &since)
@@ -43,8 +39,8 @@ thread_local program::Emulator::Segment spareSegment;
 } // namespace
 
 // ---------------------------------------------------------------------
-// pp.ckpt.v1 serialization (the trace.cc framing: magic, version,
-// content hash over the payload, then the payload itself).
+// pp.ckpt.v1 serialization: the artifact frame (common/bytestream.hh)
+// around the payload below.
 // ---------------------------------------------------------------------
 
 std::vector<std::uint8_t>
@@ -78,29 +74,15 @@ WindowCheckpointSet::serialize() const
         payload.insert(payload.end(), arch.begin(), arch.end());
         putU64Vec(payload, w.warmEvents);
     }
-
-    std::vector<std::uint8_t> out;
-    out.reserve(payload.size() + 24);
-    putU64(out, kCkptSetMagic);
-    putU64(out, kCkptSetVersion);
-    putU64(out, fnv1a(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+    return frameArtifact(kCkptSetFormat, payload);
 }
 
-namespace
-{
-
-/**
- * Decode the payload after a header whose magic, version and content
- * hash the caller has already verified (deserialize() by panic,
- * loadOrThrow() by CheckpointError), so each load hashes the image
- * once. Structural errors still panic.
- */
 WindowCheckpointSet
-decodePayload(const std::vector<std::uint8_t> &bytes)
+WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes,
+                                 const std::string &path)
 {
-    ByteReader r{bytes, kWhat, kHeaderBytes};
+    checkFrame(kCkptSetFormat, bytes, path);
+    ByteReader r{bytes, kCkptSetFormat.name, kFrameBytes, &path};
     WindowCheckpointSet set;
     set.regionWarmup = r.u64();
     set.regionMeasure = r.u64();
@@ -117,102 +99,39 @@ decodePayload(const std::vector<std::uint8_t> &bytes)
         w.warmStart = r.u64();
         w.measureStart = r.u64();
         w.measureEnd = r.u64();
+        // The architectural image decodes in place and must end exactly
+        // where its length prefix says.
+        const std::size_t arch_at = r.at;
         const std::uint64_t arch_len = r.u64();
         if (arch_len > bytes.size() - r.at)
-            panic(std::string(kWhat) + " truncated");
-        const std::vector<std::uint8_t> arch(
-            bytes.begin() + static_cast<std::ptrdiff_t>(r.at),
-            bytes.begin() + static_cast<std::ptrdiff_t>(r.at + arch_len));
-        r.at += static_cast<std::size_t>(arch_len);
-        w.arch = i == 0
-            ? program::Emulator::Checkpoint::deserialize(arch)
-            : program::Emulator::Checkpoint::deserializeDelta(
-                  arch, set.windows[i - 1].arch);
+            r.fail(ArtifactError::Kind::Truncated, arch_at, "truncated");
+        const std::size_t arch_end = r.at + arch_len;
+        w.arch = program::Emulator::Checkpoint::deserialize(
+            r, i == 0 ? nullptr : &set.windows[i - 1].arch);
+        if (r.at != arch_end)
+            r.fail(ArtifactError::Kind::Malformed, arch_at,
+                   "window image length does not match its contents");
+        const std::size_t events_at = r.at;
         w.warmEvents = r.u64Vec();
         if (w.warmEvents.size() % program::kWarmEventWords != 0)
-            panic(std::string(kWhat) + " has a torn warm event stream");
+            r.fail(ArtifactError::Kind::Malformed, events_at,
+                   "torn warm event stream");
         set.windows.push_back(std::move(w));
     }
     r.expectEnd();
     return set;
 }
 
-} // namespace
-
-WindowCheckpointSet
-WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes)
-{
-    ByteReader r{bytes, kWhat};
-    panicIfNot(r.u64() == kCkptSetMagic,
-               "not a checkpoint-set image (bad magic)");
-    panicIfNot(r.u64() == kCkptSetVersion,
-               "unsupported checkpoint-set version");
-    const std::uint64_t want_hash = r.u64();
-    panicIfNot(fnv1a(bytes.data() + r.at, bytes.size() - r.at) ==
-                   want_hash,
-               "checkpoint-set image content hash mismatch (corrupt)");
-    return decodePayload(bytes);
-}
-
 void
 WindowCheckpointSet::store(const std::string &path) const
 {
-    const std::vector<std::uint8_t> bytes = serialize();
-    std::string error;
-    if (!writeFileAtomic(path, std::string(bytes.begin(), bytes.end()),
-                         &error))
-        panic("cannot write checkpoint set " + path + ": " + error);
+    storeArtifact(kCkptSetFormat, path, serialize());
 }
 
 WindowCheckpointSet
 WindowCheckpointSet::loadOrThrow(const std::string &path)
 {
-    std::vector<std::uint8_t> bytes;
-    std::string error;
-    if (!readFileBytes(path, bytes, &error))
-        throw CheckpointError(CheckpointError::Kind::Io, path, 0, error);
-
-    // Header validation mirrors deserialize() but reports recoverable
-    // typed errors; once the hash matches, structural decode can only
-    // fail on a 64-bit hash collision, which stays a panic.
-    if (bytes.size() < kHeaderBytes) {
-        throw CheckpointError(CheckpointError::Kind::Truncated, path,
-                              bytes.size(),
-                              "truncated header (" +
-                                  std::to_string(bytes.size()) +
-                                  " bytes)");
-    }
-    auto header_u64 = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        for (std::size_t b = 0; b < 8; ++b)
-            v |= static_cast<std::uint64_t>(bytes[at + b]) << (8 * b);
-        return v;
-    };
-    if (header_u64(0) != kCkptSetMagic) {
-        throw CheckpointError(CheckpointError::Kind::BadMagic, path, 0,
-                              "not a checkpoint file (bad magic)");
-    }
-    if (header_u64(8) != kCkptSetVersion) {
-        throw CheckpointError(CheckpointError::Kind::BadVersion, path, 8,
-                              "unsupported version " +
-                                  std::to_string(header_u64(8)));
-    }
-    if (fnv1a(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes) !=
-        header_u64(16)) {
-        throw CheckpointError(CheckpointError::Kind::HashMismatch, path,
-                              16, "content hash mismatch (corrupt image)");
-    }
-    return decodePayload(bytes);
-}
-
-WindowCheckpointSet
-WindowCheckpointSet::load(const std::string &path)
-{
-    try {
-        return loadOrThrow(path);
-    } catch (const CheckpointError &e) {
-        panic(e.what());
-    }
+    return deserialize(readArtifact(kCkptSetFormat, path), path);
 }
 
 // ---------------------------------------------------------------------

@@ -31,10 +31,10 @@
 #define PP_SAMPLING_WINDOW_CHECKPOINT_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/bytestream.hh"
 #include "program/emulator.hh"
 #include "sampling/sampled_simulator.hh"
 #include "sampling/sampling_policy.hh"
@@ -67,42 +67,6 @@ struct WindowCheckpoint
     std::vector<std::uint64_t> warmEvents;
 };
 
-/**
- * Typed failure loading a checkpoint-set artifact: recoverable (the
- * shard supervisor classifies it), unlike the panics structural decode
- * raises on in-memory corruption.
- */
-class CheckpointError : public std::runtime_error
-{
-  public:
-    enum class Kind
-    {
-        Io,
-        Truncated,
-        BadMagic,
-        BadVersion,
-        HashMismatch,
-    };
-
-    CheckpointError(Kind kind, std::string path, std::uint64_t offset,
-                    const std::string &detail)
-        : std::runtime_error("checkpoint file " + path + ": " + detail +
-                             " (byte offset " + std::to_string(offset) +
-                             ")"),
-          kind_(kind), path_(std::move(path)), offset_(offset)
-    {
-    }
-
-    Kind kind() const { return kind_; }
-    const std::string &path() const { return path_; }
-    std::uint64_t offset() const { return offset_; }
-
-  private:
-    Kind kind_;
-    std::string path_;
-    std::uint64_t offset_;
-};
-
 /** All windows of one (workload, region, policy): the shared artifact. */
 struct WindowCheckpointSet
 {
@@ -123,22 +87,21 @@ struct WindowCheckpointSet
     /** Portable little-endian pp.ckpt.v1 image (versioned + hashed). */
     std::vector<std::uint8_t> serialize() const;
 
-    /** Parse a serialize() image; fatal on malformed input. */
+    /**
+     * Parse a serialize() image read from @p path ("" in memory; it
+     * only names the file in errors). Throws ArtifactError on a
+     * corrupt, foreign or truncated image (hash checked before any
+     * structural decode) or malformed structure.
+     */
     static WindowCheckpointSet
-    deserialize(const std::vector<std::uint8_t> &bytes);
+    deserialize(const std::vector<std::uint8_t> &bytes,
+                const std::string &path = "");
 
     /** Atomically write serialize() to @p path (fatal on I/O error). */
     void store(const std::string &path) const;
 
-    /**
-     * Load and validate a stored image; throws CheckpointError on I/O
-     * failure or a corrupt/foreign/truncated file (hash checked before
-     * any structural decode).
-     */
+    /** Read @p path and deserialize() it; throws ArtifactError. */
     static WindowCheckpointSet loadOrThrow(const std::string &path);
-
-    /** As loadOrThrow(), but fatal instead of throwing (CLI tools). */
-    static WindowCheckpointSet load(const std::string &path);
 };
 
 /**

@@ -186,7 +186,7 @@ TEST(ResultCacheKey, ReplayKeysAreDisjointFromRunKeys)
 }
 
 // ---------------------------------------------------------------------
-// Store: two tiers, persistence, idempotent index
+// Store: persistence across instances, stats
 // ---------------------------------------------------------------------
 
 TEST(ResultCacheStore, PersistsAcrossInstancesAndCountsStats)
@@ -199,7 +199,7 @@ TEST(ResultCacheStore, PersistsAcrossInstancesAndCountsStats)
         cache::ResultCache c(dir);
         EXPECT_FALSE(c.lookup(key).has_value());
         c.store(key, payload);
-        const auto hit = c.lookup(key); // memory tier
+        const auto hit = c.lookup(key); // read back from disk
         ASSERT_TRUE(hit.has_value());
         EXPECT_EQ(*hit, payload);
         EXPECT_EQ(c.stats().misses, 1u);
@@ -214,18 +214,6 @@ TEST(ResultCacheStore, PersistsAcrossInstancesAndCountsStats)
     EXPECT_EQ(*hit, payload);
     EXPECT_EQ(c2.stats().hits, 1u);
     EXPECT_EQ(c2.stats().corrupt, 0u);
-}
-
-TEST(ResultCacheStore, MemoryOnlyWithoutDirectory)
-{
-    cache::ResultCache c("");
-    const std::string key = keyOf(baseSpec());
-    EXPECT_FALSE(c.lookup(key).has_value());
-    c.store(key, "bytes");
-    const auto hit = c.lookup(key);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, "bytes");
-    EXPECT_EQ(c.objectPath(key), "");
 }
 
 // ---------------------------------------------------------------------

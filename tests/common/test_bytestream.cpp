@@ -1,16 +1,17 @@
 /**
  * @file
- * The u64 byte framing every artifact shares (common/bytestream.hh):
- * exact round trips, hostile input that panics with the documented
- * message before any container is sized from it, and decode and check
- * paths that allocate nothing while the input is good.
+ * The artifact codec every binary format shares (common/bytestream.hh):
+ * exact round trips, hostile input that throws a typed ArtifactError
+ * naming the offending offset before any container is sized from it,
+ * and decode and check paths that allocate nothing while the input is
+ * good. The frame check is exercised through the formats that use it
+ * (test_trace, test_window_checkpoint).
  *
  * This binary replaces the global allocation functions with counting
  * ones, so a test can assert how many allocations a call made.
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -30,9 +31,9 @@ namespace
 /** operator new calls made by this process so far. */
 std::size_t gNewCalls = 0;
 
-/** Largest allocation operator new grants; a larger one aborts with
- *  its own message, so a death test can tell an allocation that ran
- *  before a length check from the check's panic. */
+/** Largest allocation operator new grants; a larger one throws
+ *  std::bad_alloc, so a test can tell an allocation that ran before a
+ *  length check from the check's ArtifactError. */
 std::size_t gNewLimit = std::numeric_limits<std::size_t>::max();
 
 } // namespace
@@ -42,10 +43,8 @@ std::size_t gNewLimit = std::numeric_limits<std::size_t>::max();
 [[gnu::noinline]] void *
 operator new(std::size_t n)
 {
-    if (n > gNewLimit) {
-        std::fprintf(stderr, "allocation of %zu bytes above the limit\n", n);
-        std::abort();
-    }
+    if (n > gNewLimit)
+        throw std::bad_alloc();
     ++gNewCalls;
     if (void *p = std::malloc(n == 0 ? 1 : n))
         return p;
@@ -103,8 +102,8 @@ namespace
 
 constexpr const char *kWhat = "test image";
 
-/** Allocation cap for the hostile-length death tests: far above any
- *  panic message, far below what the inflated prefixes claim. */
+/** Allocation cap for the hostile-length tests: far above any error
+ *  message, far below what the inflated prefixes claim. */
 constexpr std::size_t kSmallAlloc = 4096;
 
 std::uint64_t
@@ -156,16 +155,40 @@ decodeSample(const std::vector<std::uint8_t> &bytes)
 
 /**
  * Read from @p bytes with @p read while operator new refuses anything
- * over kSmallAlloc. For death tests only: the cap stays set in the
- * child process that runs it.
+ * over kSmallAlloc, and return the error it throws: std::bad_alloc (an
+ * allocation ran before the length check) propagates as a failure.
  */
 template <typename Read>
-void
+ArtifactError
 readCapped(const std::vector<std::uint8_t> &bytes, Read read)
 {
-    gNewLimit = kSmallAlloc;
-    ByteReader r{bytes, kWhat};
-    read(r);
+    struct Cap
+    {
+        Cap() { gNewLimit = kSmallAlloc; }
+        ~Cap() { gNewLimit = std::numeric_limits<std::size_t>::max(); }
+    };
+    try {
+        const Cap cap;
+        ByteReader r{bytes, kWhat};
+        read(r);
+    } catch (const ArtifactError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "expected ArtifactError";
+    return ArtifactError(ArtifactError::Kind::Io, kWhat, "", 0, "none");
+}
+
+/** The error decodeSample() throws on @p bytes. */
+ArtifactError
+decodeError(const std::vector<std::uint8_t> &bytes)
+{
+    try {
+        decodeSample(bytes);
+    } catch (const ArtifactError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "expected ArtifactError";
+    return ArtifactError(ArtifactError::Kind::Io, kWhat, "", 0, "none");
 }
 
 } // namespace
@@ -220,7 +243,7 @@ TEST(ByteStream, RoundTripsEveryFieldKind)
 TEST(ByteStream, LengthAcceptsExactlyWhatRemains)
 {
     // A prefix that claims exactly the remaining words (or bytes, for a
-    // string) is valid; the death tests below add one more.
+    // string) is valid; the tests below add one more.
     std::vector<std::uint8_t> image;
     putU64(image, 2);
     putU64(image, 10);
@@ -236,19 +259,24 @@ TEST(ByteStream, LengthAcceptsExactlyWhatRemains)
     chars.expectEnd();
 }
 
-TEST(ByteStreamDeathTest, EveryTruncatedPrefixDies)
+TEST(ByteStream, EveryTruncatedPrefixIsTruncated)
 {
     const std::vector<std::uint8_t> image = sampleImage();
     decodeSample(image);
     for (std::size_t n = 0; n < image.size(); ++n) {
         const std::vector<std::uint8_t> prefix(
             image.begin(), image.begin() + static_cast<std::ptrdiff_t>(n));
-        EXPECT_DEATH(decodeSample(prefix), "panic: test image truncated")
+        const ArtifactError e = decodeError(prefix);
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Truncated)
             << "prefix of " << n << " of " << image.size() << " bytes";
+        EXPECT_LE(e.offset(), n);
+        EXPECT_STREQ(e.what(), ("test image: truncated (byte offset " +
+                                std::to_string(e.offset()) + ")")
+                                   .c_str());
     }
 }
 
-TEST(ByteStreamDeathTest, InflatedLengthsDieBeforeAllocating)
+TEST(ByteStream, InflatedLengthsThrowBeforeAllocating)
 {
     // Each prefix claims more than the two words (16 bytes) that follow
     // it: by one word, by one byte, and by far.
@@ -261,14 +289,19 @@ TEST(ByteStreamDeathTest, InflatedLengthsDieBeforeAllocating)
         putU64(image, 2);
         SCOPED_TRACE("claim " + std::to_string(claim));
 
-        EXPECT_DEATH(readCapped(image, [](ByteReader &r) { r.length(); }),
-                     "panic: test image truncated");
-        EXPECT_DEATH(readCapped(image, [](ByteReader &r) { r.u64Vec(); }),
-                     "panic: test image truncated");
+        // Each names the length prefix, at offset 0.
+        for (const ArtifactError &e :
+             {readCapped(image, [](ByteReader &r) { r.length(); }),
+              readCapped(image, [](ByteReader &r) { r.u64Vec(); })}) {
+            EXPECT_EQ(e.kind(), ArtifactError::Kind::Truncated);
+            EXPECT_EQ(e.offset(), 0u);
+        }
         if (claim <= 16)
             continue; // a valid string length
-        EXPECT_DEATH(readCapped(image, [](ByteReader &r) { r.str(); }),
-                     "panic: test image truncated");
+        const ArtifactError e =
+            readCapped(image, [](ByteReader &r) { r.str(); });
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Truncated);
+        EXPECT_EQ(e.offset(), 0u);
     }
 
     // Two words remain, which is too few for one 5-word element.
@@ -276,15 +309,38 @@ TEST(ByteStreamDeathTest, InflatedLengthsDieBeforeAllocating)
     putU64(image, 1);
     putU64(image, 1);
     putU64(image, 2);
-    EXPECT_DEATH(readCapped(image, [](ByteReader &r) { r.length(5); }),
-                 "panic: test image truncated");
+    EXPECT_EQ(readCapped(image, [](ByteReader &r) { r.length(5); }).kind(),
+              ArtifactError::Kind::Truncated);
 }
 
-TEST(ByteStreamDeathTest, TrailingByteDies)
+TEST(ByteStream, TrailingByteIsMalformed)
 {
     std::vector<std::uint8_t> image = sampleImage();
     image.push_back(0);
-    EXPECT_DEATH(decodeSample(image), "panic: test image has trailing bytes");
+    const ArtifactError e = decodeError(image);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed);
+    EXPECT_EQ(e.offset(), image.size() - 1);
+    EXPECT_STREQ(e.what(), ("test image: has trailing bytes (byte offset " +
+                            std::to_string(image.size() - 1) + ")")
+                               .c_str());
+}
+
+TEST(ByteStream, ErrorsNameTheFileAndOffset)
+{
+    const std::string path = "/data/x.bin";
+    std::vector<std::uint8_t> image;
+    putU64(image, 5);
+    ByteReader r{image, kWhat, 0, &path};
+    r.u64();
+    try {
+        r.u64();
+        ADD_FAILURE() << "expected ArtifactError";
+    } catch (const ArtifactError &e) {
+        EXPECT_EQ(e.path(), path);
+        EXPECT_EQ(e.offset(), 8u);
+        EXPECT_STREQ(e.what(),
+                     "test image /data/x.bin: truncated (byte offset 8)");
+    }
 }
 
 TEST(ByteStreamAllocation, DecodingAllocatesNothingPerWord)

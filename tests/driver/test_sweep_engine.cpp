@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <regex>
 #include <string>
+#include <thread>
 
 #include <unistd.h>
 
+#include "common/atomic_io.hh"
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
 #include "driver/sweep_engine.hh"
@@ -415,6 +420,61 @@ TEST(SweepEngine, CheckpointDirKeepsSameNamedProfilesApart)
     EXPECT_TRUE(warm[0].sampled);
     expectIdentical(warm[0], cold[0]);
     std::filesystem::remove_all(dir);
+}
+
+TEST(SweepEngineDeathTest, RecordRefusesTwoWorkloadsOnOneTraceName)
+{
+    // gzip and a re-seeded gzip are two builds but one binaryKey, so
+    // they would record to one gzip.pptrace and the last writer would
+    // win. The engine refuses before it builds either.
+    const std::string dir = ::testing::TempDir() + "ppsweep-rec-" +
+        std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SweepOptions opts;
+    opts.threads = 2;
+    opts.recordTraceDir = dir;
+    const auto specs = conventionalSpecs(
+        {program::profileByName("gzip"), reseededGzip()}, 2000, 10000);
+    EXPECT_EXIT(SweepEngine(opts).run(specs), ::testing::ExitedWithCode(1),
+                "cannot record workloads 'gzip#[0-9a-f]+' and "
+                "'gzip#[0-9a-f]+' to one trace .*/gzip\\.pptrace");
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicIo, TwoThreadsWritingOneTargetBothSucceed)
+{
+    // Each call writes through its own tmp file, so neither truncates
+    // the other's bytes or renames its file away; the target ends up
+    // holding one writer's complete document.
+    const std::string path = ::testing::TempDir() + "ppatomic-" +
+        std::to_string(::getpid()) + ".bin";
+    const std::string a(1 << 20, 'a');
+    const std::string b(1 << 20, 'b');
+    for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE(round);
+        std::atomic<int> ready{0};
+        bool ok_a = false;
+        bool ok_b = false;
+        auto writer = [&](const std::string &text, bool &ok) {
+            ready.fetch_add(1);
+            while (ready.load() < 2) {
+            }
+            ok = writeFileAtomic(path, text);
+        };
+        std::thread ta(writer, std::cref(a), std::ref(ok_a));
+        std::thread tb(writer, std::cref(b), std::ref(ok_b));
+        ta.join();
+        tb.join();
+        EXPECT_TRUE(ok_a);
+        EXPECT_TRUE(ok_b);
+        std::ifstream is(path, std::ios::binary);
+        const std::string got((std::istreambuf_iterator<char>(is)),
+                              std::istreambuf_iterator<char>());
+        EXPECT_TRUE(got == a || got == b) << got.size() << " bytes";
+    }
+    std::filesystem::remove(path);
 }
 
 TEST(SweepEngine, ReplaySweepReportsProgress)

@@ -704,8 +704,8 @@ TEST(ShardSupervisorDeathTest, PersistentCorruptTraceFailsFastAndTyped)
             supervisor.run(specs);
         },
         ::testing::ExitedWithCode(1),
-        "failed permanently after 2 attempt\\(s\\).*corrupt trace "
-        "artifact");
+        "failed permanently after 2 attempt\\(s\\).*corrupt artifact: "
+        "trace file .*\\.pptrace: content hash mismatch");
 }
 
 TEST(ShardSupervisorDeathTest, CorruptCheckpointFailsFastAndTyped)
@@ -748,5 +748,6 @@ TEST(ShardSupervisorDeathTest, CorruptCheckpointFailsFastAndTyped)
         ::testing::ExitedWithCode(1),
         "failed permanently after 2 attempt\\(s\\): corrupt-trace "
         "\\(exit 3\\), corrupt-trace \\(exit 3\\); last error: "
-        "corrupt checkpoint artifact");
+        "corrupt artifact: checkpoint file .*\\.ppckpt: content hash "
+        "mismatch");
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytestream.hh"
 #include "program/asmprog.hh"
 #include "program/codegen.hh"
 #include "program/emulator.hh"
@@ -602,20 +603,75 @@ TEST(EmulatorCheckpointDeath, RestoreRejectsForeignProgram)
     EXPECT_DEATH(other.restore(ckpt), "different program");
 }
 
-TEST(EmulatorCheckpointDeath, DeserializeRejectsTruncatedImage)
+namespace
+{
+
+/** The kind of error deserialize() throws on @p image (over @p base). */
+ArtifactError::Kind
+decodeKind(const std::vector<std::uint8_t> &image,
+           const Emulator::Checkpoint *base = nullptr)
+{
+    try {
+        Emulator::Checkpoint::deserialize(image, base);
+    } catch (const ArtifactError &e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "expected ArtifactError";
+    return ArtifactError::Kind::Io;
+}
+
+} // namespace
+
+TEST(EmulatorCheckpoint, DeserializeRejectsTruncatedImage)
 {
     const Program bin = generatedBenchmark();
     Emulator emu(bin, 1);
     emu.skip(10);
     std::vector<std::uint8_t> image = emu.checkpoint().serialize();
     image.resize(image.size() / 2);
-    EXPECT_DEATH(Emulator::Checkpoint::deserialize(image), "truncated");
+    EXPECT_EQ(decodeKind(image), ArtifactError::Kind::Truncated);
 }
 
-TEST(EmulatorCheckpointDeath, DeserializeRejectsBadMagic)
+TEST(EmulatorCheckpoint, DeserializeRejectsBadMagic)
 {
     std::vector<std::uint8_t> garbage(64, 0x5a);
-    EXPECT_DEATH(Emulator::Checkpoint::deserialize(garbage), "magic");
+    EXPECT_EQ(decodeKind(garbage), ArtifactError::Kind::BadMagic);
+}
+
+TEST(EmulatorCheckpoint, DeltaRoundTripsAndRejectsOutOfRangeStores)
+{
+    const Program bin = generatedBenchmark();
+    Emulator emu(bin, 1);
+    emu.skip(1000);
+    const Emulator::Checkpoint base = emu.checkpoint();
+    emu.skip(5000);
+    const Emulator::Checkpoint later = emu.checkpoint();
+    const std::vector<std::uint8_t> delta = later.serializeDelta(base);
+    EXPECT_EQ(Emulator::Checkpoint::deserialize(delta, &base).serialize(),
+              later.serialize());
+    // A full image is not a delta, and a delta needs its base.
+    EXPECT_EQ(decodeKind(later.serialize(), &base),
+              ArtifactError::Kind::BadMagic);
+    EXPECT_EQ(decodeKind(delta), ArtifactError::Kind::BadMagic);
+
+    // The delta's first stored index, moved past the data segment: the
+    // pairs follow the magic and the three length-prefixed register
+    // files, behind their count.
+    const std::size_t count_at =
+        8 * (1 + 3 + later.intRegs.size() + later.fpRegs.size() +
+             later.predRegs.size());
+    std::vector<std::uint8_t> bad = delta;
+    ASSERT_NE(bad[count_at], 0) << "the delta stores no word";
+    for (std::size_t b = 0; b < 8; ++b)
+        bad[count_at + 8 + b] =
+            static_cast<std::uint8_t>(base.dataMem.size() >> (8 * b));
+    try {
+        Emulator::Checkpoint::deserialize(bad, &base);
+        ADD_FAILURE() << "expected ArtifactError";
+    } catch (const ArtifactError &e) {
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+        EXPECT_EQ(e.offset(), count_at + 8);
+    }
 }
 
 TEST(EmulatorDeath, RunningOffImagePanics)

@@ -8,15 +8,20 @@
  * final architectural state, across the whole extended suite and both
  * if-conversion variants) and at sweep level (byte-identical
  * pp.sweep.v1 JSON modulo the host_ms scrub, full and sampled runs).
+ * The image's bytes are pinned by a golden hash, and damaged or
+ * mutated images end in a typed ArtifactError, never a panic.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <regex>
 #include <string>
 #include <vector>
 
+#include "../common/artifact_mutation.hh"
+#include "common/fnv.hh"
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
 #include "driver/sweep_engine.hh"
@@ -184,7 +189,7 @@ TEST(TraceRoundTrip, StoreLoadSurvivesDisk)
 
     const std::string path = makeTraceDir() + "/swim.pptrace";
     recorded.store(path);
-    const TraceFile loaded = TraceFile::load(path);
+    const TraceFile loaded = TraceFile::loadOrThrow(path);
     EXPECT_EQ(loaded.contentHash(), recorded.contentHash());
     EXPECT_EQ(loaded.contentHashHex(), recorded.contentHashHex());
     EXPECT_EQ(loaded.binary().size(), binary.size());
@@ -200,9 +205,10 @@ TEST(TraceLoad, NonFilePathIsATypedIoError)
     for (const std::string &path : {dir, dir + "/missing.pptrace"}) {
         try {
             TraceFile::loadOrThrow(path);
-            ADD_FAILURE() << path << ": expected TraceError";
-        } catch (const TraceError &e) {
-            EXPECT_EQ(e.kind(), TraceError::Kind::Io) << e.what();
+            ADD_FAILURE() << path << ": expected ArtifactError";
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), ArtifactError::Kind::Io) << e.what();
+            EXPECT_EQ(e.path(), path);
         }
     }
 }
@@ -219,9 +225,9 @@ TEST(TraceLoad, ValidateRejectsMismatchedRun)
                                const std::string &detail) {
         try {
             trace.validate(benchmark, seed, if_converted, min_insts);
-            ADD_FAILURE() << detail << ": expected TraceError";
-        } catch (const TraceError &e) {
-            EXPECT_EQ(e.kind(), TraceError::Kind::Mismatch) << e.what();
+            ADD_FAILURE() << detail << ": expected ArtifactError";
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), ArtifactError::Kind::Mismatch) << e.what();
             EXPECT_NE(std::string(e.what()).find(detail), std::string::npos)
                 << e.what();
         }
@@ -234,55 +240,144 @@ TEST(TraceLoad, ValidateRejectsMismatchedRun)
 }
 
 // ---------------------------------------------------------------------
-// Malformed artifacts die loudly.
+// Malformed artifacts fail typed: the header checks, the payload
+// decoder, and a thousand mutations that reach it.
 // ---------------------------------------------------------------------
 
-TEST(TraceDeath, CorruptedHeaderIsRejected)
+namespace
+{
+
+/** A small recorded image: gzip, 1000 instructions. */
+std::vector<std::uint8_t>
+smallTraceImage()
 {
     const BenchmarkProfile profile = profileByName("gzip");
     const Program binary = sim::buildBinary(profile, false);
-    std::vector<std::uint8_t> image =
-        TraceFile::record(binary, metaFor(profile, false),
-                          sim::coreSeed(profile), 1000)
-            .serialize();
+    return TraceFile::record(binary, metaFor(profile, false),
+                             sim::coreSeed(profile), 1000)
+        .serialize();
+}
+
+/** The error deserialize() throws on @p image. */
+ArtifactError
+decodeError(const std::vector<std::uint8_t> &image)
+{
+    try {
+        TraceFile::deserialize(image);
+    } catch (const ArtifactError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "expected ArtifactError";
+    return ArtifactError(ArtifactError::Kind::Io, "", "", 0, "");
+}
+
+} // namespace
+
+TEST(TraceLoad, CorruptedHeaderIsBadMagic)
+{
+    std::vector<std::uint8_t> image = smallTraceImage();
     image[0] ^= 0xff;
-    EXPECT_DEATH(TraceFile::deserialize(image), "magic");
+    const ArtifactError e = decodeError(image);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::BadMagic) << e.what();
+    EXPECT_EQ(e.offset(), 0u);
 }
 
-TEST(TraceDeath, VersionMismatchIsRejected)
+TEST(TraceLoad, VersionMismatchIsBadVersion)
 {
-    const BenchmarkProfile profile = profileByName("gzip");
-    const Program binary = sim::buildBinary(profile, false);
-    std::vector<std::uint8_t> image =
-        TraceFile::record(binary, metaFor(profile, false),
-                          sim::coreSeed(profile), 1000)
-            .serialize();
+    std::vector<std::uint8_t> image = smallTraceImage();
     image[8] = 99; // version word follows the magic
-    EXPECT_DEATH(TraceFile::deserialize(image), "version");
+    const ArtifactError e = decodeError(image);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::BadVersion) << e.what();
+    EXPECT_EQ(e.offset(), 8u);
 }
 
-TEST(TraceDeath, PayloadCorruptionFailsTheContentHash)
+TEST(TraceLoad, PayloadCorruptionFailsTheContentHash)
 {
-    const BenchmarkProfile profile = profileByName("gzip");
-    const Program binary = sim::buildBinary(profile, false);
-    std::vector<std::uint8_t> image =
-        TraceFile::record(binary, metaFor(profile, false),
-                          sim::coreSeed(profile), 1000)
-            .serialize();
+    std::vector<std::uint8_t> image = smallTraceImage();
     image[image.size() / 2] ^= 0x01;
-    EXPECT_DEATH(TraceFile::deserialize(image), "hash");
+    const ArtifactError e = decodeError(image);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::HashMismatch) << e.what();
+    EXPECT_EQ(e.offset(), 16u);
 }
 
-TEST(TraceDeath, TruncatedImageIsRejected)
+TEST(TraceLoad, TruncatedImageIsTruncated)
+{
+    std::vector<std::uint8_t> image = smallTraceImage();
+    image.resize(16); // magic + version survive; everything else gone
+    const ArtifactError e = decodeError(image);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::Truncated) << e.what();
+    EXPECT_EQ(e.offset(), 16u);
+}
+
+TEST(TraceLoad, StreamCountMustMatchTheConditions)
 {
     const BenchmarkProfile profile = profileByName("gzip");
     const Program binary = sim::buildBinary(profile, false);
-    std::vector<std::uint8_t> image =
-        TraceFile::record(binary, metaFor(profile, false),
-                          sim::coreSeed(profile), 1000)
+    const TraceFile trace = TraceFile::record(
+        binary, metaFor(profile, false), sim::coreSeed(profile), 1000);
+    std::vector<std::uint8_t> image = trace.serialize();
+    // The stream count follows the frame, the metadata (two strings,
+    // four words), the data size and the length-prefixed instruction
+    // (5 words each) and condition (6 words each) tables.
+    const std::size_t count_at = 24 + 8 + trace.meta().benchmark.size() +
+        8 * 4 + 8 + binary.progName().size() + 8 + 8 +
+        40 * binary.size() + 8 + 48 * binary.conditions().size();
+    ASSERT_EQ(image[count_at], binary.conditions().size() & 0xff);
+    image[count_at] -= 1;
+    test::rehashFrame(image);
+    const ArtifactError e = decodeError(image);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+    EXPECT_EQ(e.offset(), count_at);
+}
+
+TEST(TraceLoad, ErrorsNameTheFile)
+{
+    std::vector<std::uint8_t> image = smallTraceImage();
+    image[image.size() / 2] ^= 0x01;
+    const std::string path = makeTraceDir() + "/rot.pptrace";
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char *>(image.data()),
+               static_cast<std::streamsize>(image.size()));
+    try {
+        TraceFile::loadOrThrow(path);
+        ADD_FAILURE() << "expected ArtifactError";
+    } catch (const ArtifactError &e) {
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::HashMismatch);
+        EXPECT_EQ(e.path(), path);
+        EXPECT_EQ(std::string(e.what()),
+                  "trace file " + path +
+                      ": content hash mismatch (corrupt image) (byte "
+                      "offset 16)");
+    }
+}
+
+TEST(TraceLoad, SerializedBytesMatchTheGoldenHash)
+{
+    // Pins the .pptrace bytes themselves, not just their round trip:
+    // gzip, if-converted, 20000 instructions recorded.
+    const BenchmarkProfile profile = profileByName("gzip");
+    const Program binary = sim::buildBinary(profile, true);
+    const std::vector<std::uint8_t> image =
+        TraceFile::record(binary, metaFor(profile, true),
+                          sim::coreSeed(profile), 20000)
             .serialize();
-    image.resize(16); // magic + version survive; everything else gone
-    EXPECT_DEATH(TraceFile::deserialize(image), "truncated");
+    EXPECT_EQ(image.size(), 45204u);
+    EXPECT_EQ(hashHex(fnv1a(image.data(), image.size())),
+              "1c44be1ae5c5d6a2");
+}
+
+TEST(TraceLoad, MutatedImagesFailTypedOrReencodeToAFixedPoint)
+{
+    const std::vector<std::uint8_t> image = smallTraceImage();
+    const test::MutationTally tally = test::mutateArtifact(
+        image, 1200, 0x7472616365ull,
+        [](const std::vector<std::uint8_t> &b) {
+            return TraceFile::deserialize(b);
+        },
+        [](const TraceFile &t) { return t.serialize(); });
+    // Both outcomes occur, so neither half of the property is vacuous.
+    EXPECT_GT(tally.rejected, 0u);
+    EXPECT_GT(tally.accepted, 0u);
 }
 
 TEST(TraceDeath, ReplayPastRecordedHorizonPanics)

@@ -18,7 +18,7 @@
  *    is word-identical to one generated from the profile seed, and a
  *    sweep replaying the artifacts the engine recorded emits the
  *    recording sweep's document; a mis-keyed artifact is a typed
- *    TraceError.
+ *    ArtifactError.
  *  - Golden counters: non-default perceptron and PVT geometries, the
  *    no-alias growth path included, reproduce pinned counters exactly.
  */
@@ -352,9 +352,9 @@ TEST(PredictorReplay, EngineTraceDirReplaysTheRecordingSweep)
     workloads[1].tracePath = workloads[0].tracePath;
     try {
         engine.runReplay(workloads, matrix.configs());
-        ADD_FAILURE() << "expected TraceError";
-    } catch (const program::TraceError &e) {
-        EXPECT_EQ(e.kind(), program::TraceError::Kind::Mismatch)
+        ADD_FAILURE() << "expected ArtifactError";
+    } catch (const ArtifactError &e) {
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Mismatch)
             << e.what();
     }
     std::filesystem::remove_all(dir);

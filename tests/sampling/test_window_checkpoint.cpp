@@ -3,9 +3,10 @@
  * Contract of the checkpoint-parallel sampled tier:
  *  - the t-distribution CI correction matches the published table;
  *  - pp.ckpt.v1 images round-trip byte-exactly, their bytes match a
- *    golden hash, and every corruption class (truncation, foreign
- *    magic, future version, bit rot, I/O) surfaces as the right typed
- *    CheckpointError before any decode;
+ *    golden hash, every corruption class (truncation, foreign magic,
+ *    future version, bit rot, I/O) surfaces as the right typed
+ *    ArtifactError before any decode, and a thousand mutations that
+ *    reach the decoder fail typed or re-encode to a fixed point;
  *  - in memory, windows share equal data pages and store no zero page,
  *    whether the set was built, decoded or loaded;
  *  - a window run on a thread's recycled data segment equals the same
@@ -31,6 +32,7 @@
 #include <set>
 #include <thread>
 
+#include "../common/artifact_mutation.hh"
 #include "common/fnv.hh"
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
@@ -43,7 +45,6 @@
 #include "sim/simulator.hh"
 
 using namespace pp;
-using sampling::CheckpointError;
 using sampling::WindowCheckpointSet;
 
 namespace
@@ -90,16 +91,30 @@ writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
              static_cast<std::streamsize>(b.size()));
 }
 
-CheckpointError::Kind
+ArtifactError::Kind
 loadKind(const std::string &path)
 {
     try {
         WindowCheckpointSet::loadOrThrow(path);
-    } catch (const CheckpointError &e) {
+    } catch (const ArtifactError &e) {
+        EXPECT_EQ(e.path(), path);
         return e.kind();
     }
-    ADD_FAILURE() << path << ": expected CheckpointError";
-    return CheckpointError::Kind::Io;
+    ADD_FAILURE() << path << ": expected ArtifactError";
+    return ArtifactError::Kind::Io;
+}
+
+/** The error deserialize() throws on @p image. */
+ArtifactError
+decodeError(const std::vector<std::uint8_t> &image)
+{
+    try {
+        WindowCheckpointSet::deserialize(image);
+    } catch (const ArtifactError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "expected ArtifactError";
+    return ArtifactError(ArtifactError::Kind::Io, "", "", 0, "");
 }
 
 /**
@@ -347,7 +362,7 @@ TEST(WindowCheckpoint, RecycledSegmentsMatchFreshWindowsInAnyOrder)
     }
 }
 
-TEST(WindowCheckpointDeathTest, DeserializeRejectsCorruptImages)
+TEST(WindowCheckpoint, DeserializeRejectsCorruptImagesTyped)
 {
     const WindowCheckpointSet set = buildGzipSet();
     std::vector<std::uint8_t> image = set.serialize();
@@ -355,23 +370,60 @@ TEST(WindowCheckpointDeathTest, DeserializeRejectsCorruptImages)
     // The header's hash covers the lost half.
     std::vector<std::uint8_t> truncated(image.begin(),
                                         image.begin() + image.size() / 2);
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(truncated),
-                 "panic: checkpoint-set image content hash mismatch");
+    ArtifactError e = decodeError(truncated);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::HashMismatch) << e.what();
+    EXPECT_EQ(e.offset(), 16u);
 
     std::vector<std::uint8_t> flipped = image;
     flipped[0] ^= 0xff;  // magic
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(flipped),
-                 "panic: not a checkpoint-set image \\(bad magic\\)");
+    e = decodeError(flipped);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::BadMagic) << e.what();
+    EXPECT_STREQ(e.what(), "checkpoint file: not a checkpoint file (bad "
+                           "magic) (byte offset 0)");
 
     // Re-hashed, so the extra byte gets past the header to the decoder.
     std::vector<std::uint8_t> trailing = image;
     trailing.push_back(0);
-    const std::uint64_t hash = fnv1a(trailing.data() + 24,
-                                     trailing.size() - 24);
-    for (std::size_t b = 0; b < 8; ++b)
-        trailing[16 + b] = static_cast<std::uint8_t>(hash >> (8 * b));
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(trailing),
-                 "panic: checkpoint-set image has trailing bytes");
+    test::rehashFrame(trailing);
+    e = decodeError(trailing);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+    EXPECT_EQ(e.offset(), image.size());
+
+    // Window 0's image length, one word too long: its length prefix
+    // follows the nine set words and the window's three offsets.
+    constexpr std::size_t kArchLenAt = 24 + 8 * (9 + 3);
+    std::vector<std::uint8_t> long_arch = image;
+    long_arch[kArchLenAt] += 8;
+    test::rehashFrame(long_arch);
+    e = decodeError(long_arch);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+    EXPECT_EQ(e.offset(), kArchLenAt);
+}
+
+TEST(WindowCheckpoint, MutatedImagesFailTypedOrReencodeToAFixedPoint)
+{
+    // A small set: a 16 KiB data segment and four short windows, so a
+    // thousand decodes stay cheap.
+    program::BenchmarkProfile profile = program::profileByName("gzip");
+    profile.dataBytes = 1 << 14;
+    const program::Program binary = sim::buildBinary(profile, true);
+    sampling::SamplingPolicy policy;
+    policy.periodInsts = 2000;
+    policy.warmupInsts = 500;
+    policy.measureInsts = 500;
+    policy.warmingHorizon = 300;
+    const std::vector<std::uint8_t> image =
+        sampling::buildWindowCheckpoints(binary, profile, 2000, 8000,
+                                         policy)
+            .serialize();
+    const test::MutationTally tally = test::mutateArtifact(
+        image, 1200, 0x70636b7074ull,
+        [](const std::vector<std::uint8_t> &b) {
+            return WindowCheckpointSet::deserialize(b);
+        },
+        [](const WindowCheckpointSet &set) { return set.serialize(); });
+    EXPECT_GT(tally.rejected, 0u);
+    EXPECT_GT(tally.accepted, 0u);
 }
 
 TEST(WindowCheckpoint, LoadOrThrowClassifiesEveryCorruptionKind)
@@ -386,30 +438,30 @@ TEST(WindowCheckpoint, LoadOrThrowClassifiesEveryCorruptionKind)
     EXPECT_EQ(loaded.serialize(), set.serialize());
 
     EXPECT_EQ(loadKind(tempPath("missing.ppckpt")),
-              CheckpointError::Kind::Io);
+              ArtifactError::Kind::Io);
     // A directory opens like a file but has no size to read.
     const std::string dir = tempPath("dir.ppckpt");
     std::filesystem::create_directories(dir);
-    EXPECT_EQ(loadKind(dir), CheckpointError::Kind::Io);
+    EXPECT_EQ(loadKind(dir), ArtifactError::Kind::Io);
 
     const std::vector<std::uint8_t> image = set.serialize();
 
     std::vector<std::uint8_t> tiny(image.begin(), image.begin() + 16);
     writeBytes(tempPath("tiny.ppckpt"), tiny);
     EXPECT_EQ(loadKind(tempPath("tiny.ppckpt")),
-              CheckpointError::Kind::Truncated);
+              ArtifactError::Kind::Truncated);
 
     std::vector<std::uint8_t> magic = image;
     magic[0] ^= 0x01;
     writeBytes(tempPath("magic.ppckpt"), magic);
     EXPECT_EQ(loadKind(tempPath("magic.ppckpt")),
-              CheckpointError::Kind::BadMagic);
+              ArtifactError::Kind::BadMagic);
 
     std::vector<std::uint8_t> version = image;
     version[8] += 1;
     writeBytes(tempPath("version.ppckpt"), version);
     EXPECT_EQ(loadKind(tempPath("version.ppckpt")),
-              CheckpointError::Kind::BadVersion);
+              ArtifactError::Kind::BadVersion);
 
     // Payload bit rot is caught by the hash BEFORE structural decode,
     // including truncation past the header.
@@ -417,12 +469,12 @@ TEST(WindowCheckpoint, LoadOrThrowClassifiesEveryCorruptionKind)
     rot[rot.size() / 2] ^= 0x40;
     writeBytes(tempPath("rot.ppckpt"), rot);
     EXPECT_EQ(loadKind(tempPath("rot.ppckpt")),
-              CheckpointError::Kind::HashMismatch);
+              ArtifactError::Kind::HashMismatch);
 
     std::vector<std::uint8_t> cut(image.begin(), image.end() - 9);
     writeBytes(tempPath("cut.ppckpt"), cut);
     EXPECT_EQ(loadKind(tempPath("cut.ppckpt")),
-              CheckpointError::Kind::HashMismatch);
+              ArtifactError::Kind::HashMismatch);
 }
 
 TEST(WindowCheckpoint, CheckpointTierKeepsTheSerialEstimatorContract)
@@ -584,7 +636,7 @@ TEST(WindowCheckpoint, EngineCountersAndDiskCacheAreDeterministic)
     }
     ASSERT_TRUE(corrupted);
     driver::SweepEngine bad(disk);
-    EXPECT_THROW(bad.run(specs), CheckpointError);
+    EXPECT_THROW(bad.run(specs), ArtifactError);
 }
 
 namespace
@@ -690,12 +742,12 @@ TEST(StreamedSets, ACorruptLaterSetFailsTypedWithoutAHang)
         SCOPED_TRACE(threads);
         opts.threads = threads;
         driver::SweepEngine engine(opts);
-        EXPECT_THROW(engine.run(specs), CheckpointError);
+        EXPECT_THROW(engine.run(specs), ArtifactError);
     }
     // With the corrupt set the only work, the other three workers wait
     // for its windows; the failure must wake them.
     driver::SweepEngine engine(opts);
-    EXPECT_THROW(engine.run({specs[2], specs[3]}), CheckpointError);
+    EXPECT_THROW(engine.run({specs[2], specs[3]}), ArtifactError);
 }
 
 TEST(StreamedSets, ResidentSetsAreBoundedByTheWorkers)
