@@ -124,7 +124,7 @@ printUsage(const char *prog, const char *what, bool sweep_flags)
             " SamplingPolicy::smarts(N)\n"
             "                     (period N; checkpoint-parallel when the"
             " policy has a gap)\n"
-            "  --checkpoint-dir D cache window-checkpoint sets (pp.ckpt.v1)"
+            "  --checkpoint-dir D cache window-checkpoint sets (pp.ckpt.v2)"
             " in directory D\n"
             "                     across runs and shard workers"
             " (byte-identical results)\n"

@@ -3,10 +3,10 @@
  * The one codec of every binary artifact: little-endian u64 framing,
  * the 24-byte artifact header and the typed error every decode throws.
  *
- * Everything is written as 64-bit words so images are portable across
- * hosts and trivially auditable; the size overhead is irrelevant next
- * to the payloads (register files, data memory, code images). A file
- * artifact (.pptrace, pp.ckpt.v1) is a frame: magic, version and the
+ * Fields are little-endian 64-bit words, so images are portable across
+ * hosts and trivially auditable; only bulk streams of narrow values
+ * (packed warm events) use 32-bit words. A file artifact (.pptrace,
+ * pp.ckpt.v2) is a frame: magic, version and the
  * FNV-1a hash of the payload, then the payload. frameArtifact() writes
  * it, checkFrame() verifies it before any payload decode, and
  * readArtifact()/storeArtifact() move it to and from disk.
@@ -95,6 +95,16 @@ putU64Vec(std::vector<std::uint8_t> &out, const std::vector<std::uint64_t> &v)
         putU64(out, x);
 }
 
+/** Append a u32 vector: u64 length, then 4 little-endian bytes each. */
+inline void
+putU32Vec(std::vector<std::uint8_t> &out, const std::vector<std::uint32_t> &v)
+{
+    putU64(out, v.size());
+    for (const std::uint32_t x : v)
+        for (int i = 0; i < 4; ++i)
+            out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+}
+
 /** Append a length-prefixed byte string (u64 length, then raw bytes). */
 inline void
 putString(std::vector<std::uint8_t> &out, const std::string &s)
@@ -133,6 +143,20 @@ struct ByteReader
         return v;
     }
 
+    /**
+     * A u64 field that must be below @p limit (Malformed otherwise): a
+     * 0/1 flag, a narrow integer or an index.
+     */
+    std::uint64_t
+    u64Below(std::uint64_t limit)
+    {
+        const std::size_t field = at;
+        const std::uint64_t v = u64();
+        if (v >= limit)
+            fail(ArtifactError::Kind::Malformed, field, "field out of range");
+        return v;
+    }
+
     double
     f64()
     {
@@ -151,9 +175,16 @@ struct ByteReader
     std::size_t
     length(std::size_t unit_words = 1)
     {
+        return lengthOf(8 * unit_words);
+    }
+
+    /** As length(), for elements of at least @p unit_bytes bytes. */
+    std::size_t
+    lengthOf(std::size_t unit_bytes)
+    {
         const std::size_t field = at;
         const std::uint64_t n = u64();
-        if (n > (bytes.size() - at) / (8 * unit_words))
+        if (n > (bytes.size() - at) / unit_bytes)
             fail(ArtifactError::Kind::Truncated, field, "truncated");
         return static_cast<std::size_t>(n);
     }
@@ -164,6 +195,18 @@ struct ByteReader
         std::vector<std::uint64_t> v(length());
         for (auto &x : v)
             x = u64();
+        return v;
+    }
+
+    std::vector<std::uint32_t>
+    u32Vec()
+    {
+        std::vector<std::uint32_t> v(lengthOf(4));
+        for (auto &x : v) {
+            for (int i = 0; i < 4; ++i)
+                x |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+            at += 4;
+        }
         return v;
     }
 

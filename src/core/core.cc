@@ -1366,28 +1366,22 @@ struct OoOCore::FfWarmSink final : program::Emulator::FfSink
 };
 
 void
-OoOCore::warmReplay(const std::vector<std::uint64_t> &events)
+OoOCore::warmReplay(const std::vector<std::uint32_t> &events)
 {
-    panicIfNot(events.size() % program::kWarmEventWords == 0,
-               "malformed warm event stream (odd word count)");
     const isa::Instruction *image = program.image().data();
-    for (std::size_t i = 0; i < events.size();
-         i += program::kWarmEventWords) {
-        const std::uint64_t word = events[i];
-        const Addr addr = events[i + 1];
-        const auto kind =
-            static_cast<program::WarmEventKind>(word & 0xff);
-        const std::uint64_t flags = word >> 8;
-        switch (kind) {
+    for (const std::uint32_t word : events) {
+        const program::WarmEvent ev = program::unpackWarmEvent(word);
+        switch (ev.kind) {
           case program::WarmEventKind::InstLine:
-            mem.instAccess(addr, now);
+            mem.instAccess(ev.addr(), now);
             break;
           case program::WarmEventKind::Mem:
-            mem.dataAccess(addr, (flags & 1) != 0, now);
+            mem.dataAccess(ev.addr(), (ev.flags & 1) != 0, now);
             break;
           case program::WarmEventKind::Branch: {
-            const isa::Instruction &ins = image[addr / isa::instBytes];
-            bpu.trainBranch(ins, addr, archPred[ins.qp], (flags & 1) != 0);
+            const isa::Instruction &ins = image[ev.payload];
+            bpu.trainBranch(ins, ev.addr(), archPred[ins.qp],
+                            (ev.flags & 1) != 0);
             break;
           }
           case program::WarmEventKind::Compare:
@@ -1395,14 +1389,12 @@ OoOCore::warmReplay(const std::vector<std::uint64_t> &events)
             // predicate state the resume constructor already seeded:
             // the last recorded write of each register IS the
             // checkpoint value.
-            warmCompare(&image[addr / isa::instBytes], addr,
-                        (flags & program::kWarmPd1Written) != 0,
-                        (flags & program::kWarmPd1Val) != 0,
-                        (flags & program::kWarmPd2Written) != 0,
-                        (flags & program::kWarmPd2Val) != 0, true);
+            warmCompare(&image[ev.payload], ev.addr(),
+                        (ev.flags & program::kWarmPd1Written) != 0,
+                        (ev.flags & program::kWarmPd1Val) != 0,
+                        (ev.flags & program::kWarmPd2Written) != 0,
+                        (ev.flags & program::kWarmPd2Val) != 0, true);
             break;
-          default:
-            panic("malformed warm event stream (unknown kind)");
         }
     }
 }

@@ -113,8 +113,10 @@ class OoOCore
      * over the same span would perform — which is what makes one
      * recorded stream serve every scheme. Call before the first
      * detailed cycle (the stream is applied at the current cycle).
+     * Branch and Compare events must name instructions of this core's
+     * program (WindowCheckpointSet::validate checks a loaded set).
      */
-    void warmReplay(const std::vector<std::uint64_t> &events);
+    void warmReplay(const std::vector<std::uint32_t> &events);
     /// @}
 
     /** Collected statistics. */

@@ -549,7 +549,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     // the same workload pay for one functional pass. A worker runs a
     // queued window job when one is ready; otherwise it takes the next
     // item: it simulates the run, or builds the set (or loads it from
-    // the on-disk pp.ckpt.v1 cache) and queues one job per window for
+    // the on-disk pp.ckpt.v2 cache) and queues one job per window for
     // every cell sharing it — windows are independent given their
     // checkpoint. The worker that finishes a set's last window merges
     // the set's cells in window order (bit-identical to the serial
@@ -626,16 +626,27 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
             path = opts_.checkpointDir + "/" +
                    hashHex(fnv1a(checkpointKey(s))) + ".ppckpt";
         }
+        bool loaded = false;
         if (!path.empty() && std::filesystem::exists(path)) {
             // A cached set round-trips exactly (pure integer payload),
             // so the sweep's results are byte-identical to a cold
-            // build. Corruption surfaces as a typed ArtifactError out
-            // of run(), classified by shard workers like a corrupt
-            // trace.
+            // build. Corruption, or a set that does not fit the binary,
+            // surfaces as a typed ArtifactError out of run(), classified
+            // by shard workers like a corrupt trace. A set an older
+            // build stored is rebuilt and replaced instead.
             obs::ScopedSpan span(obs::tracer(), "ckpt_load", "build",
                                  s.label());
-            c.set = sampling::WindowCheckpointSet::loadOrThrow(path);
-        } else {
+            try {
+                c.set = sampling::WindowCheckpointSet::loadOrThrow(path);
+                c.set.validate(*b.binary, path);
+                loaded = true;
+            } catch (const ArtifactError &e) {
+                if (e.kind() != ArtifactError::Kind::BadVersion)
+                    throw;
+                warn(std::string(e.what()) + "; rebuilding it");
+            }
+        }
+        if (!loaded) {
             c.set = sampling::buildWindowCheckpoints(
                 *b.binary, s.profile, s.warmupInsts, s.measureInsts,
                 s.sampling, b.decoded.get(), b.replayed());

@@ -60,12 +60,14 @@ struct SweepOptions
     std::string recordTraceDir;
 
     /**
-     * On-disk cache for window-checkpoint sets (pp.ckpt.v1, see
+     * On-disk cache for window-checkpoint sets (pp.ckpt.v2, see
      * sampling/window_checkpoint.hh): each distinct (workload, region,
      * policy) set is loaded from "<hash>.ppckpt" here when present,
      * built and atomically stored otherwise — so repeated sweeps (and
      * concurrent shard workers sharing the directory) skip the
-     * functional pass. Empty: every set is built, none stored. Either
+     * functional pass. A file of another format version is rebuilt and
+     * replaced, with a warning; any other ArtifactError, or a set that
+     * does not fit its binary (Mismatch), fails run(). Empty: every set is built, none stored. Either
      * way a set is held in memory only while its windows run (see
      * run()). Serialization round-trips exactly, so results are
      * byte-identical either way, and the in-memory counters

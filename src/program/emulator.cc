@@ -6,6 +6,7 @@
 #include "common/bytestream.hh"
 #include "common/logging.hh"
 #include "program/trace.hh"
+#include "program/warm_stream.hh"
 
 namespace pp
 {
@@ -135,19 +136,21 @@ Emulator::restore(const Checkpoint &ckpt)
 
 // ---------------------------------------------------------------------
 // Checkpoint byte serialization: versioned little-endian u64 stream on
-// the shared framing (common/bytestream.hh). Version 2: condition state
-// is sparse — one (id, cursor, last) entry per condition the execution
-// actually touched, instead of dense rows for every condition the
-// program declares (most of which a sampling window never evaluates).
+// the shared framing (common/bytestream.hh). Condition state is sparse
+// — one (id, cursor, last) entry per condition the execution actually
+// touched — and dataMem is sparse (index, word) pairs against a base
+// image: the previous checkpoint, or zeros for a first image. Every
+// field is canonical, so an image that decodes re-encodes to itself.
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-constexpr std::uint64_t kCkptMagic = 0x70706d75636b7032ull; // "ppemuckp2"
+constexpr std::uint64_t kCkptMagic = 0x70706d75636b7033ull; // "ppemuckp3"
 constexpr std::uint64_t kCkptDeltaMagic =
     0x70706d75636b6431ull; // "ppemuckd1"
 constexpr const char *kCkptWhat = "emulator checkpoint image";
+constexpr std::uint64_t kU32Limit = 1ull << 32;
 
 /** Everything before dataMem, in image order. */
 void
@@ -167,7 +170,45 @@ readHead(ByteReader &r, Emulator::Checkpoint &c)
     c.fpRegs = r.u64Vec();
     c.predRegs.resize(r.length());
     for (auto &p : c.predRegs)
-        p = static_cast<std::uint8_t>(r.u64());
+        p = static_cast<std::uint8_t>(r.u64Below(2));
+}
+
+/** The words of @p mem that differ from @p base, as ascending pairs. */
+void
+putMem(std::vector<std::uint8_t> &out, const PagedImage &mem,
+       const PagedImage &base)
+{
+    const std::vector<std::size_t> changed = mem.diff(base);
+    putU64(out, changed.size());
+    for (const std::size_t i : changed) {
+        putU64(out, i);
+        putU64(out, mem[i]);
+    }
+}
+
+PagedImage
+readMem(ByteReader &r, const PagedImage &base)
+{
+    PagedImage::Builder mem(base);
+    const std::size_t changed = r.length(2);
+    std::uint64_t next = 0; // the lowest index the next pair may name
+    for (std::size_t i = 0; i < changed; ++i) {
+        const std::size_t field = r.at;
+        const std::uint64_t idx = r.u64();
+        if (idx >= base.size())
+            r.fail(ArtifactError::Kind::Malformed, field,
+                   "delta touches memory out of range");
+        if (idx < next)
+            r.fail(ArtifactError::Kind::Malformed, field,
+                   "delta indices not strictly increasing");
+        const std::uint64_t value = r.u64();
+        if (value == base[idx])
+            r.fail(ArtifactError::Kind::Malformed, field,
+                   "delta stores the word its base holds");
+        mem.set(static_cast<std::size_t>(idx), value);
+        next = idx + 1;
+    }
+    return std::move(mem).publish();
 }
 
 /** Everything after dataMem, in image order. */
@@ -197,16 +238,20 @@ readTail(ByteReader &r, Emulator::Checkpoint &c)
     c.callStack = r.u64Vec();
     c.pc = r.u64();
     c.numInsts = r.u64();
-    c.conds.numConds = static_cast<std::uint32_t>(r.u64());
-    c.conds.replay = r.u64() != 0;
+    c.conds.numConds = static_cast<std::uint32_t>(r.u64Below(kU32Limit));
+    c.conds.replay = r.u64Below(2) != 0;
     const std::size_t touched = r.length(3);
     c.conds.ids.resize(touched);
     c.conds.pos.resize(touched);
     c.conds.last.resize(touched);
     for (std::size_t i = 0; i < touched; ++i) {
-        c.conds.ids[i] = static_cast<CondId>(r.u64());
-        c.conds.pos[i] = static_cast<std::uint32_t>(r.u64());
-        c.conds.last[i] = static_cast<std::uint8_t>(r.u64());
+        const std::size_t field = r.at;
+        c.conds.ids[i] = static_cast<CondId>(r.u64Below(c.conds.numConds));
+        if (i > 0 && c.conds.ids[i] <= c.conds.ids[i - 1])
+            r.fail(ArtifactError::Kind::Malformed, field,
+                   "condition ids not strictly ascending");
+        c.conds.pos[i] = static_cast<std::uint32_t>(r.u64Below(kU32Limit));
+        c.conds.last[i] = static_cast<std::uint8_t>(r.u64Below(2));
     }
     for (auto &w : c.conds.rng)
         w = r.u64();
@@ -217,31 +262,16 @@ readTail(ByteReader &r, Emulator::Checkpoint &c)
 } // namespace
 
 std::vector<std::uint8_t>
-Emulator::Checkpoint::serialize() const
+Emulator::Checkpoint::serialize(const Checkpoint *base) const
 {
     std::vector<std::uint8_t> out;
-    putU64(out, kCkptMagic);
+    putU64(out, base == nullptr ? kCkptMagic : kCkptDeltaMagic);
     putHead(out, *this);
-    putU64(out, dataMem.size());
-    for (std::size_t i = 0; i < dataMem.size(); ++i)
-        putU64(out, dataMem[i]);
-    putTail(out, *this);
-    return out;
-}
-
-std::vector<std::uint8_t>
-Emulator::Checkpoint::serializeDelta(const Checkpoint &base) const
-{
-    panicIfNot(base.dataMem.size() == dataMem.size(),
-               "checkpoint delta base has a different memory shape");
-    std::vector<std::uint8_t> out;
-    putU64(out, kCkptDeltaMagic);
-    putHead(out, *this);
-    const std::vector<std::size_t> changed = dataMem.diff(base.dataMem);
-    putU64(out, changed.size());
-    for (const std::size_t i : changed) {
-        putU64(out, i);
-        putU64(out, dataMem[i]);
+    if (base == nullptr) {
+        putU64(out, dataMem.size());
+        putMem(out, dataMem, PagedImage::zeros(dataMem.size()));
+    } else {
+        putMem(out, dataMem, base->dataMem);
     }
     putTail(out, *this);
     return out;
@@ -259,19 +289,15 @@ Emulator::Checkpoint::deserialize(ByteReader &r, const Checkpoint *base)
     Checkpoint c;
     readHead(r, c);
     if (base == nullptr) {
-        c.dataMem = PagedImage::capture(r.u64Vec());
+        // Bounded before the base image's page table is allocated.
+        const std::size_t words_at = r.at;
+        const std::uint64_t words = r.u64();
+        if (words > kWarmIndexLimit)
+            r.fail(ArtifactError::Kind::Malformed, words_at,
+                   "data segment larger than 2^26 words");
+        c.dataMem = readMem(r, PagedImage::zeros(words));
     } else {
-        PagedImage::Builder mem(base->dataMem);
-        const std::size_t changed = r.length(2);
-        for (std::size_t i = 0; i < changed; ++i) {
-            const std::size_t field = r.at;
-            const std::uint64_t idx = r.u64();
-            if (idx >= base->dataMem.size())
-                r.fail(ArtifactError::Kind::Malformed, field,
-                       "delta touches memory out of range");
-            mem.set(static_cast<std::size_t>(idx), r.u64());
-        }
-        c.dataMem = std::move(mem).publish();
+        c.dataMem = readMem(r, base->dataMem);
     }
     readTail(r, c);
     return c;

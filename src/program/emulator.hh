@@ -248,14 +248,27 @@ class Emulator
         ConditionSource::Checkpoint conds;
         Rng::State rng{};
 
-        /** Portable little-endian byte image (versioned). */
-        std::vector<std::uint8_t> serialize() const;
+        /**
+         * Portable little-endian byte image. dataMem — by far the bulk
+         * of the state — is stored as sparse (index, word) pairs of the
+         * words that differ from @p base's image (an earlier checkpoint
+         * of the same execution, with the same segment size), or
+         * without a base from a segment of zeros, whose size the image
+         * then records. Every other field is stored whole. A sequence
+         * of mid-program checkpoints is dominated by untouched memory,
+         * so only the pages the two images do not share are scanned.
+         */
+        std::vector<std::uint8_t>
+        serialize(const Checkpoint *base = nullptr) const;
 
         /**
-         * Parse a serialize() image, or with @p base a serializeDelta()
-         * image over *base (the result shares every page the delta
-         * leaves untouched with it). Throws ArtifactError on malformed
-         * input.
+         * Parse a serialize() image made against @p base (the result
+         * shares every page the pairs leave untouched with it) or, with
+         * none, against zeros of the recorded size, which must not
+         * exceed kWarmIndexLimit words (program/warm_stream.hh; checked
+         * before anything is allocated). Throws ArtifactError on
+         * malformed input, including any field its encoder never
+         * writes: a decoded image re-serializes to the same bytes.
          */
         static Checkpoint deserialize(const std::vector<std::uint8_t> &bytes,
                                       const Checkpoint *base = nullptr);
@@ -265,18 +278,6 @@ class Emulator
          * after it: a checkpoint set decodes its windows in place.
          */
         static Checkpoint deserialize(ByteReader &r, const Checkpoint *base);
-
-        /**
-         * Delta image against @p base (an earlier checkpoint of the
-         * same execution): dataMem — by far the bulk of the state — is
-         * encoded as sparse (index, word) pairs of the words that
-         * differ from base, found by scanning only the pages the two
-         * do not share; every other field is stored whole. A sequence
-         * of mid-program checkpoints is dominated by untouched memory,
-         * so this shrinks serialized sets by orders of magnitude.
-         * Fatal if the shapes differ from @p base.
-         */
-        std::vector<std::uint8_t> serializeDelta(const Checkpoint &base) const;
     };
 
     /**

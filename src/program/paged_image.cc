@@ -25,11 +25,12 @@ allZero(const std::uint64_t *w, std::size_t n)
 } // namespace
 
 PagedImage
-PagedImage::capture(const std::vector<std::uint64_t> &words)
+PagedImage::zeros(std::size_t words)
 {
-    const std::size_t pages = pagesFor(words.size());
-    return capture(words, std::vector<PagePtr>(pages),
-                   std::vector<std::uint8_t>(pages, 1));
+    PagedImage img;
+    img.words_ = words;
+    img.pages_.resize(pagesFor(words));
+    return img;
 }
 
 PagedImage

@@ -55,8 +55,8 @@ class PagedImage
         return (words + kPageWords - 1) / kPageWords;
     }
 
-    /** Image of @p words: zero pages are null, the rest copies. */
-    static PagedImage capture(const std::vector<std::uint64_t> &words);
+    /** An image of @p words zeros: every page null. */
+    static PagedImage zeros(std::size_t words);
 
     /**
      * Image of @p words that reads only the pages @p dirty marks (one

@@ -16,15 +16,15 @@ namespace
 
 /**
  * warmForward() sink recording only the Branch/Compare events of the
- * warm-stream encoding — the kinds predictor tables consume. Plain
- * struct with the FfSink method set (not derived) so the templated warm
- * tier inlines the recording into the decoded hot loop, exactly like
- * program::WarmStreamRecorder.
+ * warm stream — the kinds predictor tables consume — through
+ * program::WarmStreamRecorder. Plain struct with the FfSink method set
+ * (not derived) so the templated warm tier inlines the recording into
+ * the decoded hot loop.
  */
 struct PredictorStreamRecorder
 {
-    explicit PredictorStreamRecorder(std::vector<std::uint64_t> &out)
-        : events(&out)
+    explicit PredictorStreamRecorder(std::vector<std::uint32_t> &out)
+        : rec(out)
     {
     }
 
@@ -34,11 +34,7 @@ struct PredictorStreamRecorder
     void
     condBranch(const isa::Instruction *ins, Addr pc, bool taken)
     {
-        (void)ins; // the replay pass re-derives it from the image
-        events->push_back(
-            static_cast<std::uint64_t>(program::WarmEventKind::Branch) |
-            ((taken ? 1ull : 0ull) << 8));
-        events->push_back(pc);
+        rec.condBranch(ins, pc, taken);
         ++branches;
     }
 
@@ -46,20 +42,7 @@ struct PredictorStreamRecorder
     compare(const isa::Instruction *ins, Addr pc, bool pd1_written,
             bool pd1_val, bool pd2_written, bool pd2_val)
     {
-        (void)ins;
-        std::uint64_t flags = 0;
-        if (pd1_written)
-            flags |= program::kWarmPd1Written;
-        if (pd1_val)
-            flags |= program::kWarmPd1Val;
-        if (pd2_written)
-            flags |= program::kWarmPd2Written;
-        if (pd2_val)
-            flags |= program::kWarmPd2Val;
-        events->push_back(
-            static_cast<std::uint64_t>(program::WarmEventKind::Compare) |
-            (flags << 8));
-        events->push_back(pc);
+        rec.compare(ins, pc, pd1_written, pd1_val, pd2_written, pd2_val);
         ++compares;
     }
 
@@ -67,7 +50,7 @@ struct PredictorStreamRecorder
     void takenCall(Addr ret_addr) { (void)ret_addr; }
     void takenRet() {}
 
-    std::vector<std::uint64_t> *events;
+    program::WarmStreamRecorder rec;
     std::uint64_t branches = 0;
     std::uint64_t compares = 0;
 };
@@ -87,8 +70,7 @@ compileRegex(const std::string &pattern)
 std::uint64_t
 ReplayStream::events() const
 {
-    return (warmupEvents.size() + measureEvents.size()) /
-        program::kWarmEventWords;
+    return warmupEvents.size() + measureEvents.size();
 }
 
 ReplayStream
@@ -98,6 +80,7 @@ extractStream(const program::Program &binary,
               const program::DecodedProgram *decoded,
               const program::TraceFile *trace)
 {
+    program::checkWarmStreamFits(binary.size(), binary.dataSize() / 8);
     ReplayStream s;
     s.warmupInsts = warmup_insts;
     s.measureInsts = measure_insts;
@@ -261,27 +244,22 @@ PredictorReplay::PredictorReplay(const program::Program &binary,
 }
 
 void
-PredictorReplay::walk(const std::vector<std::uint64_t> &events,
+PredictorReplay::walk(const std::vector<std::uint32_t> &events,
                       std::vector<ReplayCell> &cells, bool counting)
 {
-    panicIfNot(events.size() % program::kWarmEventWords == 0,
-               "malformed replay event stream (odd word count)");
     const isa::Instruction *image = binary_.image().data();
-    const std::size_t n = events.size();
-    for (std::size_t i = 0; i < n; i += program::kWarmEventWords) {
+    for (const std::uint32_t word : events) {
         // Land the predicate writes whose commit→fetch window expired.
         while (!pending_.empty() && pending_.front().applyAt <= eventIdx_) {
             stalePred_[pending_.front().reg] = pending_.front().val;
             pending_.pop_front();
         }
         ++eventIdx_;
-        const std::uint64_t word = events[i];
-        const Addr addr = events[i + 1];
-        const auto kind =
-            static_cast<program::WarmEventKind>(word & 0xff);
-        const std::uint64_t flags = word >> 8;
-        const isa::Instruction *ins = &image[addr / isa::instBytes];
-        switch (kind) {
+        const program::WarmEvent ev = program::unpackWarmEvent(word);
+        const std::uint32_t flags = ev.flags;
+        const Addr addr = ev.addr();
+        const isa::Instruction *ins = &image[ev.payload];
+        switch (ev.kind) {
           case program::WarmEventKind::Branch: {
             const bool taken = (flags & 1) != 0;
             // Config-independent shared state: the fetch-time (stale)

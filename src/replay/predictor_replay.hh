@@ -51,19 +51,20 @@ namespace replay
 
 /**
  * The committed outcome stream of one workload window, in the
- * warm-stream encoding (program/warm_stream.hh) filtered to Branch and
- * Compare events — the only kinds predictor tables consume. Extracted
- * once per (workload, window) and shared read-only by every replay
- * batch; the instruction behind each event is re-derived from the
- * program image by address, so the stream is scheme-agnostic.
+ * warm-stream encoding (program/warm_stream.hh: one 32-bit word per
+ * event) filtered to Branch and Compare events — the only kinds
+ * predictor tables consume. Extracted once per (workload, window) and
+ * shared read-only by every replay batch; the instruction behind each
+ * event is re-derived from the program image by its index, so the
+ * stream is scheme-agnostic.
  */
 struct ReplayStream
 {
     /** Events of the warmup window (train, don't count). */
-    std::vector<std::uint64_t> warmupEvents;
+    std::vector<std::uint32_t> warmupEvents;
 
     /** Events of the measurement window (train and count). */
-    std::vector<std::uint64_t> measureEvents;
+    std::vector<std::uint32_t> measureEvents;
 
     std::uint64_t warmupInsts = 0;
     std::uint64_t measureInsts = 0;
@@ -226,7 +227,7 @@ class PredictorReplay
     void run(std::vector<ReplayCell> &cells);
 
   private:
-    void walk(const std::vector<std::uint64_t> &events,
+    void walk(const std::vector<std::uint32_t> &events,
               std::vector<ReplayCell> &cells, bool counting);
 
     const program::Program &binary_;

@@ -19,7 +19,7 @@ namespace
 {
 
 constexpr ArtifactFormat kCkptSetFormat{0x31762e74706b6370ull, // "pckpt.v1"
-                                        1, "checkpoint file"};
+                                        2, "checkpoint file"};
 
 double
 elapsedMs(const std::chrono::steady_clock::time_point &since)
@@ -39,7 +39,7 @@ thread_local program::Emulator::Segment spareSegment;
 } // namespace
 
 // ---------------------------------------------------------------------
-// pp.ckpt.v1 serialization: the artifact frame (common/bytestream.hh)
+// pp.ckpt.v2 serialization: the artifact frame (common/bytestream.hh)
 // around the payload below.
 // ---------------------------------------------------------------------
 
@@ -61,18 +61,16 @@ WindowCheckpointSet::serialize() const
         putU64(payload, w.warmStart);
         putU64(payload, w.measureStart);
         putU64(payload, w.measureEnd);
-        // The first window carries its full architectural image; each
-        // later one is a sparse dataMem delta against its predecessor
-        // (the builder pass only advances, so consecutive images differ
-        // by the words the gap actually stored to). This is what keeps
-        // .ppckpt artifacts at warm-event scale instead of one full
-        // memory image per window.
+        // Each window's dataMem is a sparse delta against its
+        // predecessor's, the first's against zeros (the builder pass
+        // only advances, so consecutive images differ by the words the
+        // gap actually stored to). This is what keeps .ppckpt artifacts
+        // at warm-event scale instead of one memory image per window.
         const std::vector<std::uint8_t> arch =
-            i == 0 ? w.arch.serialize()
-                   : w.arch.serializeDelta(windows[i - 1].arch);
+            w.arch.serialize(i == 0 ? nullptr : &windows[i - 1].arch);
         putU64(payload, arch.size());
         payload.insert(payload.end(), arch.begin(), arch.end());
-        putU64Vec(payload, w.warmEvents);
+        putU32Vec(payload, w.warmEvents);
     }
     return frameArtifact(kCkptSetFormat, payload);
 }
@@ -89,7 +87,7 @@ WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes,
     set.policy.periodInsts = r.u64();
     set.policy.warmupInsts = r.u64();
     set.policy.measureInsts = r.u64();
-    set.policy.functionalWarming = r.u64() != 0;
+    set.policy.functionalWarming = r.u64Below(2) != 0;
     set.policy.warmingHorizon = r.u64();
     set.builderInsts = r.u64();
     const std::size_t n = r.length(5);
@@ -111,11 +109,13 @@ WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes,
         if (r.at != arch_end)
             r.fail(ArtifactError::Kind::Malformed, arch_at,
                    "window image length does not match its contents");
-        const std::size_t events_at = r.at;
-        w.warmEvents = r.u64Vec();
-        if (w.warmEvents.size() % program::kWarmEventWords != 0)
-            r.fail(ArtifactError::Kind::Malformed, events_at,
-                   "torn warm event stream");
+        const std::size_t events_at = r.at + 8;
+        w.warmEvents = r.u32Vec();
+        for (std::size_t e = 0; e < w.warmEvents.size(); ++e) {
+            if (!program::warmEventCanonical(w.warmEvents[e]))
+                r.fail(ArtifactError::Kind::Malformed, events_at + 4 * e,
+                       "warm event sets a flag its kind does not use");
+        }
         set.windows.push_back(std::move(w));
     }
     r.expectEnd();
@@ -134,6 +134,40 @@ WindowCheckpointSet::loadOrThrow(const std::string &path)
     return deserialize(readArtifact(kCkptSetFormat, path), path);
 }
 
+void
+WindowCheckpointSet::validate(const program::Program &binary,
+                              const std::string &path) const
+{
+    auto mismatch = [&](std::size_t window, const std::string &detail) {
+        throw ArtifactError(ArtifactError::Kind::Mismatch,
+                            kCkptSetFormat.name, path, kFrameBytes,
+                            "window " + std::to_string(window) + ": " +
+                                detail);
+    };
+    const std::size_t words = binary.dataSize() / 8;
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        const WindowCheckpoint &w = windows[i];
+        if (w.arch.dataMem.size() != words)
+            mismatch(i, "data segment of " +
+                            std::to_string(w.arch.dataMem.size()) +
+                            " words, the binary's has " +
+                            std::to_string(words));
+        for (std::size_t e = 0; e < w.warmEvents.size(); ++e) {
+            const program::WarmEvent ev =
+                program::unpackWarmEvent(w.warmEvents[e]);
+            const bool names_inst =
+                ev.kind == program::WarmEventKind::Branch ||
+                ev.kind == program::WarmEventKind::Compare;
+            if (names_inst && ev.payload >= binary.size())
+                mismatch(i, "warm event " + std::to_string(e) +
+                                " names instruction " +
+                                std::to_string(ev.payload) + " of a " +
+                                std::to_string(binary.size()) +
+                                "-instruction binary");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Build / run / merge
 // ---------------------------------------------------------------------
@@ -150,6 +184,7 @@ buildWindowCheckpoints(const program::Program &binary,
     panicIfNot(checkpointEligible(policy),
                "window checkpoints need a gapped sampling policy");
     panicIfNot(measure_insts > 0, "sampled run with empty region");
+    program::checkWarmStreamFits(binary.size(), binary.dataSize() / 8);
     obs::ScopedSpan span(obs::tracer(), "ckpt_build", "sampling",
                          profile.name);
 

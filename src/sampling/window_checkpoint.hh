@@ -23,7 +23,7 @@
  * never on the prediction scheme or core config — so N scheme cells
  * share one functional pass (the SweepEngine caches sets beside
  * binaries/decoded programs/traces), and the set serializes to a
- * versioned pp.ckpt.v1 artifact (docs/checkpoint_format.md) for
+ * versioned pp.ckpt.v2 artifact (docs/checkpoint_format.md) for
  * cross-process and future cross-host reuse.
  */
 
@@ -63,8 +63,9 @@ struct WindowCheckpoint
      */
     program::Emulator::Checkpoint arch;
 
-    /** Warming events of [warmBegin, warmStart) — see warm_stream.hh. */
-    std::vector<std::uint64_t> warmEvents;
+    /** Warming events of [warmBegin, warmStart), one word each (see
+     *  warm_stream.hh). */
+    std::vector<std::uint32_t> warmEvents;
 };
 
 /** All windows of one (workload, region, policy): the shared artifact. */
@@ -84,7 +85,7 @@ struct WindowCheckpointSet
 
     std::vector<WindowCheckpoint> windows;
 
-    /** Portable little-endian pp.ckpt.v1 image (versioned + hashed). */
+    /** Portable little-endian pp.ckpt.v2 image (versioned + hashed). */
     std::vector<std::uint8_t> serialize() const;
 
     /**
@@ -102,6 +103,17 @@ struct WindowCheckpointSet
 
     /** Read @p path and deserialize() it; throws ArtifactError. */
     static WindowCheckpointSet loadOrThrow(const std::string &path);
+
+    /**
+     * Throw ArtifactError (Mismatch, naming @p path and the window)
+     * unless the set fits @p binary: every window's data segment has
+     * the binary's size, and every Branch and Compare event names one
+     * of its instructions. A loaded set is checked before any window
+     * runs, so a hash-sound set of another program never reaches the
+     * core's unchecked image reads.
+     */
+    void validate(const program::Program &binary,
+                  const std::string &path) const;
 };
 
 /**

@@ -1,15 +1,17 @@
 /**
  * @file
  * A seeded mutation sweep over a framed artifact image
- * (common/bytestream.hh), shared by the .pptrace and pp.ckpt.v1 tests.
+ * (common/bytestream.hh), shared by the .pptrace and pp.ckpt.v2 tests.
  *
  * Each case mutates the payload — bit flips, a truncation or an
  * overwritten word — then recomputes the header hash, so the payload
  * decoder itself is reached. The property: the decode throws
  * ArtifactError, or it succeeds and re-serializing is a fixed point
  * (decode, serialize, decode, serialize gives the first serialization's
- * bytes again). An exact round trip is not required: a decoder may
- * accept bits its encoder writes as zero. No case may die.
+ * bytes again). The tally counts the accepted cases that re-encode to
+ * other bytes than their input; a canonical decoder (pp.ckpt.v2) has
+ * none, while the trace decoder still accepts bits its encoder writes
+ * as zero. No case may die.
  */
 
 #ifndef PP_TESTS_ARTIFACT_MUTATION_HH

@@ -2,9 +2,9 @@
  * @file
  * The artifact codec every binary format shares (common/bytestream.hh):
  * exact round trips, hostile input that throws a typed ArtifactError
- * naming the offending offset before any container is sized from it,
- * and decode and check paths that allocate nothing while the input is
- * good. The frame check is exercised through the formats that use it
+ * naming the offending offset before any container is sized from it
+ * (an emulator checkpoint's claimed data segment included), and decode
+ * and check paths that allocate nothing while the input is good. The frame check is exercised through the formats that use it
  * (test_trace, test_window_checkpoint).
  *
  * This binary replaces the global allocation functions with counting
@@ -24,6 +24,9 @@
 
 #include "common/bytestream.hh"
 #include "common/logging.hh"
+#include "program/asmprog.hh"
+#include "program/emulator.hh"
+#include "program/warm_stream.hh"
 
 namespace
 {
@@ -131,6 +134,7 @@ sampleImage()
     putU64(out, 0x0123456789abcdefull);
     putF64(out, -0.0);
     putU64Vec(out, {7, ~0ull});
+    putU32Vec(out, {5});
     putString(out, "abc");
     putU64(out, 1); // a length() prefix for one word...
     putU64(out, 9); // ...and that word
@@ -146,6 +150,7 @@ decodeSample(const std::vector<std::uint8_t> &bytes)
     r.u64();
     r.f64();
     r.u64Vec();
+    r.u32Vec();
     r.str();
     for (std::size_t i = r.length(); i > 0; --i)
         r.u64();
@@ -220,6 +225,7 @@ TEST(ByteStream, RoundTripsEveryFieldKind)
     putF64(out, 1.5);
     putU64Vec(out, {});
     putU64Vec(out, words);
+    putU32Vec(out, {0, 1, 0xffffffffu});
     putString(out, "");
     putString(out, binary);
     putString(out, "a string longer than the small buffer");
@@ -233,11 +239,30 @@ TEST(ByteStream, RoundTripsEveryFieldKind)
     EXPECT_EQ(r.f64(), 1.5);
     EXPECT_TRUE(r.u64Vec().empty());
     EXPECT_EQ(r.u64Vec(), words);
+    EXPECT_EQ(r.u32Vec(), (std::vector<std::uint32_t>{0, 1, 0xffffffffu}));
     EXPECT_EQ(r.str(), "");
     EXPECT_EQ(r.str(), binary);
     EXPECT_EQ(r.str(), "a string longer than the small buffer");
     EXPECT_EQ(r.at, out.size());
     r.expectEnd();
+}
+
+TEST(ByteStream, U64BelowRejectsTheLimitAndAbove)
+{
+    std::vector<std::uint8_t> image;
+    putU64(image, 1);
+    putU64(image, 2);
+    putU64(image, std::uint64_t{1} << 32);
+    ByteReader r{image, kWhat};
+    EXPECT_EQ(r.u64Below(2), 1u);
+    try {
+        r.u64Below(2);
+        ADD_FAILURE() << "expected ArtifactError";
+    } catch (const ArtifactError &e) {
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed);
+        EXPECT_EQ(e.offset(), 8u);
+    }
+    EXPECT_THROW(r.u64Below(std::uint64_t{1} << 32), ArtifactError);
 }
 
 TEST(ByteStream, LengthAcceptsExactlyWhatRemains)
@@ -296,6 +321,12 @@ TEST(ByteStream, InflatedLengthsThrowBeforeAllocating)
             EXPECT_EQ(e.kind(), ArtifactError::Kind::Truncated);
             EXPECT_EQ(e.offset(), 0u);
         }
+        if (claim > 4) { // more 4-byte elements than 16 bytes hold
+            const ArtifactError e =
+                readCapped(image, [](ByteReader &r) { r.u32Vec(); });
+            EXPECT_EQ(e.kind(), ArtifactError::Kind::Truncated);
+            EXPECT_EQ(e.offset(), 0u);
+        }
         if (claim <= 16)
             continue; // a valid string length
         const ArtifactError e =
@@ -311,6 +342,33 @@ TEST(ByteStream, InflatedLengthsThrowBeforeAllocating)
     putU64(image, 2);
     EXPECT_EQ(readCapped(image, [](ByteReader &r) { r.length(5); }).kind(),
               ArtifactError::Kind::Truncated);
+}
+
+TEST(ByteStream, OverLimitCheckpointSegmentThrowsBeforeAllocating)
+{
+    // A first checkpoint image records its data segment's size; a claim
+    // past the warm-stream limit must fail before the all-zero base
+    // image's page table (16 bytes per 4 KiB page) is sized from it.
+    program::AsmProgram p;
+    p.emit(isa::makeNop());
+    const program::Program bin = p.assemble(1 << 12, "t");
+    program::Emulator emu(bin, 1);
+    const program::Emulator::Checkpoint c = emu.checkpoint();
+    std::vector<std::uint8_t> image = c.serialize();
+    const std::size_t size_at =
+        8 * (1 + 3 + c.intRegs.size() + c.fpRegs.size() + c.predRegs.size());
+    for (const std::uint64_t claim :
+         {program::kWarmIndexLimit + 1, std::uint64_t{1} << 40,
+          ~std::uint64_t{0}}) {
+        SCOPED_TRACE("claim " + std::to_string(claim));
+        for (std::size_t b = 0; b < 8; ++b)
+            image[size_at + b] = static_cast<std::uint8_t>(claim >> (8 * b));
+        const ArtifactError e = readCapped(image, [](ByteReader &r) {
+            program::Emulator::Checkpoint::deserialize(r, nullptr);
+        });
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+        EXPECT_EQ(e.offset(), size_at);
+    }
 }
 
 TEST(ByteStream, TrailingByteIsMalformed)

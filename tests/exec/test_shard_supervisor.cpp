@@ -620,7 +620,7 @@ TEST(ShardSupervisor, SampledSweepSharingCheckpointDirMatchesInProcess)
 {
     // CI's checkpoint-cache smoke in miniature: an in-process sampled
     // sweep fills the window-checkpoint cache, then sharded harness
-    // workers load those pp.ckpt.v1 sets instead of rebuilding them.
+    // workers load those pp.ckpt.v2 sets instead of rebuilding them.
     const auto specs = fig5Specs("", kSampled);
     const std::string ckpt_dir = uniqueDir("ckpt");
     driver::SweepOptions in_process;

@@ -403,11 +403,19 @@ TEST(PagedImage, SharesUnchangedPagesAndNeverWritesSharedOnes)
     // Three whole pages and a partial fourth; only page 1 is non-zero.
     std::vector<std::uint64_t> mem(3 * kW + 7, 0);
     mem[kW + 5] = 11;
-    const PagedImage a = PagedImage::capture(mem);
+    const PagedImage zeros = PagedImage::zeros(mem.size());
+    ASSERT_EQ(zeros.pages(),
+              std::vector<PagedImage::PagePtr>(4, nullptr));
+    PagedImage::Builder from_zeros(zeros);
+    from_zeros.set(kW + 5, 11);
+    from_zeros.set(2 * kW, 0); // unchanged: no page is made
+    const PagedImage a = std::move(from_zeros).publish();
     ASSERT_EQ(a.size(), mem.size());
     ASSERT_EQ(a.pages().size(), 4u);
     EXPECT_EQ(a.pages()[0], nullptr); // a zero page is null
     ASSERT_NE(a.pages()[1], nullptr);
+    EXPECT_EQ(a.pages()[2], nullptr);
+    EXPECT_EQ(a.diff(zeros), (std::vector<std::size_t>{kW + 5}));
 
     // Edited from a, the untouched page is the same object.
     PagedImage::Builder from_a(a);
@@ -646,7 +654,7 @@ TEST(EmulatorCheckpoint, DeltaRoundTripsAndRejectsOutOfRangeStores)
     const Emulator::Checkpoint base = emu.checkpoint();
     emu.skip(5000);
     const Emulator::Checkpoint later = emu.checkpoint();
-    const std::vector<std::uint8_t> delta = later.serializeDelta(base);
+    const std::vector<std::uint8_t> delta = later.serialize(&base);
     EXPECT_EQ(Emulator::Checkpoint::deserialize(delta, &base).serialize(),
               later.serialize());
     // A full image is not a delta, and a delta needs its base.
@@ -672,6 +680,76 @@ TEST(EmulatorCheckpoint, DeltaRoundTripsAndRejectsOutOfRangeStores)
         EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
         EXPECT_EQ(e.offset(), count_at + 8);
     }
+}
+
+TEST(EmulatorCheckpoint, DecodingRejectsEveryFieldItsEncoderNeverWrites)
+{
+    const Program bin = generatedBenchmark();
+    Emulator emu(bin, 1);
+    emu.skip(1000);
+    const Emulator::Checkpoint base = emu.checkpoint();
+    emu.skip(5000);
+    const Emulator::Checkpoint later = emu.checkpoint();
+    ASSERT_GE(later.conds.ids.size(), 2u);
+
+    // Field offsets: the magic and the three length-prefixed register
+    // files, then (a first image's segment size and) the pair count.
+    const std::size_t pred_at =
+        8 * (1 + 3 + later.intRegs.size() + later.fpRegs.size());
+    const std::size_t count_at = pred_at + 8 * later.predRegs.size();
+    const std::vector<std::uint8_t> delta = later.serialize(&base);
+    auto word = [](const std::vector<std::uint8_t> &img, std::size_t at) {
+        std::uint64_t v = 0;
+        for (std::size_t b = 0; b < 8; ++b)
+            v |= static_cast<std::uint64_t>(img[at + b]) << (8 * b);
+        return v;
+    };
+    const std::uint64_t pairs = word(delta, count_at);
+    ASSERT_GE(pairs, 2u);
+    const std::size_t pair_at = count_at + 8;
+    // Past the pairs: call stack, pc, instruction count, then the
+    // condition count, replay flag, entry count and (id, pos, last)s.
+    const std::size_t conds_at = pair_at + 16 * pairs +
+        8 * (1 + later.callStack.size() + 2);
+    const std::size_t entry_at = conds_at + 8 * 3;
+
+    // Each case sets one u64 field and names the offset it must fail at.
+    auto expectMalformed = [&](std::vector<std::uint8_t> img,
+                               const Emulator::Checkpoint *from,
+                               std::size_t at, std::uint64_t v,
+                               std::size_t fails_at) {
+        for (std::size_t b = 0; b < 8; ++b)
+            img[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+        try {
+            Emulator::Checkpoint::deserialize(img, from);
+            ADD_FAILURE() << "field at " << at << " accepted";
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+            EXPECT_EQ(e.offset(), fails_at) << e.what();
+        }
+    };
+    const std::uint64_t idx0 = word(delta, pair_at);
+    expectMalformed(delta, &base, pred_at, 2, pred_at);
+    expectMalformed(delta, &base, pair_at + 16, idx0, pair_at + 16);
+    expectMalformed(delta, &base, pair_at + 8, base.dataMem[idx0], pair_at);
+    expectMalformed(delta, &base, conds_at,
+                    (1ull << 32) | later.conds.numConds, conds_at);
+    expectMalformed(delta, &base, conds_at + 8, 2, conds_at + 8);
+    expectMalformed(delta, &base, entry_at, later.conds.numConds, entry_at);
+    expectMalformed(delta, &base, entry_at + 24, later.conds.ids[0],
+                    entry_at + 24);
+    expectMalformed(delta, &base, entry_at + 8,
+                    (1ull << 32) | later.conds.pos[0], entry_at + 8);
+    expectMalformed(delta, &base, entry_at + 16, 2, entry_at + 16);
+
+    // A first image's pairs are against zeros, behind the segment size:
+    // a stored zero is a word the encoder never writes.
+    const std::vector<std::uint8_t> first = later.serialize();
+    EXPECT_EQ(word(first, count_at), later.dataMem.size());
+    ASSERT_GE(word(first, count_at + 8), 1u);
+    EXPECT_EQ(Emulator::Checkpoint::deserialize(first).serialize(), first);
+    expectMalformed(first, nullptr, count_at + 8 + 8 + 8, 0,
+                    count_at + 8 + 8);
 }
 
 TEST(EmulatorDeath, RunningOffImagePanics)

@@ -2,11 +2,13 @@
  * @file
  * Contract of the checkpoint-parallel sampled tier:
  *  - the t-distribution CI correction matches the published table;
- *  - pp.ckpt.v1 images round-trip byte-exactly, their bytes match a
+ *  - warm events pack into one 32-bit word and back, and programs too
+ *    large for the payload are refused before anything is recorded;
+ *  - pp.ckpt.v2 images round-trip byte-exactly, their bytes match a
  *    golden hash, every corruption class (truncation, foreign magic,
  *    future version, bit rot, I/O) surfaces as the right typed
  *    ArtifactError before any decode, and a thousand mutations that
- *    reach the decoder fail typed or re-encode to a fixed point;
+ *    reach the decoder fail typed or re-encode to exactly their bytes;
  *  - in memory, windows share equal data pages and store no zero page,
  *    whether the set was built, decoded or loaded;
  *  - a window run on a thread's recycled data segment equals the same
@@ -18,8 +20,9 @@
  *    the spec list;
  *  - the engine streams its sets: documents stay byte-identical at any
  *    thread count and with a partly warm result cache, a corrupt later
- *    set fails typed, at most one set per worker is resident, and the
- *    progress line still reaches 100%.
+ *    set fails typed, a set of another format version is rebuilt, a set
+ *    that does not fit its binary fails as a Mismatch, at most one set
+ *    per worker is resident, and the progress line still reaches 100%.
  */
 
 #include <gtest/gtest.h>
@@ -118,6 +121,25 @@ decodeError(const std::vector<std::uint8_t> &image)
 }
 
 /**
+ * Byte offset, in @p set's serialized image of @p image_bytes, of the
+ * first Branch event of its last window (whose events end the image, 4
+ * bytes each), or @p image_bytes when it has none; its index in that
+ * window's stream goes to @p index.
+ */
+std::size_t
+lastWindowBranchAt(const WindowCheckpointSet &set, std::size_t image_bytes,
+                   std::size_t &index)
+{
+    const std::vector<std::uint32_t> &events = set.windows.back().warmEvents;
+    index = 0;
+    while (index < events.size() &&
+           program::unpackWarmEvent(events[index]).kind !=
+               program::WarmEventKind::Branch)
+        ++index;
+    return image_bytes - 4 * (events.size() - index);
+}
+
+/**
  * The in-memory sharing contract of @p set: no stored page is all
  * zeros (a zero page is null), and equal pages are one object however
  * many windows hold them. Returns the distinct page objects stored.
@@ -193,6 +215,62 @@ TEST(SamplingPolicy, WindowCountValidationGuardsSparseRegions)
     EXPECT_DEATH(smarts.validateForRegion(250000), "need >= 8");
 }
 
+TEST(WarmEvent, EveryKindAndLegalFlagSetRoundTrips)
+{
+    using program::WarmEventKind;
+    for (const WarmEventKind kind :
+         {WarmEventKind::InstLine, WarmEventKind::Mem,
+          WarmEventKind::Branch, WarmEventKind::Compare}) {
+        const std::uint32_t mask =
+            program::kWarmFlagMask[static_cast<unsigned>(kind)];
+        for (std::uint32_t flags = 0; flags < 16; ++flags) {
+            if ((flags & ~mask) != 0)
+                continue;
+            for (const std::uint64_t payload :
+                 {std::uint64_t{0}, program::kWarmIndexLimit - 1}) {
+                SCOPED_TRACE(testing::Message()
+                             << "kind " << static_cast<int>(kind)
+                             << " flags " << flags << " payload "
+                             << payload);
+                const Addr addr = payload * program::warmUnitBytes(kind);
+                const std::uint32_t word =
+                    program::packWarmEvent(kind, flags, addr);
+                const program::WarmEvent ev = program::unpackWarmEvent(word);
+                EXPECT_EQ(ev.kind, kind);
+                EXPECT_EQ(ev.flags, flags);
+                EXPECT_EQ(ev.payload, payload);
+                EXPECT_EQ(ev.addr(), addr);
+                EXPECT_TRUE(program::warmEventCanonical(word));
+            }
+        }
+    }
+    // Mem and Branch count instructions and data words differently.
+    EXPECT_EQ(program::unpackWarmEvent(program::packWarmEvent(
+                  program::WarmEventKind::Mem, 1, 8 * 1000))
+                  .payload,
+              1000u);
+    EXPECT_EQ(program::unpackWarmEvent(program::packWarmEvent(
+                  program::WarmEventKind::Branch, 1, isa::instBytes * 1000))
+                  .payload,
+              1000u);
+    // A flag the kind leaves unused is not canonical.
+    EXPECT_FALSE(program::warmEventCanonical(
+        program::packWarmEvent(program::WarmEventKind::InstLine, 1, 0)));
+    EXPECT_FALSE(program::warmEventCanonical(
+        program::packWarmEvent(program::WarmEventKind::Branch, 2, 0)));
+}
+
+TEST(WarmEventDeath, ProgramsPastThePayloadAreRefused)
+{
+    // Sizes alone: no 2^26-word segment is allocated.
+    const std::uint64_t limit = program::kWarmIndexLimit;
+    program::checkWarmStreamFits(limit, limit);
+    EXPECT_DEATH(program::checkWarmStreamFits(limit + 1, 1024),
+                 "limit of 2\\^26 instructions");
+    EXPECT_DEATH(program::checkWarmStreamFits(1024, limit + 1),
+                 "2\\^26 data words");
+}
+
 TEST(WindowCheckpoint, BuilderLaysOutGappedWindows)
 {
     const WindowCheckpointSet set = buildGzipSet();
@@ -211,8 +289,9 @@ TEST(WindowCheckpoint, BuilderLaysOutGappedWindows)
         // The checkpoint sits exactly at the warm start and carries a
         // well-formed warming stream for the horizon before it.
         EXPECT_EQ(w.arch.numInsts, w.warmStart);
-        EXPECT_EQ(w.warmEvents.size() % program::kWarmEventWords, 0u);
         EXPECT_FALSE(w.warmEvents.empty());
+        for (const std::uint32_t e : w.warmEvents)
+            ASSERT_TRUE(program::warmEventCanonical(e)) << e;
     }
     // The builder pass walks the region exactly once, to the last
     // window's warm start.
@@ -246,13 +325,12 @@ TEST(WindowCheckpoint, SerializeRoundTripsByteExactly)
 
 TEST(WindowCheckpoint, SerializedBytesMatchTheGoldenHash)
 {
-    // Pins the pp.ckpt.v1 bytes themselves, not just their round trip:
-    // the in-memory page layout must not leak into the disk format. The
-    // hash was taken from a flat (unpaged) in-memory image.
+    // Pins the pp.ckpt.v2 bytes themselves, not just their round trip:
+    // the in-memory page layout must not leak into the disk format.
     const std::vector<std::uint8_t> image = buildGzipSet().serialize();
-    EXPECT_EQ(image.size(), 4352856u);
+    EXPECT_EQ(image.size(), 53504u);
     EXPECT_EQ(hashHex(fnv1a(image.data(), image.size())),
-              "7e113f26ddfd1478");
+              "daf55d127c7f3b28");
 }
 
 TEST(WindowCheckpoint, WindowsShareDataPagesWhenBuiltDecodedAndLoaded)
@@ -398,6 +476,28 @@ TEST(WindowCheckpoint, DeserializeRejectsCorruptImagesTyped)
     e = decodeError(long_arch);
     EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
     EXPECT_EQ(e.offset(), kArchLenAt);
+
+    // Fields the encoder never writes: functionalWarming (the sixth set
+    // word) other than 0 or 1, and a flag bit a Branch event leaves
+    // unused.
+    constexpr std::size_t kWarmingAt = 24 + 8 * 5;
+    std::vector<std::uint8_t> warming = image;
+    warming[kWarmingAt] = 2;
+    test::rehashFrame(warming);
+    e = decodeError(warming);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+    EXPECT_EQ(e.offset(), kWarmingAt);
+
+    std::size_t branch = 0;
+    const std::size_t event_at =
+        lastWindowBranchAt(set, image.size(), branch);
+    ASSERT_LT(event_at, image.size());
+    std::vector<std::uint8_t> flag = image;
+    flag[event_at] |= 2u << program::kWarmFlagShift;
+    test::rehashFrame(flag);
+    e = decodeError(flag);
+    EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+    EXPECT_EQ(e.offset(), event_at);
 }
 
 TEST(WindowCheckpoint, MutatedImagesFailTypedOrReencodeToAFixedPoint)
@@ -424,6 +524,9 @@ TEST(WindowCheckpoint, MutatedImagesFailTypedOrReencodeToAFixedPoint)
         [](const WindowCheckpointSet &set) { return set.serialize(); });
     EXPECT_GT(tally.rejected, 0u);
     EXPECT_GT(tally.accepted, 0u);
+    // The decoder is canonical: whatever it accepts is what the encoder
+    // writes for that set.
+    EXPECT_EQ(tally.reencoded, 0u);
 }
 
 TEST(WindowCheckpoint, LoadOrThrowClassifiesEveryCorruptionKind)
@@ -777,4 +880,126 @@ TEST(StreamedSets, ResidentSetsAreBoundedByTheWorkers)
     opts.threads = 1;
     driver::SweepEngine(opts).run(specs);
     EXPECT_EQ(peak.value(), 1.0);
+}
+
+namespace
+{
+
+/** The one .ppckpt file in @p dir. */
+std::string
+onlySetIn(const std::string &dir)
+{
+    std::vector<std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path().string());
+    EXPECT_EQ(files.size(), 1u);
+    return files.empty() ? std::string() : files[0];
+}
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+} // namespace
+
+TEST(StreamedSets, AStaleVersionSetIsRebuilt)
+{
+    // A set an older build stored under the same key: the sweep warns,
+    // builds the set and replaces the file, at one thread and at four.
+    const auto specs = setsOf({"gzip"});
+    driver::SweepOptions serial;
+    serial.threads = 1;
+    const std::string cold = sweepDoc(serial, specs);
+
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        driver::SweepOptions opts;
+        opts.threads = threads;
+        opts.checkpointDir =
+            tempPath("stale_ckpt_" + std::to_string(threads));
+        std::filesystem::remove_all(opts.checkpointDir);
+        sweepDoc(opts, specs);
+        const std::string path = onlySetIn(opts.checkpointDir);
+        const std::vector<std::uint8_t> fresh = readBytes(path);
+        std::vector<std::uint8_t> stale = fresh;
+        stale[8] = 1; // the version word
+        writeBytes(path, stale);
+        EXPECT_EQ(loadKind(path), ArtifactError::Kind::BadVersion);
+
+        testing::internal::CaptureStderr();
+        const std::string doc = sweepDoc(opts, specs);
+        const std::string log = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(doc, cold);
+        EXPECT_NE(log.find(path + ": unsupported version 1"),
+                  std::string::npos)
+            << log;
+        EXPECT_EQ(readBytes(path), fresh);
+    }
+}
+
+TEST(StreamedSets, ASetThatDoesNotFitItsBinaryFailsAsMismatch)
+{
+    // Hash-sound sets a worker must not run: one Branch event names the
+    // instruction one past the image, or the windows hold another
+    // program's data segment (mcf's is four times gzip's).
+    const auto specs = setsOf({"gzip"});
+    driver::SweepOptions opts;
+    opts.threads = 2;
+    opts.checkpointDir = tempPath("mismatch_ckpt");
+    std::filesystem::remove_all(opts.checkpointDir);
+    sweepDoc(opts, specs);
+    const std::string path = onlySetIn(opts.checkpointDir);
+    const std::vector<std::uint8_t> good = readBytes(path);
+    const std::size_t image_insts =
+        sim::buildBinary(specs[0].profile, specs[0].ifConvert).size();
+
+    auto mismatchWhat = [&] {
+        try {
+            driver::SweepEngine(opts).run(specs);
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), ArtifactError::Kind::Mismatch) << e.what();
+            EXPECT_EQ(e.path(), path);
+            return std::string(e.what());
+        }
+        ADD_FAILURE() << "expected ArtifactError";
+        return std::string();
+    };
+
+    // Rewrite one Branch payload in place.
+    const WindowCheckpointSet set = WindowCheckpointSet::loadOrThrow(path);
+    std::size_t e = 0;
+    const std::size_t at = lastWindowBranchAt(set, good.size(), e);
+    ASSERT_LT(at, good.size());
+    const program::WarmEvent ev =
+        program::unpackWarmEvent(set.windows.back().warmEvents[e]);
+    const std::uint32_t word = program::packWarmEvent(
+        ev.kind, ev.flags, image_insts * isa::instBytes);
+    std::vector<std::uint8_t> bad = good;
+    for (std::size_t b = 0; b < 4; ++b)
+        bad[at + b] = static_cast<std::uint8_t>(word >> (8 * b));
+    test::rehashFrame(bad);
+    writeBytes(path, bad);
+    const std::string what = mismatchWhat();
+    EXPECT_NE(what.find("window " +
+                        std::to_string(set.windows.size() - 1) +
+                        ": warm event " + std::to_string(e) +
+                        " names instruction " +
+                        std::to_string(image_insts)),
+              std::string::npos)
+        << what;
+
+    const auto mcf = program::profileByName("mcf");
+    sampling::buildWindowCheckpoints(sim::buildBinary(mcf, false), mcf,
+                                     5000, 20000, gappedPolicy())
+        .store(path);
+    EXPECT_NE(mismatchWhat().find("window 0: data segment of"),
+              std::string::npos);
+
+    // The good set still loads and runs.
+    writeBytes(path, good);
+    EXPECT_NO_THROW(driver::SweepEngine(opts).run(specs));
 }
