@@ -6,11 +6,12 @@
  * paper-style table printing.
  *
  * With --shards N a harness becomes its own fault-tolerant supervisor:
- * it re-execs itself as shard workers (hidden --shard-range/--shard-out
- * flags) under exec::ShardSupervisor, with retry/timeout/backoff and
- * crash-safe merge — the merged sinks are byte-identical (modulo
- * *host_ms) to the single-process sweep. --inject-fault drives the
- * deterministic fault harness for testing the failure paths.
+ * it re-execs itself as shard workers (the hidden --shard-range flag,
+ * plus the --result-cache-dir the workers deliver through) under
+ * exec::ShardSupervisor, with retry/timeout/backoff and per-cell
+ * resume — the merged sinks are byte-identical (modulo *host_ms) to
+ * the single-process sweep. --inject-fault drives the deterministic
+ * fault harness for testing the failure paths.
  */
 
 #ifndef PP_BENCH_BENCH_COMMON_HH
@@ -74,17 +75,14 @@ struct BenchOptions
     /// @{
     std::size_t shards = 0;     ///< >0: supervise N self-exec'd workers
     std::string injectFault;    ///< fault plan forwarded via PP_FAULT
-    std::string shardWorkDir;   ///< shard fragments (default derived)
     std::uint64_t shardTimeoutMs = 120000;
     unsigned shardMaxAttempts = 3;
     /// @}
 
-    /** @name Worker mode (hidden flags the supervisor appends) */
+    /** @name Worker mode (the hidden flag the supervisor appends) */
     /// @{
-    bool workerMode = false;    ///< --shard-out given: run one shard
-    std::size_t shardBegin = 0;
-    std::size_t shardEnd = 0;   ///< 0 = all specs
-    std::string shardOutPath;   ///< pp.shard.v1 fragment destination
+    bool workerMode = false;    ///< --shard-range given: run one shard
+    exec::ShardRange shardRange;
     /// @}
 
     /** argv[0] + the matrix-defining flags, for self-exec workers. */
@@ -132,8 +130,10 @@ printUsage(const char *prog, const char *what, bool sweep_flags)
             " (pp.rcache.v1) in D:\n"
             "                     warm reruns replay exact result bytes"
             " instead of\n"
-            "                     simulating (shared across runs and shard"
-            " workers)\n"
+            "                     simulating (shared across runs; --shards"
+            " workers\n"
+            "                     deliver their cells here, default"
+            " <json>.shards)\n"
             "  --trace-events F   write per-run host-time spans as Chrome"
             " trace-event JSON\n"
             "                     (load F in chrome://tracing or"
@@ -151,8 +151,6 @@ printUsage(const char *prog, const char *what, bool sweep_flags)
             "                     crash@0:1,hang@1:1 — classes: crash,"
             " hang, truncate,\n"
             "                     corrupt, corrupt-trace\n"
-            "  --shard-work-dir D fragment directory (default:"
-            " <json>.shards)\n"
             "  --shard-timeout-ms N   per-worker-attempt deadline"
             " (default 120000)\n"
             "  --shard-max-attempts N attempts per shard (default 3)\n"
@@ -307,8 +305,9 @@ parseBenchArgs(int argc, char **argv, const char *what,
             ++i;
         } else if (sweep_flags &&
                    std::strcmp(a, "--result-cache-dir") == 0) {
+            // Not forwarded: the supervisor appends the directory its
+            // workers deliver through.
             opts.resultCacheDir = need_value(i);
-            forward(a, need_value(i));
             ++i;
         } else if (sweep_flags && std::strcmp(a, "--trace-events") == 0) {
             opts.traceEventsPath = need_value(i);
@@ -321,10 +320,6 @@ parseBenchArgs(int argc, char **argv, const char *what,
         } else if (sweep_flags &&
                    std::strcmp(a, "--inject-fault") == 0) {
             opts.injectFault = need_value(i);
-            ++i;
-        } else if (sweep_flags &&
-                   std::strcmp(a, "--shard-work-dir") == 0) {
-            opts.shardWorkDir = need_value(i);
             ++i;
         } else if (sweep_flags &&
                    std::strcmp(a, "--shard-timeout-ms") == 0) {
@@ -341,19 +336,9 @@ parseBenchArgs(int argc, char **argv, const char *what,
             ++i;
         } else if (sweep_flags &&
                    std::strcmp(a, "--shard-range") == 0) {
-            // Hidden: appended by the supervisor to its own argv.
-            const std::string range = need_value(i);
-            ++i;
-            const std::size_t colon = range.find(':');
-            if (colon == std::string::npos)
-                fatal("bad --shard-range '" + range + "' (want B:E)");
-            opts.shardBegin = parseU64(
-                "--shard-range", range.substr(0, colon).c_str());
-            opts.shardEnd = parseU64(
-                "--shard-range", range.substr(colon + 1).c_str());
-        } else if (sweep_flags && std::strcmp(a, "--shard-out") == 0) {
-            // Hidden: switches this invocation into worker mode.
-            opts.shardOutPath = need_value(i);
+            // Hidden: appended by the supervisor to its own argv;
+            // switches this invocation into worker mode.
+            opts.shardRange = exec::parseShardRange(need_value(i));
             opts.workerMode = true;
             ++i;
         } else if (std::strcmp(a, "--verbose") == 0) {
@@ -376,7 +361,7 @@ parseBenchArgs(int argc, char **argv, const char *what,
               "with --trace-dir --shards");
     }
     if (opts.shards > 0 && opts.workerMode)
-        fatal("--shards and --shard-out are mutually exclusive");
+        fatal("--shards and --shard-range are mutually exclusive");
     return opts;
 }
 
@@ -516,15 +501,11 @@ sweepSuite(const BenchOptions &opts,
     driver::applyTraceDir(specs, opts.traceDir);
 
     // Worker mode: this process is a supervisor's self-exec'd child.
-    // Execute the assigned spec range, write the fragment, and exit
+    // Execute the assigned spec range into the result cache and exit
     // before any report/sink path runs.
     if (opts.workerMode) {
-        const std::size_t begin = opts.shardBegin;
-        const std::size_t end =
-            opts.shardEnd == 0 ? specs.size() : opts.shardEnd;
-        exec::runShardWorker(specs, begin, end, opts.threads,
-                             opts.shardOutPath, opts.checkpointDir,
-                             opts.resultCacheDir);
+        exec::runShardWorker(specs, opts.shardRange, opts.threads,
+                             opts.checkpointDir, opts.resultCacheDir);
         std::exit(0);
     }
 
@@ -536,8 +517,8 @@ sweepSuite(const BenchOptions &opts,
         shard_opts.timeoutMs = opts.shardTimeoutMs;
         shard_opts.maxAttempts = opts.shardMaxAttempts;
         shard_opts.faultSpec = opts.injectFault;
-        shard_opts.workDir = !opts.shardWorkDir.empty()
-            ? opts.shardWorkDir
+        shard_opts.resultCacheDir = !opts.resultCacheDir.empty()
+            ? opts.resultCacheDir
             : (!opts.jsonPath.empty() && opts.jsonPath != "-"
                    ? opts.jsonPath + ".shards"
                    : "shards");

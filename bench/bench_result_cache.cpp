@@ -288,9 +288,8 @@ runStealStatic(const std::string &self, std::uint64_t warmup,
         exec::ShardOptions sopts;
         sopts.shards = shards;
         sopts.parallel = parallel;
-        sopts.workDir = dir;
+        sopts.resultCacheDir = dir;
         sopts.workerCmd = worker_cmd;
-        sopts.resume = false;
         std::vector<sim::RunResult> results;
         for (unsigned i = 0; i < repeats; ++i) {
             std::filesystem::remove_all(dir);
@@ -387,9 +386,8 @@ main(int argc, char **argv)
     std::uint64_t measure = 5000;
     std::uint64_t heavy = 200000;
     std::uint64_t light = 4000;
-    std::size_t shard_begin = 0;
-    std::size_t shard_end = 0;
-    std::string shard_out;
+    exec::ShardRange shard_range;
+    std::string result_cache_dir;
 
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
@@ -424,19 +422,13 @@ main(int argc, char **argv)
             light = parseU64(a, need_value());
         } else if (std::strcmp(a, "--skew-worker") == 0) {
             // Hidden: this invocation is a supervisor's self-exec'd
-            // shard worker over the skewed matrix.
+            // shard worker over the skewed matrix, with the flags every
+            // shard worker gets appended.
             skew_worker = true;
         } else if (std::strcmp(a, "--shard-range") == 0) {
-            const std::string range = need_value();
-            const std::size_t colon = range.find(':');
-            if (colon == std::string::npos)
-                fatal("bad --shard-range '" + range + "' (want B:E)");
-            shard_begin = parseU64("--shard-range",
-                                   range.substr(0, colon).c_str());
-            shard_end = parseU64("--shard-range",
-                                 range.substr(colon + 1).c_str());
-        } else if (std::strcmp(a, "--shard-out") == 0) {
-            shard_out = need_value();
+            shard_range = exec::parseShardRange(need_value());
+        } else if (std::strcmp(a, "--result-cache-dir") == 0) {
+            result_cache_dir = need_value();
         } else if (std::strcmp(a, "--help") == 0 ||
                    std::strcmp(a, "-h") == 0) {
             std::fprintf(stderr,
@@ -466,13 +458,8 @@ main(int argc, char **argv)
     }
 
     if (skew_worker) {
-        if (shard_out.empty())
-            fatal("--skew-worker needs --shard-out");
-        const std::vector<driver::RunSpec> specs =
-            skewSpecs(warmup, heavy, light);
-        exec::runShardWorker(specs, shard_begin,
-                             shard_end == 0 ? specs.size() : shard_end,
-                             1, shard_out);
+        exec::runShardWorker(skewSpecs(warmup, heavy, light), shard_range,
+                             1, "", result_cache_dir);
         return 0;
     }
 

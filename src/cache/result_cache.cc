@@ -1,6 +1,5 @@
 #include "cache/result_cache.hh"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,31 +19,6 @@ namespace
 {
 
 constexpr const char *kSchema = "pp.rcache.v1";
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 cacheKeyText(std::ostream &os, const memory::CacheConfig &c)
@@ -158,6 +132,12 @@ runKeyText(const driver::RunSpec &spec,
 }
 
 std::string
+cellKeyText(const driver::RunSpec &spec, const std::string &trace_hash)
+{
+    return runKeyText(spec, workloadIdentity(spec, trace_hash));
+}
+
+std::string
 replayKeyText(const replay::ReplayWorkloadSpec &workload,
               const std::string &workload_identity,
               const replay::ReplayConfig &config)
@@ -200,7 +180,7 @@ ResultCache::envelopeJson(const std::string &key_text,
     os << "{\"schema\":\"" << kSchema << "\",\"key_hash\":\""
        << hashHex(fnv1a(key_text)) << "\",\"payload_hash\":\""
        << hashHex(fnv1a(payload)) << "\",\"key\":\""
-       << escapeJson(key_text) << "\",\"entry\":" << payload << "}\n";
+       << jsonmin::escape(key_text) << "\",\"entry\":" << payload << "}\n";
     return os.str();
 }
 

@@ -14,7 +14,9 @@
  * The store is an on-disk directory, one object file per cell:
  * "<dir>/objects/<fnv1a(key) 16hex>.json", written atomically
  * (common/atomic_io.hh), so entries survive processes and ship between
- * hosts via a shared directory (concurrent shard workers included).
+ * hosts via a shared directory. It is also how --shards workers
+ * deliver their cells: each stores its range here, and the supervisor
+ * reads every cell back (exec/shard_supervisor.hh).
  * Every lookup reads and verifies the object: a sweep probes each cell
  * once, before it stores any, so an in-memory copy would answer only
  * a duplicate spec's second lookup, which the disk answers the same.
@@ -106,6 +108,17 @@ std::string workloadIdentity(const sim::Workload &workload,
  */
 std::string runKeyText(const driver::RunSpec &spec,
                        const std::string &workload_identity);
+
+/**
+ * The key a sweep stores @p spec's cell under: runKeyText() over
+ * workloadIdentity(), with @p trace_hash the content hash of the
+ * spec's trace artifact (TraceFile::contentHashHex(); empty for a
+ * generated workload). SweepEngine::run and the shard supervisor both
+ * derive cell keys here, so the supervisor finds exactly the objects
+ * its workers stored.
+ */
+std::string cellKeyText(const driver::RunSpec &spec,
+                        const std::string &trace_hash);
 
 /**
  * Full cache key of one replay (workload, config) cell: salt +

@@ -3,8 +3,8 @@
  * Crash-safe file writes.
  *
  * Every durable artifact in the repo — result sinks, trace artifacts,
- * sweep-store objects and index, shard fragments, result-cache
- * objects — goes through one of two primitives:
+ * sweep-store objects and index, result-cache objects (shard workers'
+ * cells included) — goes through one of two primitives:
  *
  *  - writeFileAtomic(): write the whole document to
  *    "<path>.tmp.<pid>.<n>" (n counts the process's calls, so no two

@@ -2,8 +2,8 @@
  * @file
  * FNV-1a 64-bit hashing, shared by every content-identity check in the
  * repo: binary artifact frames (common/bytestream.cc), sweep-store
- * object names (tools/sweep_store.cpp) and shard-fragment payload
- * hashes (exec/).
+ * object names (tools/sweep_store.cpp) and result-cache object names
+ * and envelope hashes (cache/).
  * One definition keeps the identities interoperable — a hash printed by
  * one subsystem can be compared against a hash computed by another.
  */

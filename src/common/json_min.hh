@@ -1,14 +1,15 @@
 /**
  * @file
  * Minimal recursive-descent JSON parser shared by the result-analytics
- * tools (sweep_diff, sweep_store, sweep_report), the shard-fragment
- * reader (exec/shard.cc) and the trace-event tests. Handles exactly the
- * JSON the repo's deterministic writers emit (objects, arrays, strings,
+ * tools (sweep_diff, sweep_store, sweep_report), the result-cache and
+ * run-object readers and the trace-event tests, plus the one string
+ * escaper every writer uses (escape()). Handles exactly the JSON the
+ * repo's deterministic writers emit (objects, arrays, strings,
  * numbers, booleans, null) — no third-party dependency, by design.
  *
  * Parse errors throw JsonParseError (with the byte offset in the
  * message); the command-line tools catch it at top level and exit 2,
- * the shard supervisor classifies it as corrupt worker output.
+ * the result cache treats it as a damaged entry.
  */
 
 #ifndef PP_COMMON_JSON_MIN_HH
@@ -17,6 +18,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -261,6 +263,39 @@ inline JsonValue
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+/**
+ * @p s as the contents of a JSON string literal (without the quotes):
+ * '"' and '\\' escaped, \n \t \r by name and every other byte below
+ * 0x20 as \u00xx, so the literal never holds a raw control byte and a
+ * JSON-lines record stays on one line. parseJson() reads it back to
+ * @p s exactly.
+ */
+inline std::string
+escape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    for (const char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 /**

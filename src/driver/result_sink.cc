@@ -23,31 +23,6 @@ namespace
 {
 
 std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 formatDouble(double v)
 {
     if (!std::isfinite(v))
@@ -109,7 +84,7 @@ JsonWriter &
 JsonWriter::key(const std::string &k)
 {
     separate();
-    os_ << "\"" << escapeJson(k) << "\":";
+    os_ << "\"" << jsonmin::escape(k) << "\":";
     afterKey_ = true;
     return *this;
 }
@@ -118,7 +93,7 @@ JsonWriter &
 JsonWriter::value(const std::string &v)
 {
     separate();
-    os_ << "\"" << escapeJson(v) << "\"";
+    os_ << "\"" << jsonmin::escape(v) << "\"";
     return *this;
 }
 

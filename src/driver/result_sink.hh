@@ -84,10 +84,10 @@ void withOutputStream(const std::string &path,
 
 /**
  * Emit one pp.sweep.v1 run object for (spec, result) — the exact field
- * set and order of JsonSink's runs array. Shared with the shard-
- * fragment writer (exec/shard.cc) so a fragment's run objects are
- * byte-identical to the objects the merged document re-emits, which is
- * what makes supervised multi-process sweeps byte-identical to clean
+ * set and order of JsonSink's runs array. The result cache stores these
+ * bytes per cell, and shard workers deliver their cells through it, so
+ * a cached or sharded cell re-emits byte-identically, which is what
+ * makes supervised multi-process sweeps byte-identical to clean
  * single-process ones.
  */
 void writeRunJson(JsonWriter &w, const RunSpec &spec,
@@ -101,13 +101,14 @@ class ResultParseError : public std::runtime_error
 };
 
 /**
- * Rebuild a sim::RunResult from one pp.sweep.v1 / pp.shard.v1 run
- * object — the exact inverse of writeRunJson for every field that
- * emitter reads from the result. Numbers round-trip exactly (%.17g
- * doubles, u64 counters far below 2^53), so re-emitting the parsed
- * result reproduces the original bytes. Throws ResultParseError on a
- * missing or mistyped field (the shard supervisor classifies that as
- * corrupt output; the result cache treats it as a miss).
+ * Rebuild a sim::RunResult from one pp.sweep.v1 run object (as the
+ * result cache stores it) — the exact inverse of writeRunJson for
+ * every field that emitter reads from the result. Numbers round-trip
+ * exactly (%.17g doubles, u64 counters far below 2^53), so re-emitting
+ * the parsed result reproduces the original bytes. Throws
+ * ResultParseError on a missing or mistyped field (the shard
+ * supervisor classifies that as corrupt output; the result cache
+ * treats it as a miss).
  */
 sim::RunResult parseRunJson(const jsonmin::JsonValue &run);
 

@@ -526,9 +526,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     std::vector<char> rhit(specs.size(), 0);
     std::vector<sim::RunResult> rcached(specs.size());
     for (std::size_t i = 0; rcache != nullptr && i < specs.size(); ++i) {
-        rkeys[i] = cache::runKeyText(
-            specs[i],
-            cache::workloadIdentity(specs[i], builds.of(i).traceHash()));
+        rkeys[i] = cache::cellKeyText(specs[i], builds.of(i).traceHash());
         const auto payload = rcache->lookup(rkeys[i]);
         if (!payload)
             continue;
@@ -638,7 +636,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
                                  s.label());
             try {
                 c.set = sampling::WindowCheckpointSet::loadOrThrow(path);
-                c.set.validate(*b.binary, path);
+                c.set.validate(*b.binary, b.replayed(), path);
                 loaded = true;
             } catch (const ArtifactError &e) {
                 if (e.kind() != ArtifactError::Kind::BadVersion)

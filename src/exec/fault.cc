@@ -126,7 +126,7 @@ applyOutputFault(const std::string &path)
 {
     const std::string fault = armedFault();
     if (fault == "truncate") {
-        // Torn write: keep the first half of the fragment. (Plain
+        // Torn write: keep the first half of the object. (Plain
         // truncate(2) — this hook simulates the damage atomic_io
         // prevents.)
         std::ifstream is(path, std::ios::binary | std::ios::ate);
@@ -136,8 +136,8 @@ applyOutputFault(const std::string &path)
         if (::truncate(path.c_str(), size / 2) != 0)
             warn("fault injection: truncate failed on " + path);
     } else if (fault == "corrupt") {
-        // Bit rot inside the payload: flip one byte in the middle so
-        // the fragment parses or hashes wrong, never both right.
+        // Bit rot: flip one byte in the middle, inside the key text or
+        // the entry, so the envelope parses, keys or hashes wrong.
         std::fstream f(path,
                        std::ios::binary | std::ios::in | std::ios::out);
         if (!f)

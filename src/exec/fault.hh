@@ -15,9 +15,10 @@
  * Worker side, the two apply hooks act on PP_FAULT:
  *  - applyStartFault(): "crash" raises SIGKILL (the kill-9-mid-shard
  *    case), "hang" sleeps forever (the supervisor's deadline kills it).
- *  - applyOutputFault(path): "truncate" halves the written fragment,
- *    "corrupt" flips one payload byte — both defeat the fragment's
- *    self-check, exercising the corrupt-output path.
+ *  - applyOutputFault(path): "truncate" halves the result-cache object
+ *    of the range's first cell, "corrupt" flips one byte in its middle
+ *    — both defeat the object's envelope check, exercising the
+ *    corrupt-output path.
  *  - "corrupt-trace" is consumed by TraceFile::loadOrThrow() itself
  *    (program/trace.cc), producing a genuine typed ArtifactError
  *    (HashMismatch) end-to-end; checkpoint-set loads ignore it.

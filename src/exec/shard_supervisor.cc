@@ -8,12 +8,17 @@
 #include <sstream>
 #include <system_error>
 #include <thread>
+#include <unordered_map>
 
+#include "cache/result_cache.hh"
+#include "common/bytestream.hh"
 #include "common/logging.hh"
+#include "driver/result_sink.hh"
 #include "exec/shard.hh"
 #include "exec/subprocess.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_event.hh"
+#include "program/trace.hh"
 
 namespace pp
 {
@@ -23,12 +28,48 @@ namespace exec
 namespace
 {
 
-std::string
-fragmentName(std::size_t shard)
+/** One cell's result-cache key, or why it has none. */
+struct CellKey
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "shard-%03zu.json", shard);
-    return buf;
+    std::string key;
+    std::string error;
+};
+
+/**
+ * Each spec's cell key, derived as SweepEngine::run derives it
+ * (cache::cellKeyText), with every distinct trace loaded once for its
+ * content hash. A trace that does not load leaves its cells keyless:
+ * they never count as found, and their worker reports the artifact
+ * error itself.
+ */
+std::vector<CellKey>
+cellKeys(const std::vector<driver::RunSpec> &specs)
+{
+    // Trace path -> its content hash (in key), or why it did not load.
+    std::unordered_map<std::string, CellKey> traces;
+    std::vector<CellKey> out(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::string &path = specs[i].tracePath;
+        CellKey hash; // empty for a generated workload
+        if (!path.empty()) {
+            auto it = traces.find(path);
+            if (it == traces.end()) {
+                try {
+                    hash.key = program::TraceFile::loadOrThrow(path)
+                                   .contentHashHex();
+                } catch (const ArtifactError &e) {
+                    hash.error = e.what();
+                }
+                it = traces.emplace(path, hash).first;
+            }
+            hash = it->second;
+        }
+        if (hash.error.empty())
+            out[i].key = cache::cellKeyText(specs[i], hash.key);
+        else
+            out[i].error = hash.error;
+    }
+    return out;
 }
 
 std::string
@@ -75,10 +116,10 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
         fatal("shard supervisor: empty sweep");
 
     std::error_code ec;
-    std::filesystem::create_directories(opts_.workDir, ec);
+    std::filesystem::create_directories(opts_.resultCacheDir, ec);
     if (ec)
-        fatal("cannot create shard work directory " + opts_.workDir +
-              ": " + ec.message());
+        fatal("cannot create result cache directory " +
+              opts_.resultCacheDir + ": " + ec.message());
 
     // Instruments are registered up front so a clean run still reports
     // zeroed failure counters in its metrics snapshot.
@@ -109,41 +150,42 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
     std::vector<std::string> errors;
     std::atomic<bool> abort{false};
 
-    auto noteWorkerStats = [&](const ShardWorkerStats &ws) {
-        m_rc_hits.add(ws.resultCacheHits);
-        m_runs_sim.add(ws.runsSimulated);
-        std::lock_guard<std::mutex> lock(state_mutex);
-        stats_.resultCacheHits += ws.resultCacheHits;
-        stats_.runsSimulated += ws.runsSimulated;
-    };
-
-    auto place = [&](std::size_t begin,
-                     std::vector<sim::RunResult> &&shard_results) {
-        for (std::size_t i = 0; i < shard_results.size(); ++i)
-            results[begin + i] = std::move(shard_results[i]);
+    const std::vector<CellKey> keys = cellKeys(specs);
+    const cache::ResultCache store(opts_.resultCacheDir);
+    // Read cell i back into results[i]: "" when its object verifies
+    // under its key, else why not.
+    auto readCell = [&](std::size_t i) -> std::string {
+        if (keys[i].key.empty())
+            return keys[i].error;
+        try {
+            results[i] = driver::parseRunJson(cache::ResultCache::readEntry(
+                store.objectPath(keys[i].key), keys[i].key));
+            return "";
+        } catch (const cache::ResultCacheError &e) {
+            return e.what();
+        } catch (const driver::ResultParseError &e) {
+            return e.what();
+        }
     };
 
     auto runShard = [&](std::size_t shard) {
         const auto [begin, end] = ranges[shard];
-        const std::string frag =
-            opts_.workDir + "/" + fragmentName(shard);
 
-        // Resume: a fragment left by a previous run that verifies for
-        // this shard's range is the shard's result; a stale or damaged
-        // one re-runs.
-        std::error_code exists_ec;
-        if (opts_.resume && std::filesystem::exists(frag, exists_ec)) {
-            try {
-                ShardWorkerStats ws;
-                place(begin,
-                      readShardFragment(frag, specs, begin, end, &ws));
-                noteWorkerStats(ws);
-                std::lock_guard<std::mutex> lock(state_mutex);
+        // Resume per cell: a shard whose cells all verify needs no
+        // worker; one that misses any runs, and its worker simulates
+        // just the missing cells.
+        std::uint64_t found = 0;
+        for (std::size_t i = begin; i < end; ++i)
+            found += readCell(i).empty() ? 1 : 0;
+        m_rc_hits.add(found);
+        m_runs_sim.add(end - begin - found);
+        {
+            std::lock_guard<std::mutex> lock(state_mutex);
+            stats_.resultCacheHits += found;
+            stats_.runsSimulated += end - begin - found;
+            if (found == end - begin) {
                 ++stats_.resumedShards;
                 return;
-            } catch (const ShardError &e) {
-                warn("fragment rejected, re-running shard " +
-                     std::to_string(shard) + ": " + e.what());
             }
         }
 
@@ -167,8 +209,8 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
             cmd.push_back("--shard-range");
             cmd.push_back(std::to_string(begin) + ":" +
                           std::to_string(end));
-            cmd.push_back("--shard-out");
-            cmd.push_back(frag);
+            cmd.push_back("--result-cache-dir");
+            cmd.push_back(opts_.resultCacheDir);
 
             const auto t0 = std::chrono::steady_clock::now();
             Subprocess::Result res;
@@ -188,19 +230,19 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
             std::string klass;
             std::string why;
             if (res.ok()) {
-                try {
-                    ShardWorkerStats ws;
-                    place(begin,
-                          readShardFragment(frag, specs, begin, end, &ws));
-                    noteWorkerStats(ws);
+                for (std::size_t i = begin; i < end && why.empty(); ++i) {
+                    const std::string error = readCell(i);
+                    if (!error.empty())
+                        why = "cell " + std::to_string(i) + " (" +
+                              specs[i].label() + "): " + error;
+                }
+                if (why.empty()) {
                     logDebugf("shard %zu done: specs [%zu,%zu) in %u "
                               "attempt(s)",
                               shard, begin, end, attempt);
                     return;
-                } catch (const ShardError &e) {
-                    klass = "corrupt-output";
-                    why = e.what();
                 }
+                klass = "corrupt-output";
             } else if (res.timedOut) {
                 klass = "timeout";
                 why = "deadline of " + std::to_string(opts_.timeoutMs) +
@@ -238,7 +280,7 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
 
             const bool out_of_attempts = attempt >= opts_.maxAttempts;
             const bool artifact_hopeless =
-                corrupt_trace_seen > opts_.corruptTraceRetries;
+                corrupt_trace_seen > kCorruptTraceRetries;
             if (out_of_attempts || artifact_hopeless) {
                 std::ostringstream msg;
                 msg << "shard " << shard << " (specs [" << begin << ","
@@ -257,7 +299,7 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
 
             // Transient (or possibly transient): back off and retry.
             const std::uint64_t backoff = std::min<std::uint64_t>(
-                opts_.backoffMaxMs,
+                kBackoffMaxMs,
                 opts_.backoffBaseMs << (attempt - 1));
             warnf("shard %zu attempt %u failed (%s); retrying in %llu ms",
                   shard, attempt, history.back().c_str(),

@@ -3,17 +3,31 @@
 #include <algorithm>
 #include <fstream>
 
+#include "common/json_min.hh"
+
 namespace pp
 {
 namespace obs
 {
+
+namespace
+{
+
+/**
+ * The last generation any Tracer started. Generations are unique across
+ * the process, so a thread's cached buffer of a destroyed tracer never
+ * matches a new tracer built at the same address.
+ */
+std::atomic<std::uint64_t> lastGeneration{0};
+
+} // namespace
 
 void
 Tracer::start()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     buffers_.clear();
-    ++generation_;
+    generation_ = lastGeneration.fetch_add(1) + 1;
     epoch_ = std::chrono::steady_clock::now();
     enabled_.store(true, std::memory_order_relaxed);
 }
@@ -124,34 +138,6 @@ Tracer::events() const
     return out;
 }
 
-namespace
-{
-
-void
-writeEscaped(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            os << c;
-        }
-    }
-}
-
-} // namespace
-
 void
 Tracer::writeJson(std::ostream &os) const
 {
@@ -162,16 +148,13 @@ Tracer::writeJson(std::ostream &os) const
         if (!first)
             os << ",\n";
         first = false;
-        os << "{\"name\":\"";
-        writeEscaped(os, ev.name);
-        os << "\",\"cat\":\"";
-        writeEscaped(os, ev.cat);
-        os << "\",\"ph\":\"" << ev.ph << "\",\"ts\":" << ev.ts_us
+        os << "{\"name\":\"" << jsonmin::escape(ev.name)
+           << "\",\"cat\":\"" << jsonmin::escape(ev.cat)
+           << "\",\"ph\":\"" << ev.ph << "\",\"ts\":" << ev.ts_us
            << ",\"pid\":1,\"tid\":" << ev.tid;
         if (ev.ph == 'B' && !ev.args_id.empty()) {
-            os << ",\"args\":{\"id\":\"";
-            writeEscaped(os, ev.args_id);
-            os << "\"}";
+            os << ",\"args\":{\"id\":\"" << jsonmin::escape(ev.args_id)
+               << "\"}";
         }
         os << "}";
     }

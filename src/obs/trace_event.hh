@@ -108,8 +108,9 @@ class Tracer
 
     mutable std::mutex mutex_;  ///< guards buffers_ growth + generation
     std::vector<std::unique_ptr<ThreadBuf>> buffers_;
-    std::uint64_t generation_ = 0;  ///< bumped by start() to invalidate
-                                    ///< threads' cached buffers
+    std::uint64_t generation_ = 0;  ///< set by start(), unique across
+                                    ///< tracers, to invalidate threads'
+                                    ///< cached buffers
 };
 
 /** RAII span: B on construction, E on destruction (if enabled at B). */

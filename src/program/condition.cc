@@ -145,11 +145,7 @@ ConditionTable::recordInto(std::vector<ConditionStream> *streams)
 void
 ConditionTable::checkCursor(CondId id, std::uint32_t pos) const
 {
-    // Only Loop and Pattern conditions have a generator cursor at all.
-    const ConditionSpec &s = specs[id];
-    const bool cursored = s.kind == ConditionSpec::Kind::Loop ||
-        s.kind == ConditionSpec::Kind::Pattern;
-    panicIfNot(cursored ? pos < s.period : pos == 0,
+    panicIfNot(cursorFits(specs[id], pos),
                "condition checkpoint cursor out of range");
 }
 
@@ -169,7 +165,7 @@ ConditionReplay::ConditionReplay(const std::vector<ConditionStream> &strms)
 void
 ConditionReplay::checkCursor(CondId id, std::uint32_t pos) const
 {
-    panicIfNot(pos <= (*streams)[id].length,
+    panicIfNot(cursorFits((*streams)[id], pos),
                "condition checkpoint cursor past the recorded stream");
 }
 

@@ -140,6 +140,31 @@ struct ConditionStream
 };
 
 /**
+ * @name Restorable cursors
+ * The cursor values a checkpoint may hold for one condition, shared by
+ * ConditionSource::restore() and the window-checkpoint set validation
+ * (sampling/window_checkpoint.hh): a generated Loop or Pattern
+ * condition cycles through [0, period) and every other kind keeps none
+ * (0); a replayed condition may stand anywhere in its recorded stream,
+ * its end included.
+ */
+/// @{
+inline bool
+cursorFits(const ConditionSpec &s, std::uint32_t pos)
+{
+    const bool cursored = s.kind == ConditionSpec::Kind::Loop ||
+        s.kind == ConditionSpec::Kind::Pattern;
+    return cursored ? pos < s.period : pos == 0;
+}
+
+inline bool
+cursorFits(const ConditionStream &s, std::uint32_t pos)
+{
+    return pos <= s.length;
+}
+/// @}
+
+/**
  * Program-order condition source: the emulator draws one outcome per
  * executed compare from here. Owns the per-condition evaluation cursors
  * and last outcomes; subclasses supply where outcomes come from (RNG

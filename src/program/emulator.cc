@@ -103,8 +103,7 @@ Emulator::restore(const Checkpoint &ckpt)
                ckpt.predRegs.size() == predRegs.size() &&
                ckpt.dataMem.size() == mem.words.size(),
                "emulator checkpoint is for a different program");
-    panicIfNot(ckpt.pc % isa::instBytes == 0 &&
-               ckpt.pc / isa::instBytes <= program.size(),
+    panicIfNot(pcInImage(program, ckpt.pc),
                "emulator checkpoint PC outside the code image");
     intRegs = ckpt.intRegs;
     fpRegs = ckpt.fpRegs;

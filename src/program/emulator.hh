@@ -289,6 +289,18 @@ class Emulator
     Checkpoint checkpoint();
 
     /**
+     * True when restore() accepts @p pc for @p prog: instruction-aligned
+     * and inside the code image (one past its last instruction
+     * included).
+     */
+    static bool
+    pcInImage(const Program &prog, Addr pc)
+    {
+        return pc % isa::instBytes == 0 &&
+               pc / isa::instBytes <= prog.size();
+    }
+
+    /**
      * Restore state captured from an emulator over the same program;
      * fatal if the shapes (register/memory/condition counts) differ.
      * Copies a data page only if it was stored to or differs (by page

@@ -175,12 +175,11 @@ sampledRunDetailed(const program::Program &binary,
             if (warm_start > pos) {
                 const std::uint64_t ff = warm_start - pos;
                 const std::uint64_t horizon = policy.warmingHorizon;
-                if (policy.functionalWarming && horizon != 0 &&
-                    ff > horizon) {
+                if (horizon != 0 && ff > horizon) {
                     cpu.fastForward(ff - horizon, false);
                     cpu.fastForward(horizon, true);
                 } else {
-                    cpu.fastForward(ff, policy.functionalWarming);
+                    cpu.fastForward(ff, true);
                 }
                 ff_total += ff;
                 if (s != region_start)

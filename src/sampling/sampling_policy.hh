@@ -48,20 +48,12 @@ struct SamplingPolicy
     std::uint64_t measureInsts = 1000;
 
     /**
-     * Train caches, direction predictors and the predicate predictor
-     * functionally while fast-forwarding (SMARTS functional warming).
-     * Without it, only architectural state advances between windows and
-     * the short detailed warmup must rebuild microarchitectural state
-     * from cold — expect large IPC underestimates on cache-resident
-     * workloads; it exists for warming-contribution studies.
-     */
-    bool functionalWarming = true;
-
-    /**
-     * Functional warming applies only to the last @c warmingHorizon
-     * instructions before each window; further out the fast-forward
-     * advances architectural state only (tables keep their — stale but
-     * trained — content from earlier windows). 0 = warm the whole gap.
+     * The fast-forward trains caches, TLBs, direction predictors and
+     * the predicate predictor functionally (SMARTS functional warming)
+     * over the last @c warmingHorizon instructions before each window;
+     * further out it advances architectural state only (tables keep
+     * their — stale but trained — content from earlier windows). 0 =
+     * warm the whole gap.
      * Warming costs ~2x plain emulation, so on long periods a horizon
      * buys most of the remaining speedup; the stationary workloads this
      * suite generates lose almost no accuracy to it (see
@@ -105,7 +97,7 @@ struct SamplingPolicy
                   "shrink the period or grow the region)");
     }
 
-    /** Compact "u<period>w<warm>m<measure>[c]" tag for labels/filters. */
+    /** Compact "u<period>w<warm>m<measure>" tag for labels/filters. */
     std::string
     label() const
     {
@@ -113,8 +105,7 @@ struct SamplingPolicy
             return "full";
         return "u" + std::to_string(periodInsts) +
                "w" + std::to_string(warmupInsts) +
-               "m" + std::to_string(measureInsts) +
-               (functionalWarming ? "" : "c");
+               "m" + std::to_string(measureInsts);
     }
 
     /**

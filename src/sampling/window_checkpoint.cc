@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "core/core.hh"
 #include "obs/trace_event.hh"
+#include "program/trace.hh"
 #include "program/warm_stream.hh"
 
 namespace pp
@@ -52,7 +53,7 @@ WindowCheckpointSet::serialize() const
     putU64(payload, policy.periodInsts);
     putU64(payload, policy.warmupInsts);
     putU64(payload, policy.measureInsts);
-    putU64(payload, policy.functionalWarming ? 1 : 0);
+    putU64(payload, 1); // functional warming, always on
     putU64(payload, policy.warmingHorizon);
     putU64(payload, builderInsts);
     putU64(payload, windows.size());
@@ -87,7 +88,12 @@ WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes,
     set.policy.periodInsts = r.u64();
     set.policy.warmupInsts = r.u64();
     set.policy.measureInsts = r.u64();
-    set.policy.functionalWarming = r.u64Below(2) != 0;
+    // Functional warming is always on; its word keeps its place in the
+    // v2 layout and must read 1.
+    const std::size_t warming_at = r.at;
+    if (r.u64() != 1)
+        r.fail(ArtifactError::Kind::Malformed, warming_at,
+               "functional-warming word other than 1");
     set.policy.warmingHorizon = r.u64();
     set.builderInsts = r.u64();
     const std::size_t n = r.length(5);
@@ -136,6 +142,7 @@ WindowCheckpointSet::loadOrThrow(const std::string &path)
 
 void
 WindowCheckpointSet::validate(const program::Program &binary,
+                              const program::TraceFile *trace,
                               const std::string &path) const
 {
     auto mismatch = [&](std::size_t window, const std::string &detail) {
@@ -144,14 +151,55 @@ WindowCheckpointSet::validate(const program::Program &binary,
                             "window " + std::to_string(window) + ": " +
                                 detail);
     };
+    auto n = [](std::size_t v) { return std::to_string(v); };
     const std::size_t words = binary.dataSize() / 8;
+    const std::vector<program::ConditionSpec> &conds = binary.conditions();
     for (std::size_t i = 0; i < windows.size(); ++i) {
         const WindowCheckpoint &w = windows[i];
-        if (w.arch.dataMem.size() != words)
-            mismatch(i, "data segment of " +
-                            std::to_string(w.arch.dataMem.size()) +
-                            " words, the binary's has " +
-                            std::to_string(words));
+        const program::Emulator::Checkpoint &a = w.arch;
+        if (a.dataMem.size() != words)
+            mismatch(i, "data segment of " + n(a.dataMem.size()) +
+                            " words, the binary's has " + n(words));
+        if (a.intRegs.size() != isa::numIntRegs ||
+            a.fpRegs.size() != isa::numFpRegs ||
+            a.predRegs.size() != isa::numPredRegs)
+            mismatch(i, "register files of " + n(a.intRegs.size()) + "/" +
+                            n(a.fpRegs.size()) + "/" +
+                            n(a.predRegs.size()) +
+                            " int/fp/predicate registers, the core's "
+                            "have " + n(isa::numIntRegs) + "/" +
+                            n(isa::numFpRegs) + "/" +
+                            n(isa::numPredRegs));
+        if (!program::Emulator::pcInImage(binary, a.pc))
+            mismatch(i, "PC " + n(a.pc) + " outside the " +
+                            n(binary.size()) +
+                            "-instruction code image");
+        for (const Addr ret : a.callStack)
+            if (!program::Emulator::pcInImage(binary, ret))
+                mismatch(i, "return address " + n(ret) + " outside the " +
+                                n(binary.size()) +
+                                "-instruction code image");
+        if (a.conds.numConds != conds.size())
+            mismatch(i, n(a.conds.numConds) +
+                            " conditions, the binary has " +
+                            n(conds.size()));
+        if (a.conds.replay != (trace != nullptr))
+            mismatch(i, a.conds.replay
+                            ? "condition state of a replayed trace, the "
+                              "workload generates its conditions"
+                            : "generated condition state, the workload "
+                              "replays a trace");
+        for (std::size_t k = 0; k < a.conds.ids.size(); ++k) {
+            const program::CondId id = a.conds.ids[k];
+            const std::uint32_t pos = a.conds.pos[k];
+            const bool fits = trace != nullptr
+                ? id < trace->streams().size() &&
+                    program::cursorFits(trace->streams()[id], pos)
+                : id < conds.size() && program::cursorFits(conds[id], pos);
+            if (!fits)
+                mismatch(i, "condition " + n(id) + " cursor " + n(pos) +
+                                " out of range");
+        }
         for (std::size_t e = 0; e < w.warmEvents.size(); ++e) {
             const program::WarmEvent ev =
                 program::unpackWarmEvent(w.warmEvents[e]);
@@ -159,11 +207,9 @@ WindowCheckpointSet::validate(const program::Program &binary,
                 ev.kind == program::WarmEventKind::Branch ||
                 ev.kind == program::WarmEventKind::Compare;
             if (names_inst && ev.payload >= binary.size())
-                mismatch(i, "warm event " + std::to_string(e) +
-                                " names instruction " +
-                                std::to_string(ev.payload) + " of a " +
-                                std::to_string(binary.size()) +
-                                "-instruction binary");
+                mismatch(i, "warm event " + n(e) + " names instruction " +
+                                n(ev.payload) + " of a " +
+                                n(binary.size()) + "-instruction binary");
         }
     }
 }
@@ -213,12 +259,9 @@ buildWindowCheckpoints(const program::Program &binary,
         // Functional warming covers [warm_begin, warmStart): the last
         // warmingHorizon instructions of the gap (the whole gap when
         // the horizon is 0), recorded rather than applied.
-        std::uint64_t warm_begin = w.warmStart;
-        if (policy.functionalWarming) {
-            const std::uint64_t h = policy.warmingHorizon;
-            warm_begin = h != 0 && w.warmStart > h ? w.warmStart - h : 0;
-            warm_begin = std::max(warm_begin, pos);
-        }
+        const std::uint64_t h = policy.warmingHorizon;
+        const std::uint64_t warm_begin = std::max<std::uint64_t>(
+            h != 0 && w.warmStart > h ? w.warmStart - h : 0, pos);
         if (warm_begin > pos)
             emu.skip(warm_begin - pos);
         if (w.warmStart > warm_begin) {

@@ -106,13 +106,21 @@ struct WindowCheckpointSet
 
     /**
      * Throw ArtifactError (Mismatch, naming @p path and the window)
-     * unless the set fits @p binary: every window's data segment has
-     * the binary's size, and every Branch and Compare event names one
-     * of its instructions. A loaded set is checked before any window
-     * runs, so a hash-sound set of another program never reaches the
-     * core's unchecked image reads.
+     * unless the set fits @p binary, replayed from @p trace (null for
+     * a generated workload): every window's data segment has the
+     * binary's size, its register files the core's, its PC and every
+     * return address lie in the code image, its condition state has
+     * the binary's condition count,
+     * comes from the workload's kind of condition source (generated or
+     * replayed) and holds only cursors that source can restore
+     * (program::cursorFits), and every Branch and Compare event names
+     * one of the binary's instructions. A loaded set is checked before
+     * any window runs, so a hash-sound set of another program or mode
+     * never reaches the core's unchecked image reads or the restore
+     * path's panics.
      */
     void validate(const program::Program &binary,
+                  const program::TraceFile *trace,
                   const std::string &path) const;
 };
 

@@ -2,8 +2,9 @@
  * @file
  * Fault-tolerant multi-process sweep execution, end to end against real
  * shard workers: bench_fig5_nonifconv in its self-exec worker mode
- * (hidden --shard-range/--shard-out flags), built beside this test —
- * the same path a harness's --shards run and CI's chaos smokes take.
+ * (the hidden --shard-range flag, delivering through the appended
+ * --result-cache-dir), built beside this test — the same path a
+ * harness's --shards run and CI's chaos smokes take.
  *
  * The load-bearing property throughout: the merged result of a
  * supervised sweep is byte-identical to a clean single-process sweep of
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/result_cache.hh"
 #include "common/atomic_io.hh"
 #include "driver/grids.hh"
 #include "driver/result_sink.hh"
@@ -33,6 +35,7 @@
 #include "exec/shard_supervisor.hh"
 #include "program/suite.hh"
 #include "sampling/sampling_policy.hh"
+#include "sampling/window_checkpoint.hh"
 
 using namespace pp;
 
@@ -142,7 +145,7 @@ baseOptions(const std::string &dir)
 {
     exec::ShardOptions opts;
     opts.shards = 4;
-    opts.workDir = dir;
+    opts.resultCacheDir = dir;
     opts.workerCmd = workerCmd();
     opts.backoffBaseMs = 1; // keep retry tests fast
     return opts;
@@ -154,6 +157,17 @@ referenceJson(const std::vector<driver::RunSpec> &specs)
 {
     driver::SweepEngine engine{driver::SweepOptions{}};
     return mergedJson(specs, engine.run(specs));
+}
+
+/** The entries of @p dir, by name. */
+std::vector<std::string>
+entriesOf(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 } // namespace
@@ -204,6 +218,22 @@ TEST(ShardRanges, ContiguousCoverWithRemainderUpFront)
     EXPECT_TRUE(exec::shardRanges(0, 4).empty());
 }
 
+TEST(ShardRanges, ParsesTheWorkerFlag)
+{
+    using Range = std::pair<std::size_t, std::size_t>;
+    EXPECT_EQ(exec::parseShardRange("0:3"), Range(0, 3));
+    EXPECT_EQ(exec::parseShardRange("44:66"), Range(44, 66));
+}
+
+TEST(ShardRangesDeathTest, RejectsEveryOtherForm)
+{
+    for (const char *bad : {"3", "3:", ":3", "3:3", "5:2", "-1:3", "1:+3",
+                            "1:3x", " 1:3", "1:99999999999999999999"})
+        EXPECT_EXIT(exec::parseShardRange(bad),
+                    ::testing::ExitedWithCode(1), "bad --shard-range")
+            << bad;
+}
+
 TEST(SpecCost, FullChargesWindowSampledChargesDetailedWork)
 {
     driver::RunSpec spec;
@@ -242,166 +272,33 @@ TEST(LeaseOrder, DescendingCostTiesByShardIndex)
 }
 
 // ---------------------------------------------------------------------
-// Fragment format
-// ---------------------------------------------------------------------
-
-TEST(ShardFragment, RoundTripsByteIdentically)
-{
-    const auto specs = fig5Specs();
-    const std::vector<driver::RunSpec> slice(specs.begin() + 2,
-                                             specs.begin() + 5);
-    driver::SweepEngine engine{driver::SweepOptions{}};
-    const auto results = engine.run(slice);
-
-    const std::string fragment = exec::shardFragmentJson(2, slice, results);
-    const std::string path = uniqueDir("frag") + "/frag.json";
-    ASSERT_TRUE(writeFileAtomic(path, fragment));
-
-    const auto parsed = exec::readShardFragment(path, specs, 2, 5);
-    ASSERT_EQ(parsed.size(), 3u);
-    // Re-serializing the parsed results reproduces the exact bytes:
-    // every double and counter round-tripped losslessly.
-    EXPECT_EQ(exec::shardFragmentJson(2, slice, parsed), fragment);
-}
-
-TEST(ShardFragment, DetectsDamage)
-{
-    const auto specs = fig5Specs();
-    const std::vector<driver::RunSpec> slice(specs.begin(),
-                                             specs.begin() + 2);
-    driver::SweepEngine engine{driver::SweepOptions{}};
-    const auto results = engine.run(slice);
-    const std::string fragment =
-        exec::shardFragmentJson(0, slice, results);
-    const std::string dir = uniqueDir("damage");
-
-    // Flipped payload byte -> hash mismatch.
-    std::string corrupt = fragment;
-    corrupt[corrupt.size() / 2] ^= 0x01;
-    ASSERT_TRUE(writeFileAtomic(dir + "/corrupt.json", corrupt));
-    EXPECT_THROW(exec::readShardFragment(dir + "/corrupt.json", specs, 0, 2),
-                 exec::ShardError);
-
-    // Truncation -> torn document.
-    ASSERT_TRUE(writeFileAtomic(dir + "/short.json",
-                                fragment.substr(0, fragment.size() / 2)));
-    EXPECT_THROW(
-        exec::readShardFragment(dir + "/short.json", specs, 0, 2),
-        exec::ShardError);
-
-    // A header count no std::uint64_t holds, under a valid payload
-    // hash -> typed error, not an undefined cast.
-    std::string negative = fragment;
-    negative.replace(negative.find("\"begin\":0"), 9, "\"begin\":-1");
-    ASSERT_TRUE(writeFileAtomic(dir + "/negative.json", negative));
-    EXPECT_THROW(
-        exec::readShardFragment(dir + "/negative.json", specs, 0, 2),
-        exec::ShardError);
-
-    // Range mismatch -> stale fragment rejected.
-    ASSERT_TRUE(writeFileAtomic(dir + "/frag.json", fragment));
-    EXPECT_THROW(exec::readShardFragment(dir + "/frag.json", specs, 2, 4),
-                 exec::ShardError);
-
-    EXPECT_THROW(
-        exec::readShardFragment(dir + "/missing.json", specs, 0, 2),
-        exec::ShardError);
-}
-
-TEST(ShardFragment, RejectsRunsOfOtherSpecs)
-{
-    // A fragment written for one spec list, read against another: the
-    // hash and the range both verify, but the runs are other cells.
-    const auto specs = fig5Specs();
-    const std::vector<driver::RunSpec> slice(specs.begin(),
-                                             specs.begin() + 2);
-    driver::SweepEngine engine{driver::SweepOptions{}};
-    const std::string path = uniqueDir("identity") + "/frag.json";
-    ASSERT_TRUE(writeFileAtomic(
-        path, exec::shardFragmentJson(0, slice, engine.run(slice))));
-    EXPECT_EQ(exec::readShardFragment(path, specs, 0, 2).size(), 2u);
-
-    std::vector<driver::RunSpec> swapped = specs;
-    std::swap(swapped[0], swapped[1]);
-    try {
-        exec::readShardFragment(path, swapped, 0, 2);
-        FAIL() << "fragment of other specs accepted";
-    } catch (const exec::ShardError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "spec 0 holds run 'gzip/conventional', expected "
-                      "'gzip/predicate'"),
-                  std::string::npos)
-            << e.what();
-    }
-
-    // Fields the label does not show count too.
-    std::vector<driver::RunSpec> longer = specs;
-    longer[1].measureInsts += 1;
-    EXPECT_THROW(exec::readShardFragment(path, longer, 0, 2),
-                 exec::ShardError);
-}
-
-TEST(ShardFragment, CarriesWorkerStatsOutsidePayloadHash)
-{
-    const auto specs = fig5Specs();
-    const std::vector<driver::RunSpec> slice(specs.begin(),
-                                             specs.begin() + 2);
-    driver::SweepEngine engine{driver::SweepOptions{}};
-    const auto results = engine.run(slice);
-
-    exec::ShardWorkerStats stats;
-    stats.resultCacheHits = 1;
-    stats.runsSimulated = 1;
-    const std::string with_stats =
-        exec::shardFragmentJson(0, slice, results, &stats);
-    const std::string without =
-        exec::shardFragmentJson(0, slice, results);
-    EXPECT_NE(with_stats, without);
-
-    const std::string dir = uniqueDir("fragstats");
-    ASSERT_TRUE(writeFileAtomic(dir + "/with.json", with_stats));
-    ASSERT_TRUE(writeFileAtomic(dir + "/without.json", without));
-
-    // The header fields ride outside payload_hash coverage: both
-    // documents verify, and the stats round-trip (absent => zeros).
-    exec::ShardWorkerStats parsed;
-    const auto r1 =
-        exec::readShardFragment(dir + "/with.json", specs, 0, 2, &parsed);
-    EXPECT_EQ(r1.size(), 2u);
-    EXPECT_EQ(parsed.resultCacheHits, 1u);
-    EXPECT_EQ(parsed.runsSimulated, 1u);
-
-    exec::ShardWorkerStats zeros;
-    zeros.resultCacheHits = 77; // must be overwritten
-    const auto r2 = exec::readShardFragment(dir + "/without.json", specs,
-                                            0, 2, &zeros);
-    EXPECT_EQ(r2.size(), 2u);
-    EXPECT_EQ(zeros.resultCacheHits, 0u);
-    EXPECT_EQ(zeros.runsSimulated, 0u);
-}
-
-// ---------------------------------------------------------------------
 // Supervisor end-to-end (real worker processes)
 // ---------------------------------------------------------------------
 
 TEST(ShardSupervisor, CleanRunMatchesInProcessSweepByteForByte)
 {
     const auto specs = fig5Specs();
-    exec::ShardSupervisor supervisor(baseOptions(uniqueDir("clean")));
+    const std::string dir = uniqueDir("clean");
+    exec::ShardSupervisor supervisor(baseOptions(dir));
     const auto results = supervisor.run(specs);
 
     EXPECT_EQ(mergedJson(specs, results), referenceJson(specs));
     EXPECT_EQ(supervisor.stats().attempts, 4u);
     EXPECT_EQ(supervisor.stats().retries, 0u);
     EXPECT_EQ(supervisor.stats().resumedShards, 0u);
+    EXPECT_EQ(supervisor.stats().resultCacheHits, 0u);
+    EXPECT_EQ(supervisor.stats().runsSimulated, specs.size());
+    // The workers delivered one cache object per cell, and nothing else.
+    EXPECT_EQ(entriesOf(dir), std::vector<std::string>{"objects"});
+    EXPECT_EQ(entriesOf(dir + "/objects").size(), specs.size());
 }
 
 TEST(ShardSupervisor, RecoversFromCrashTruncateAndCorrupt)
 {
     const auto specs = fig5Specs();
     auto opts = baseOptions(uniqueDir("faults"));
-    // kill -9 mid-shard, a torn fragment, and a flipped payload byte —
-    // one shard is left clean as control.
+    // kill -9 mid-shard, a torn cell object, and a flipped byte in
+    // one — one shard is left clean as control.
     opts.faultSpec = "crash@0:1,truncate@2:1,corrupt@3:1";
     exec::ShardSupervisor supervisor(opts);
     const auto results = supervisor.run(specs);
@@ -471,8 +368,10 @@ TEST(ShardSupervisor, RecoversFromCorruptTraceArtifact)
     EXPECT_EQ(supervisor.stats().retries, 1u);
 }
 
-TEST(ShardSupervisor, ResumesCompletedShardsFromFragments)
+TEST(ShardSupervisor, ARerunAtAnotherShardCountStartsNoWorker)
 {
+    // Cells are resumed one by one, not by range: a 2-shard run's cache
+    // serves a 3-shard rerun whose ranges cut its shards differently.
     const auto specs = fig5Specs();
     const std::string dir = uniqueDir("resume");
     std::vector<sim::RunResult> first;
@@ -483,43 +382,47 @@ TEST(ShardSupervisor, ResumesCompletedShardsFromFragments)
         first = supervisor.run(specs);
         EXPECT_EQ(supervisor.stats().attempts, 2u);
     }
-    // Second supervisor, same work dir, but a worker that can only
-    // fail: completing proves every shard came from its fragment and no
-    // worker ever ran.
+    // A worker that can only fail: completing proves every cell came
+    // from the cache and no worker ever ran.
     auto opts = baseOptions(dir);
-    opts.shards = 2;
+    opts.shards = 3;
     opts.workerCmd = {"/bin/false"};
     exec::ShardSupervisor supervisor(opts);
     const auto resumed = supervisor.run(specs);
 
     EXPECT_EQ(mergedJson(specs, resumed), mergedJson(specs, first));
-    EXPECT_EQ(supervisor.stats().resumedShards, 2u);
+    EXPECT_EQ(supervisor.stats().resumedShards, 3u);
     EXPECT_EQ(supervisor.stats().attempts, 0u);
+    EXPECT_EQ(supervisor.stats().resultCacheHits, specs.size());
+    EXPECT_EQ(supervisor.stats().runsSimulated, 0u);
 }
 
-TEST(ShardSupervisor, VerifiedFragmentAloneResumesAndDamagedOneReRuns)
+TEST(ShardSupervisor, ADamagedCellReRunsOnlyItsShard)
 {
-    // No earlier supervisor: both fragments of a 2-shard run are written
-    // straight into the work dir, and the second one has a flipped byte.
-    // The first verifies and is the shard's result; the second fails its
-    // check and its shard re-runs in one worker.
+    // No earlier supervisor: an in-process sweep fills the cache, and
+    // one cell of the second shard's range gets a flipped byte. The
+    // first shard's cells all verify; the second shard's worker runs,
+    // finds its other cells and simulates the damaged one alone.
     const auto specs = fig5Specs();
-    const std::string dir = uniqueDir("fragresume");
+    const std::string dir = uniqueDir("cellresume");
+    {
+        driver::SweepOptions fill;
+        fill.resultCacheDir = dir;
+        driver::SweepEngine(fill).run(specs);
+    }
     const auto ranges = exec::shardRanges(specs.size(), 2);
     ASSERT_EQ(ranges.size(), 2u);
-    // The supervisor's fragment names: shard-<NNN>.json.
-    const char *names[] = {"shard-000.json", "shard-001.json"};
-    for (std::size_t s = 0; s < ranges.size(); ++s) {
-        const std::vector<driver::RunSpec> slice(
-            specs.begin() + ranges[s].first,
-            specs.begin() + ranges[s].second);
-        driver::SweepEngine engine{driver::SweepOptions{}};
-        std::string fragment = exec::shardFragmentJson(
-            ranges[s].first, slice, engine.run(slice));
-        if (s == 1)
-            fragment[fragment.size() / 2] ^= 0x01;
-        ASSERT_TRUE(writeFileAtomic(dir + "/" + names[s], fragment));
+    const std::size_t victim = ranges[1].first + 1;
+    const std::string object = cache::ResultCache(dir).objectPath(
+        cache::cellKeyText(specs[victim], ""));
+    std::string bytes;
+    {
+        std::ifstream is(object, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is), {});
     }
+    ASSERT_FALSE(bytes.empty());
+    bytes[bytes.size() / 2] ^= 0x01;
+    ASSERT_TRUE(writeFileAtomic(object, bytes));
 
     auto opts = baseOptions(dir);
     opts.shards = 2;
@@ -530,30 +433,14 @@ TEST(ShardSupervisor, VerifiedFragmentAloneResumesAndDamagedOneReRuns)
     EXPECT_EQ(supervisor.stats().resumedShards, 1u);
     EXPECT_EQ(supervisor.stats().attempts, 1u);
     EXPECT_EQ(supervisor.stats().retries, 0u);
-}
-
-TEST(ShardSupervisor, NoResumeReRunsEveryShard)
-{
-    const auto specs = fig5Specs();
-    const std::string dir = uniqueDir("noresume");
-    {
-        auto opts = baseOptions(dir);
-        opts.shards = 2;
-        exec::ShardSupervisor(opts).run(specs);
-    }
-    auto opts = baseOptions(dir);
-    opts.shards = 2;
-    opts.resume = false;
-    exec::ShardSupervisor supervisor(opts);
-    supervisor.run(specs);
-    EXPECT_EQ(supervisor.stats().resumedShards, 0u);
-    EXPECT_EQ(supervisor.stats().attempts, 2u);
+    EXPECT_EQ(supervisor.stats().resultCacheHits, specs.size() - 1);
+    EXPECT_EQ(supervisor.stats().runsSimulated, 1u);
 }
 
 TEST(ShardSupervisor, WorkStealingSurvivesFullFaultMatrixAtAnyWidth)
 {
-    // Every failure class at once — kill -9, a hang, a torn fragment
-    // and a flipped payload byte — across six two-spec batches, at
+    // Every failure class at once — kill -9, a hang, a torn cell
+    // object and a flipped byte in one — across six two-spec batches, at
     // one, two and eight concurrent workers. Whichever worker runs which
     // shard, the merged document must match the in-process reference.
     const auto specs = fig5Specs();
@@ -588,31 +475,26 @@ TEST(ShardSupervisor, WorkStealingSurvivesFullFaultMatrixAtAnyWidth)
     }
 }
 
-TEST(ShardSupervisor, AggregatesWorkerResultCacheStats)
+TEST(ShardSupervisor, AWarmPassAgainstAFullCacheStartsNoWorker)
 {
-    // Workers sharing a result-cache directory report their real cache
-    // behavior through the fragment header; the supervisor aggregates
-    // it. Cold pass: everything simulated. Warm pass (fresh work dir,
-    // same cache): everything served, nothing simulated — and the
-    // merged bytes still match.
+    // Cold pass: every cell missing, so every shard starts a worker.
+    // Warm pass over the same cache: every cell found before launch, no
+    // worker at all, and the merged bytes still match.
     const auto specs = fig5Specs();
-    const std::string cache_dir = uniqueDir("stealcache");
-    const auto cmd = workerCmd({"--result-cache-dir", cache_dir});
+    const std::string cache_dir = uniqueDir("warmcache");
 
     std::string cold_doc;
     {
-        auto opts = baseOptions(uniqueDir("cachecold"));
-        opts.workerCmd = cmd;
-        exec::ShardSupervisor supervisor(opts);
+        exec::ShardSupervisor supervisor(baseOptions(cache_dir));
         cold_doc = mergedJson(specs, supervisor.run(specs));
+        EXPECT_EQ(supervisor.stats().attempts, 4u);
         EXPECT_EQ(supervisor.stats().runsSimulated, specs.size());
         EXPECT_EQ(supervisor.stats().resultCacheHits, 0u);
     }
-    auto opts = baseOptions(uniqueDir("cachewarm"));
-    opts.workerCmd = cmd;
-    exec::ShardSupervisor supervisor(opts);
+    exec::ShardSupervisor supervisor(baseOptions(cache_dir));
     EXPECT_EQ(mergedJson(specs, supervisor.run(specs)), cold_doc);
-    EXPECT_EQ(supervisor.stats().resultCacheHits, specs.size());
+    EXPECT_EQ(supervisor.stats().attempts, 0u);
+    EXPECT_EQ(supervisor.stats().resultCacheHits, 12u);
     EXPECT_EQ(supervisor.stats().runsSimulated, 0u);
 }
 
@@ -642,9 +524,10 @@ TEST(ShardSupervisor, SampledSweepSharingCheckpointDirMatchesInProcess)
 
 TEST(ShardSupervisorDeathTest, WorkerOfAnotherSpecListFailsPermanently)
 {
-    // The worker sweeps another benchmark set: its fragments verify by
-    // hash and range, but every run is some other spec's cell. Merging
-    // them would put vpr's numbers in gzip's rows.
+    // The worker sweeps another benchmark set: it exits cleanly, but
+    // every cell it stored is some other spec's, under that spec's key.
+    // The supervisor finds its own range's cells missing rather than
+    // putting vpr's numbers in gzip's rows.
     const auto specs = fig5Specs();
     auto opts = baseOptions(uniqueDir("identity"));
     opts.workerCmd = workerCmd({"--filter", "^(vpr|gcc|mcf)$"});
@@ -658,8 +541,8 @@ TEST(ShardSupervisorDeathTest, WorkerOfAnotherSpecListFailsPermanently)
         ::testing::ExitedWithCode(1),
         "shard 0 \\(specs \\[0,3\\) of 12\\) failed permanently after "
         "2 attempt\\(s\\): corrupt-output, corrupt-output; last error: "
-        ".*spec 0 holds run 'vpr/conventional', expected "
-        "'gzip/conventional'");
+        "cell 0 \\(gzip/conventional\\): cannot open result-cache "
+        "entry: .*\\.json");
 }
 
 TEST(ShardSupervisorDeathTest, ExhaustionNamesShardAndSpecRange)
@@ -750,4 +633,43 @@ TEST(ShardSupervisorDeathTest, CorruptCheckpointFailsFastAndTyped)
         "\\(exit 3\\), corrupt-trace \\(exit 3\\); last error: "
         "corrupt artifact: checkpoint file .*\\.ppckpt: content hash "
         "mismatch");
+}
+
+TEST(ShardSupervisorDeathTest, HostileCheckpointSetFailsAsCorruptTraceNotCrash)
+{
+    // A hash-sound set whose window 0 PC lies past the code image: the
+    // worker's validation turns it into a typed Mismatch (exit 3)
+    // before Emulator::restore could abort the worker as a crash.
+    const auto specs = fig5Specs("", kSampled);
+    const std::string ckpt_dir = uniqueDir("hostileckpt");
+    {
+        driver::SweepOptions fill;
+        fill.checkpointDir = ckpt_dir;
+        driver::SweepEngine(fill).run(specs);
+    }
+    std::vector<std::string> sets;
+    for (const auto &e : std::filesystem::directory_iterator(ckpt_dir))
+        if (e.path().extension() == ".ppckpt")
+            sets.push_back(e.path().string());
+    ASSERT_FALSE(sets.empty());
+    for (const std::string &path : sets) {
+        auto set = sampling::WindowCheckpointSet::loadOrThrow(path);
+        set.windows[0].arch.pc = std::uint64_t{1} << 40;
+        set.store(path);
+    }
+
+    auto opts = baseOptions(uniqueDir("hostileckpt-sharded"));
+    opts.workerCmd = workerCmd({"--checkpoint-dir", ckpt_dir}, kSampled);
+    opts.maxAttempts = 5;
+    opts.parallel = 1;
+    EXPECT_EXIT(
+        {
+            exec::ShardSupervisor supervisor(opts);
+            supervisor.run(specs);
+        },
+        ::testing::ExitedWithCode(1),
+        "failed permanently after 2 attempt\\(s\\): corrupt-trace "
+        "\\(exit 3\\), corrupt-trace \\(exit 3\\); last error: "
+        "corrupt artifact: checkpoint file .*\\.ppckpt: window 0: PC "
+        "1099511627776 outside the");
 }

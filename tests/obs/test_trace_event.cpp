@@ -152,6 +152,30 @@ TEST(TraceEvent, JsonOutputParsesAndCarriesArgs)
     EXPECT_GE(e.get("ts")->number, b.get("ts")->number);
 }
 
+TEST(TraceEvent, ControlBytesInSpanNamesParseBack)
+{
+    // Every byte below 0x20 leaves the writer escaped, so the span file
+    // stays valid JSON and its names read back exactly.
+    const std::string name = "a\rb\nc\td\x01e\x1f";
+    obs::Tracer tracer;
+    tracer.start();
+    {
+        obs::ScopedSpan s(tracer, name.c_str(), "cat\r", "id\x02");
+    }
+    tracer.stop();
+
+    std::ostringstream os;
+    tracer.writeJson(os);
+    for (const char c : os.str())
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << "raw control byte " << static_cast<int>(c);
+    const JsonValue doc = jsonmin::parseJson(os.str());
+    const JsonValue &b = doc.get("traceEvents")->items.at(0);
+    EXPECT_EQ(b.get("name")->str, name);
+    EXPECT_EQ(b.get("cat")->str, "cat\r");
+    EXPECT_EQ(b.get("args")->get("id")->str, "id\x02");
+}
+
 TEST(TraceEvent, StartClearsPriorEventsAndReenables)
 {
     obs::Tracer tracer;

@@ -21,8 +21,10 @@
  *  - the engine streams its sets: documents stay byte-identical at any
  *    thread count and with a partly warm result cache, a corrupt later
  *    set fails typed, a set of another format version is rebuilt, a set
- *    that does not fit its binary fails as a Mismatch, at most one set
- *    per worker is resident, and the progress line still reaches 100%.
+ *    that does not fit its binary or its workload (window state the
+ *    restore path would panic on included) fails as a Mismatch, at
+ *    most one set per worker is resident, and the progress line still
+ *    reaches 100%.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <regex>
 #include <set>
@@ -310,7 +313,6 @@ TEST(WindowCheckpoint, SerializeRoundTripsByteExactly)
     EXPECT_EQ(back.policy.periodInsts, set.policy.periodInsts);
     EXPECT_EQ(back.policy.warmupInsts, set.policy.warmupInsts);
     EXPECT_EQ(back.policy.measureInsts, set.policy.measureInsts);
-    EXPECT_EQ(back.policy.functionalWarming, set.policy.functionalWarming);
     EXPECT_EQ(back.policy.warmingHorizon, set.policy.warmingHorizon);
     EXPECT_EQ(back.builderInsts, set.builderInsts);
     ASSERT_EQ(back.windows.size(), set.windows.size());
@@ -477,16 +479,18 @@ TEST(WindowCheckpoint, DeserializeRejectsCorruptImagesTyped)
     EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
     EXPECT_EQ(e.offset(), kArchLenAt);
 
-    // Fields the encoder never writes: functionalWarming (the sixth set
-    // word) other than 0 or 1, and a flag bit a Branch event leaves
-    // unused.
+    // Fields the encoder never writes: the functional-warming word (the
+    // sixth set word) other than 1, and a flag bit a Branch event
+    // leaves unused.
     constexpr std::size_t kWarmingAt = 24 + 8 * 5;
-    std::vector<std::uint8_t> warming = image;
-    warming[kWarmingAt] = 2;
-    test::rehashFrame(warming);
-    e = decodeError(warming);
-    EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
-    EXPECT_EQ(e.offset(), kWarmingAt);
+    for (const std::uint8_t word : {0, 2}) {
+        std::vector<std::uint8_t> warming = image;
+        warming[kWarmingAt] = word;
+        test::rehashFrame(warming);
+        e = decodeError(warming);
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+        EXPECT_EQ(e.offset(), kWarmingAt);
+    }
 
     std::size_t branch = 0;
     const std::size_t event_at =
@@ -1000,6 +1004,76 @@ TEST(StreamedSets, ASetThatDoesNotFitItsBinaryFailsAsMismatch)
               std::string::npos);
 
     // The good set still loads and runs.
+    writeBytes(path, good);
+    EXPECT_NO_THROW(driver::SweepEngine(opts).run(specs));
+}
+
+TEST(StreamedSets, HostileWindowStateFailsAsMismatchNotAbort)
+{
+    // Hash-sound sets whose window 0 would reach a panic of
+    // Emulator::restore or ConditionSource::restore, or return to an
+    // address outside the image: each field is rewritten in the decoded
+    // set, which is then stored again (its frame hash recomputed), so
+    // only validate() stands between the file and the window run.
+    const auto specs = setsOf({"gzip"});
+    driver::SweepOptions opts;
+    opts.threads = 2;
+    opts.checkpointDir = tempPath("hostile_ckpt");
+    std::filesystem::remove_all(opts.checkpointDir);
+    sweepDoc(opts, specs);
+    const std::string path = onlySetIn(opts.checkpointDir);
+    const std::vector<std::uint8_t> good = readBytes(path);
+    const WindowCheckpointSet set = WindowCheckpointSet::loadOrThrow(path);
+    const program::Program binary =
+        sim::buildBinary(specs[0].profile, specs[0].ifConvert);
+    ASSERT_FALSE(set.windows[0].arch.conds.ids.empty());
+
+    using Arch = program::Emulator::Checkpoint;
+    const std::vector<
+        std::pair<std::string, std::function<void(Arch &)>>>
+        cases = {
+            {"PC " + std::to_string((binary.size() + 1) * isa::instBytes) +
+                 " outside the " + std::to_string(binary.size()) +
+                 "-instruction code image",
+             [&](Arch &a) { a.pc = (binary.size() + 1) * isa::instBytes; }},
+            {"return address 1099511627776 outside the",
+             [](Arch &a) { a.callStack.push_back(std::uint64_t{1} << 40); }},
+            {"register files of " + std::to_string(isa::numIntRegs + 1) +
+                 "/",
+             [](Arch &a) { a.intRegs.push_back(0); }},
+            {std::to_string(binary.conditions().size() + 1) +
+                 " conditions, the binary has " +
+                 std::to_string(binary.conditions().size()),
+             [](Arch &a) { ++a.conds.numConds; }},
+            {"condition state of a replayed trace",
+             [](Arch &a) { a.conds.replay = true; }},
+            {"condition " + std::to_string(set.windows[0].arch.conds.ids[0]) +
+                 " cursor ",
+             [&](Arch &a) {
+                 // One past what the condition's generator can hold.
+                 using Kind = program::ConditionSpec::Kind;
+                 const program::ConditionSpec &s =
+                     binary.conditions()[a.conds.ids[0]];
+                 const bool cursored =
+                     s.kind == Kind::Loop || s.kind == Kind::Pattern;
+                 a.conds.pos[0] = cursored ? s.period : 1;
+             }},
+        };
+    for (const auto &[detail, mutate] : cases) {
+        WindowCheckpointSet bad = set;
+        mutate(bad.windows[0].arch);
+        bad.store(path);
+        try {
+            driver::SweepEngine(opts).run(specs);
+            ADD_FAILURE() << "accepted: " << detail;
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), ArtifactError::Kind::Mismatch) << e.what();
+            EXPECT_NE(std::string(e.what()).find("window 0: " + detail),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
     writeBytes(path, good);
     EXPECT_NO_THROW(driver::SweepEngine(opts).run(specs));
 }

@@ -155,3 +155,28 @@ TEST(SweepStore, ListRejectsASeqThatIsNotAnUnsignedInteger)
             << list.out;
     }
 }
+
+TEST(SweepStore, ALabelWithControlBytesRoundTripsThroughList)
+{
+    // A label's control bytes must leave escaped: written raw, a
+    // newline tears the index line in two and every later list fails
+    // on the torn line.
+    const std::string dir = uniqueDir("ctrl");
+    const std::string doc = dir + "/doc.json";
+    ASSERT_TRUE(writeFileAtomic(
+        doc, "{\"schema\":\"pp.sweep.v1\",\"runs\":[]}\n"));
+    const std::string store = dir + "/store";
+    const std::string label = "a\nb\tc\x01";
+    ASSERT_TRUE(storeAdd(store, label, doc).ok());
+    EXPECT_EQ(indexLines(store).size(), 1u);
+
+    const auto list = exec::Subprocess::run(
+        {binDir() + "/sweep_store", "list", "--store", store});
+    EXPECT_EQ(list.exitCode, 0) << list.err;
+    EXPECT_NE(list.out.find(label), std::string::npos) << list.out;
+    // The label reads back exactly, so a retried add still finds it.
+    const auto retry = storeAdd(store, label, doc);
+    ASSERT_TRUE(retry.ok());
+    EXPECT_NE(retry.out.find("already indexed"), std::string::npos);
+    EXPECT_EQ(indexLines(store).size(), 1u);
+}

@@ -70,18 +70,6 @@ readFile(const std::string &path)
     return buf.str();
 }
 
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 /** Document kind: its schema string when it names one, else sniffed. */
 std::string
 sniffKind(const std::string &bytes)
@@ -190,11 +178,11 @@ cmdAdd(const std::string &store, const std::string &label,
         }
         std::ostringstream entry;
         entry << "{\"seq\":" << seq << ",\"label\":\""
-              << escapeJson(label) << "\",\"commit\":\""
-              << escapeJson(commit) << "\",\"kind\":\""
-              << escapeJson(kind) << "\",\"object\":\"" << hash
+              << pp::jsonmin::escape(label) << "\",\"commit\":\""
+              << pp::jsonmin::escape(commit) << "\",\"kind\":\""
+              << pp::jsonmin::escape(kind) << "\",\"object\":\"" << hash
               << "\",\"file\":\""
-              << escapeJson(fs::path(file).filename().string())
+              << pp::jsonmin::escape(fs::path(file).filename().string())
               << "\"}";
         if (!pp::appendLineDurable(index_path, entry.str(), &error)) {
             std::fprintf(stderr,
