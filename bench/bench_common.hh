@@ -17,7 +17,6 @@
 #ifndef PP_BENCH_BENCH_COMMON_HH
 #define PP_BENCH_BENCH_COMMON_HH
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,7 +25,9 @@
 #include <vector>
 
 #include "common/atomic_io.hh"
+#include "common/bytestream.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/table.hh"
 #include "driver/replay_sink.hh"
 #include "driver/result_sink.hh"
@@ -127,7 +128,7 @@ printUsage(const char *prog, const char *what, bool sweep_flags)
             "                     across runs and shard workers"
             " (byte-identical results)\n"
             "  --result-cache-dir D  content-addressed result cache"
-            " (pp.rcache.v1) in D:\n"
+            " (pp.rcache.v2) in D:\n"
             "                     warm reruns replay exact result bytes"
             " instead of\n"
             "                     simulating (shared across runs; --shards"
@@ -211,20 +212,6 @@ stripFlagValue(int &argc, char **argv, const char *flag,
     }
     argc = out;
     return value;
-}
-
-/** Strict base-10 parse; fatal() on garbage, partial parse or overflow. */
-inline std::uint64_t
-parseU64(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || errno == ERANGE) {
-        fatal(std::string("invalid number for ") + flag + ": '" + value +
-              "'");
-    }
-    return v;
 }
 
 /**
@@ -468,6 +455,23 @@ writeSinks(const BenchOptions &opts,
 }
 
 /**
+ * @p sweep(), or fatal() naming the artifact when it throws
+ * ArtifactError: a damaged, mis-keyed or mislaid .pptrace or .ppckpt
+ * set fails the harness with its typed message (a shard worker reports
+ * the same error as corrupt-trace, exec/shard.hh), not by abort.
+ */
+template <typename Sweep>
+auto
+runOrFatal(Sweep sweep)
+{
+    try {
+        return sweep();
+    } catch (const ArtifactError &e) {
+        fatal(std::string("corrupt artifact: ") + e.what());
+    }
+}
+
+/**
  * Run every benchmark of @p suite under every scheme column through the
  * parallel sweep engine. The binary for each benchmark is generated
  * once and shared across columns and threads; results are ordered
@@ -544,7 +548,7 @@ sweepSuite(const BenchOptions &opts,
         informf("sweep: %zu runs, %zu binaries", specs.size(),
                 specs.size() / columns.size());
         beginTraceEvents(opts);
-        results = engine.run(specs);
+        results = runOrFatal([&] { return engine.run(specs); });
         endTraceEvents(opts);
         counters = engine.counters();
     }
@@ -612,8 +616,8 @@ replaySweep(const BenchOptions &opts, replay::ReplayMatrix &matrix)
     informf("replay: %zu workloads x %zu configs, one stream pass each",
             workloads.size(), matrix.configs().size());
     beginTraceEvents(opts);
-    std::vector<replay::ReplayWorkloadResult> results =
-        engine.runReplay(workloads, matrix.configs());
+    std::vector<replay::ReplayWorkloadResult> results = runOrFatal(
+        [&] { return engine.runReplay(workloads, matrix.configs()); });
     endTraceEvents(opts);
 
     if (!opts.jsonPath.empty())

@@ -191,7 +191,7 @@ main(int argc, char **argv)
         stripFlagValue(argc, argv, "--bench-json");
     const std::string bound_str =
         stripFlagValue(argc, argv, "--check-bound", "20");
-    const double check_bound = std::strtod(bound_str.c_str(), nullptr);
+    const double check_bound = parseDecimal("--check-bound", bound_str);
 
     const BenchOptions opts = parseBenchArgs(
         argc, argv,

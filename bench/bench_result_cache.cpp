@@ -49,7 +49,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +56,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "driver/grids.hh"
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
@@ -75,32 +75,12 @@ constexpr double kStealSpeedupBound = 1.15;
 constexpr double kStealModelBound = 1.5;
 constexpr std::size_t kStealShardFactor = 4;
 
-std::uint64_t
-parseU64(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
-        fatal(std::string("invalid number for ") + flag + ": '" + value +
-              "'");
-    return v;
-}
-
 double
 wallMs(const std::chrono::steady_clock::time_point &t0)
 {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** Zero the wall-time-only fields (steal/static comparison only; the
- *  warm/cold contract is deliberately unscrubbed). */
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex re("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, re, "\"$1\":0");
 }
 
 /**
@@ -301,7 +281,7 @@ runStealStatic(const std::string &self, std::uint64_t warmup,
                 best_ms = ms;
             std::fprintf(stderr, ".");
         }
-        return scrubHostMs(
+        return driver::scrubHostMs(
             driver::JsonSink{driver::sweepCountersFor(specs, false)}
                 .toString(specs, results));
     };

@@ -498,14 +498,14 @@ main(int argc, char **argv)
             ckpt_dir = need_value();
         } else if (std::strcmp(a, "--threads") == 0) {
             threads = static_cast<unsigned>(
-                bench::parseU64(a, need_value()));
+                parseU64(a, need_value()));
         } else if (std::strcmp(a, "--repeat") == 0) {
             repeats = static_cast<unsigned>(
-                bench::parseU64(a, need_value()));
+                parseU64(a, need_value()));
             if (repeats == 0)
                 fatal("--repeat must be at least 1");
         } else if (std::strcmp(a, "--speedup-insts") == 0) {
-            speedup_insts = bench::parseU64(a, need_value());
+            speedup_insts = parseU64(a, need_value());
         } else if (std::strcmp(a, "--help") == 0 ||
                    std::strcmp(a, "-h") == 0) {
             std::fprintf(stderr,

@@ -364,16 +364,16 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--check") == 0) {
             check = true;
         } else if (std::strcmp(a, "--check-bound") == 0) {
-            check_bound = std::atof(need_value());
+            check_bound = parseDecimal(a, need_value());
         } else if (std::strcmp(a, "--warmup") == 0) {
-            warmup = bench::parseU64(a, need_value());
+            warmup = parseU64(a, need_value());
         } else if (std::strcmp(a, "--instructions") == 0) {
-            insts = bench::parseU64(a, need_value());
+            insts = parseU64(a, need_value());
         } else if (std::strcmp(a, "--ff-instructions") == 0) {
-            ff_insts = bench::parseU64(a, need_value());
+            ff_insts = parseU64(a, need_value());
         } else if (std::strcmp(a, "--repeat") == 0) {
             repeats = static_cast<unsigned>(
-                bench::parseU64(a, need_value()));
+                parseU64(a, need_value()));
         } else if (std::strcmp(a, "--help") == 0 ||
                    std::strcmp(a, "-h") == 0) {
             std::fprintf(stderr,

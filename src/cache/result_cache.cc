@@ -1,13 +1,12 @@
 #include "cache/result_cache.hh"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <system_error>
 
 #include "common/atomic_io.hh"
+#include "common/bytestream.hh"
 #include "common/fnv.hh"
-#include "common/json_min.hh"
 #include "program/suite.hh"
 
 namespace pp
@@ -18,7 +17,8 @@ namespace cache
 namespace
 {
 
-constexpr const char *kSchema = "pp.rcache.v1";
+constexpr ArtifactFormat kEntryFormat{0x6568636163727070ull, // "pprcache"
+                                      2, "result-cache entry"};
 
 void
 cacheKeyText(std::ostream &os, const memory::CacheConfig &c)
@@ -169,71 +169,33 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
 std::string
 ResultCache::objectPath(const std::string &key_text) const
 {
-    return dir_ + "/objects/" + hashHex(fnv1a(key_text)) + ".json";
+    return dir_ + "/objects/" + hashHex(fnv1a(key_text)) + ".pprc";
 }
 
-std::string
-ResultCache::envelopeJson(const std::string &key_text,
-                          const std::string &payload)
+std::vector<std::uint8_t>
+ResultCache::encodeEntry(const std::string &key_text,
+                         const std::string &payload)
 {
-    std::ostringstream os;
-    os << "{\"schema\":\"" << kSchema << "\",\"key_hash\":\""
-       << hashHex(fnv1a(key_text)) << "\",\"payload_hash\":\""
-       << hashHex(fnv1a(payload)) << "\",\"key\":\""
-       << jsonmin::escape(key_text) << "\",\"entry\":" << payload << "}\n";
-    return os.str();
+    std::vector<std::uint8_t> out;
+    putString(out, key_text);
+    putString(out, payload);
+    return frameArtifact(kEntryFormat, out);
 }
 
 std::string
 ResultCache::readEntry(const std::string &path,
                        const std::string &key_text)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw ResultCacheError("cannot open result-cache entry: " + path);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string text = buf.str();
-
-    // The payload is sliced by marker — "entry" is always the last
-    // field and the writer always ends the document "}\n" — so the
-    // exact emitter bytes come back untouched by any JSON round trip.
-    const std::size_t pos = text.find("\"entry\":");
-    if (pos == std::string::npos)
-        throw ResultCacheError("result-cache entry " + path +
-                               ": no entry field (truncated?)");
-    const std::size_t from = pos + 8;
-    if (text.size() < from + 2 ||
-        text.compare(text.size() - 2, 2, "}\n") != 0)
-        throw ResultCacheError("result-cache entry " + path +
-                               ": truncated document");
-    const std::string payload = text.substr(from, text.size() - 2 - from);
-
-    jsonmin::JsonValue doc;
-    try {
-        doc = jsonmin::parseJson(text);
-    } catch (const jsonmin::JsonParseError &e) {
-        throw ResultCacheError("result-cache entry " + path + ": " +
-                               e.what());
-    }
-    const jsonmin::JsonValue *schema = doc.get("schema");
-    if (schema == nullptr || schema->str != kSchema)
-        throw ResultCacheError("result-cache entry " + path +
-                               ": unexpected schema");
-    // The embedded key (and its hash) defeat filename aliasing: a hit
-    // is only a hit when the entry was stored under EXACTLY this key.
-    const jsonmin::JsonValue *key = doc.get("key");
-    if (key == nullptr || key->str != key_text)
-        throw ResultCacheError("result-cache entry " + path +
-                               ": key mismatch (aliased entry)");
-    const jsonmin::JsonValue *khash = doc.get("key_hash");
-    if (khash == nullptr || khash->str != hashHex(fnv1a(key_text)))
-        throw ResultCacheError("result-cache entry " + path +
-                               ": key hash mismatch");
-    const jsonmin::JsonValue *phash = doc.get("payload_hash");
-    if (phash == nullptr || phash->str != hashHex(fnv1a(payload)))
-        throw ResultCacheError("result-cache entry " + path +
-                               ": payload hash mismatch (corrupt)");
+    const std::vector<std::uint8_t> bytes = readArtifact(kEntryFormat, path);
+    checkFrame(kEntryFormat, bytes, path);
+    ByteReader r{bytes, kEntryFormat.name, kFrameBytes, &path};
+    // The stored key defeats filename aliasing: a hit is only a hit
+    // when the entry was stored under EXACTLY this key.
+    if (r.str() != key_text)
+        r.fail(ArtifactError::Kind::Mismatch, kFrameBytes,
+               "stored under another key (aliased entry)");
+    std::string payload = r.str();
+    r.expectEnd();
     return payload;
 }
 
@@ -252,7 +214,7 @@ ResultCache::lookup(const std::string &key_text)
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.hits;
         return payload;
-    } catch (const ResultCacheError &) {
+    } catch (const ArtifactError &) {
         // Recoverable by construction: the cell re-simulates and
         // store() rewrites the damaged object.
         std::lock_guard<std::mutex> lock(mutex_);
@@ -267,11 +229,13 @@ ResultCache::store(const std::string &key_text, const std::string &payload)
 {
     std::error_code ec;
     std::filesystem::create_directories(dir_ + "/objects", ec);
+    const std::string path = objectPath(key_text);
+    const std::vector<std::uint8_t> bytes = encodeEntry(key_text, payload);
     std::string error;
-    if (!writeFileAtomic(objectPath(key_text),
-                         envelopeJson(key_text, payload), &error))
-        throw ResultCacheError("cannot write result-cache entry: " +
-                               error);
+    if (!writeFileAtomic(path, std::string(bytes.begin(), bytes.end()),
+                         &error))
+        throw ArtifactError(ArtifactError::Kind::Io, kEntryFormat.name,
+                            path, 0, error);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.stores;
 }

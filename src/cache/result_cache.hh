@@ -1,6 +1,6 @@
 /**
  * @file
- * Content-addressed result cache: the pp.rcache.v1 store.
+ * Content-addressed result cache: the pp.rcache.v2 store.
  *
  * A cache entry maps the full semantic identity of one experiment cell
  * — workload (trace content hash, or the complete generator profile),
@@ -12,7 +12,7 @@
  * byte-identical document without executing a single simulation.
  *
  * The store is an on-disk directory, one object file per cell:
- * "<dir>/objects/<fnv1a(key) 16hex>.json", written atomically
+ * "<dir>/objects/<fnv1a(key) 16hex>.pprc", written atomically
  * (common/atomic_io.hh), so entries survive processes and ship between
  * hosts via a shared directory. It is also how --shards workers
  * deliver their cells: each stores its range here, and the supervisor
@@ -21,18 +21,15 @@
  * once, before it stores any, so an in-memory copy would answer only
  * a duplicate spec's second lookup, which the disk answers the same.
  *
- * Each object is a self-checking envelope:
- *
- *   {"schema":"pp.rcache.v1","key_hash":"<16hex>",
- *    "payload_hash":"<16hex>","key":"<full key text>",
- *    "entry":<result bytes>}
- *
- * The embedded key defeats filename aliasing (a 64-bit hash collision
- * can never serve the wrong cell), and payload_hash covers the exact
- * entry bytes. ANY damage — truncation, bit rot, a wrong or missing
- * field — is a typed ResultCacheError internally and a plain miss at
- * the lookup() API: never a panic, never a stale hit. The damaged cell
- * simply re-simulates and the entry is rewritten.
+ * Each object is a framed artifact (common/bytestream.hh), like
+ * .pptrace and pp.ckpt.v2: the 24-byte header, then two length-prefixed
+ * strings, the full key text and the exact entry bytes. The frame hash
+ * covers both; the stored key defeats filename aliasing (a 64-bit name
+ * collision can never serve the wrong cell). ANY damage — truncation,
+ * bit rot, another key's object — is a typed ArtifactError from
+ * readEntry() and a plain miss at the lookup() API: never a panic,
+ * never a stale hit. The damaged cell simply re-simulates and the
+ * entry is rewritten.
  *
  * Key derivation, the salt policy and invalidation rules are specified
  * in docs/result_cache_format.md.
@@ -44,8 +41,8 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "driver/run_matrix.hh"
 #include "replay/predictor_replay.hh"
@@ -62,14 +59,6 @@ namespace cache
  * emitter field changes, ...). See docs/result_cache_format.md.
  */
 constexpr unsigned kResultCacheSalt = 1;
-
-/** A damaged or mismatched pp.rcache.v1 entry. Always recoverable:
- *  lookup() converts it into a miss (and a corrupt-entry stat). */
-class ResultCacheError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
 
 /** What one ResultCache instance observed (real cache behavior — NOT
  *  part of any deterministic document; see SweepCounters for those). */
@@ -156,7 +145,8 @@ class ResultCache
 
     /**
      * Write @p payload under @p key_text atomically, replacing any
-     * object already there.
+     * object already there. Throws ArtifactError (Io) when the object
+     * cannot be written.
      */
     void store(const std::string &key_text, const std::string &payload);
 
@@ -166,16 +156,17 @@ class ResultCache
     std::string objectPath(const std::string &key_text) const;
 
     /**
-     * Parse + verify one pp.rcache.v1 object file against @p key_text
-     * and return the exact payload bytes. Throws ResultCacheError on
-     * any damage or mismatch (lookup() treats that as a miss).
+     * Verify one object file against @p key_text and return the exact
+     * payload bytes. Throws ArtifactError on any damage (its frame) or
+     * when the object was stored under another key (Mismatch);
+     * lookup() treats either as a miss.
      */
     static std::string readEntry(const std::string &path,
                                  const std::string &key_text);
 
-    /** Serialize one pp.rcache.v1 envelope (exposed for tests). */
-    static std::string envelopeJson(const std::string &key_text,
-                                    const std::string &payload);
+    /** The framed object store() writes (exposed for tests). */
+    static std::vector<std::uint8_t>
+    encodeEntry(const std::string &key_text, const std::string &payload);
 
   private:
     std::string dir_;

@@ -3,7 +3,7 @@
  * FNV-1a 64-bit hashing, shared by every content-identity check in the
  * repo: binary artifact frames (common/bytestream.cc), sweep-store
  * object names (tools/sweep_store.cpp) and result-cache object names
- * and envelope hashes (cache/).
+ * (cache/).
  * One definition keeps the identities interoperable — a hash printed by
  * one subsystem can be compared against a hash computed by another.
  */

@@ -116,14 +116,6 @@ vformat(const char *fmt, std::va_list args)
 
 } // namespace log_detail
 
-/** Current diagnostic level. */
-inline LogLevel
-logLevel()
-{
-    return static_cast<LogLevel>(
-        log_detail::levelVar().load(std::memory_order_relaxed));
-}
-
 /** Override the level (e.g. a --verbose flag); wins over PP_LOG_LEVEL. */
 inline void
 setLogLevel(LogLevel level)

@@ -126,9 +126,6 @@ struct DynInst
     bool isCompare() const { return ins->isCompare(); }
     bool isLoad() const { return ins->isLoad(); }
     bool isStore() const { return ins->isStore(); }
-
-    /** Actual direction (correct path only). */
-    bool actualTaken() const { return rec.branchTaken; }
 };
 
 } // namespace core

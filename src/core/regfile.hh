@@ -77,13 +77,6 @@ class RenameMap
         return p == invalidPhysReg || readyCycle[p] <= now;
     }
 
-    /** Cycle the value becomes available (neverReady if pending). */
-    Cycle
-    readyAt(PhysRegIndex p) const
-    {
-        return p == invalidPhysReg ? 0 : readyCycle[p];
-    }
-
     void setReady(PhysRegIndex p, Cycle c) { readyCycle[p] = c; }
 
     std::size_t freeCount() const { return freeList.size(); }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <regex>
 #include <sstream>
 
 #include "common/atomic_io.hh"
@@ -405,72 +406,11 @@ CsvSink::write(std::ostream &os, const std::vector<RunSpec> &specs,
     }
 }
 
-// ---------------------------------------------------------------------
-// Aggregation
-// ---------------------------------------------------------------------
-
-std::vector<SchemeAggregate>
-aggregate(const std::vector<RunSpec> &specs,
-          const std::vector<sim::RunResult> &results)
+std::string
+scrubHostMs(const std::string &json)
 {
-    checkAligned(specs, results);
-
-    struct Bucket
-    {
-        SchemeAggregate agg;
-        double logIpcSum = 0.0;
-    };
-
-    // Scheme axis labels in first-appearance order.
-    std::vector<std::string> schemes;
-    for (const auto &s : specs) {
-        std::string label = s.schemeName;
-        if (!s.configName.empty())
-            label += "/" + s.configName;
-        bool seen = false;
-        for (const auto &k : schemes)
-            seen = seen || k == label;
-        if (!seen)
-            schemes.push_back(label);
-    }
-
-    std::vector<SchemeAggregate> out;
-    for (const auto &scheme : schemes) {
-        const char *suites[] = {"int", "fp", "all"};
-        for (const char *suite : suites) {
-            Bucket b;
-            b.agg.scheme = scheme;
-            b.agg.suite = suite;
-            for (std::size_t i = 0; i < specs.size(); ++i) {
-                const RunSpec &s = specs[i];
-                std::string label = s.schemeName;
-                if (!s.configName.empty())
-                    label += "/" + s.configName;
-                if (label != scheme)
-                    continue;
-                const bool want_fp = suite[0] == 'f';
-                if (suite[0] != 'a' && s.profile.isFp != want_fp)
-                    continue;
-                const sim::RunResult &r = results[i];
-                ++b.agg.runs;
-                b.agg.meanIpc += r.ipc;
-                b.agg.meanMispredPct += r.mispredRatePct;
-                b.agg.meanAccuracyPct += r.accuracyPct;
-                b.agg.meanEarlyResolvedPct += r.earlyResolvedPct;
-                b.logIpcSum += std::log(r.ipc > 0.0 ? r.ipc : 1e-12);
-            }
-            if (b.agg.runs == 0)
-                continue;
-            const double n = static_cast<double>(b.agg.runs);
-            b.agg.meanIpc /= n;
-            b.agg.meanMispredPct /= n;
-            b.agg.meanAccuracyPct /= n;
-            b.agg.meanEarlyResolvedPct /= n;
-            b.agg.geomeanIpc = std::exp(b.logIpcSum / n);
-            out.push_back(b.agg);
-        }
-    }
-    return out;
+    static const std::regex re("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
+    return std::regex_replace(json, re, "\"$1\":0");
 }
 
 } // namespace driver

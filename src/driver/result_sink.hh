@@ -1,16 +1,16 @@
 /**
  * @file
  * Result sinks for sweep output: machine-readable JSON and CSV with a
- * stable schema (benchmark, scheme, ipc, mispred %, breakdown counters),
- * plus the per-suite aggregation the paper's INT/FP summaries use.
+ * stable schema (benchmark, scheme, ipc, mispred %, breakdown counters).
  *
  * Serialization is fully deterministic — fixed key order, fixed float
  * formatting — so the same (specs, results) pair always produces the
  * same bytes, whatever thread count computed it. One deliberate
  * exception: the wall-time perf samples in the JSON document (per-run
  * "host_ms" and the summary's "total_host_ms"); byte-identity
- * comparisons must scrub both. The sampled-simulation fields (sampled,
- * measured_insts, ipc_error_bound, detailed_insts) are deterministic.
+ * comparisons scrub them with scrubHostMs(). The sampled-simulation
+ * fields (sampled, measured_insts, ipc_error_bound, detailed_insts) are
+ * deterministic.
  */
 
 #ifndef PP_DRIVER_RESULT_SINK_HH
@@ -167,29 +167,13 @@ class CsvSink : public ResultSink
 };
 
 /**
- * Per-scheme summary over a subset of runs — the "average over SPECint /
- * SPECfp" rows of the paper's figures.
+ * @p json with the value of every field named "*host_ms" zeroed. The
+ * sinks give each wall-time perf sample such a name (host_ms, its
+ * build/ff/window breakdown, total_host_ms, the replay tier's stream
+ * and replay times), and no other field of a document varies between
+ * runs, so two runs of one matrix compare byte for byte after this.
  */
-struct SchemeAggregate
-{
-    std::string scheme;         ///< scheme[/config] axis label
-    std::string suite;          ///< "int", "fp" or "all"
-    std::size_t runs = 0;
-    double meanIpc = 0.0;
-    double geomeanIpc = 0.0;
-    double meanMispredPct = 0.0;
-    double meanAccuracyPct = 0.0;
-    double meanEarlyResolvedPct = 0.0;
-};
-
-/**
- * Aggregate results per scheme axis, split into int/fp/all suites.
- * Scheme order follows first appearance in @p specs; within one scheme
- * the suites are ordered int, fp, all (suites with no runs are omitted).
- */
-std::vector<SchemeAggregate>
-aggregate(const std::vector<RunSpec> &specs,
-          const std::vector<sim::RunResult> &results);
+std::string scrubHostMs(const std::string &json);
 
 } // namespace driver
 } // namespace pp

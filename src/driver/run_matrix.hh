@@ -102,18 +102,6 @@ class RunMatrix
     RunMatrix &filter(const std::string &regex);
     /// @}
 
-    /** @name Introspection */
-    /// @{
-    const std::vector<program::BenchmarkProfile> &benchmarkAxis() const
-    { return benchmarks_; }
-    const std::vector<SchemeAxis> &schemeAxis() const { return schemes_; }
-    const std::vector<ConfigAxis> &configAxis() const { return configs_; }
-    const std::vector<SamplingAxis> &samplingAxis() const
-    { return samplings_; }
-    std::uint64_t warmup() const { return warmup_; }
-    std::uint64_t measure() const { return measure_; }
-    /// @}
-
     /**
      * Enumerate the cartesian product, benchmark-major then
      * if-conversion, then scheme, then config, then sampling. The order

@@ -636,7 +636,8 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
                                  s.label());
             try {
                 c.set = sampling::WindowCheckpointSet::loadOrThrow(path);
-                c.set.validate(*b.binary, b.replayed(), path);
+                c.set.validate(*b.binary, b.replayed(), s.warmupInsts,
+                               s.measureInsts, s.sampling, path);
                 loaded = true;
             } catch (const ArtifactError &e) {
                 if (e.kind() != ArtifactError::Kind::BadVersion)
@@ -768,7 +769,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         writeRunJson(w, specs[i], results[i]);
         try {
             rcache->store(rkeys[i], os.str());
-        } catch (const cache::ResultCacheError &e) {
+        } catch (const ArtifactError &e) {
             warn("result-cache store failed for " + specs[i].label() +
                  ": " + e.what());
         }
@@ -982,7 +983,7 @@ SweepEngine::runReplay(
                                   workloads[i].measureInsts);
             try {
                 rcache->store(rkeys[i][c], os.str());
-            } catch (const cache::ResultCacheError &e) {
+            } catch (const ArtifactError &e) {
                 warn("result-cache store failed for " +
                      workloads[i].binaryKey() + "/" + configs[c].name +
                      ": " + e.what());

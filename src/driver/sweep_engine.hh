@@ -77,7 +77,7 @@ struct SweepOptions
     std::string checkpointDir;
 
     /**
-     * Content-addressed result cache (pp.rcache.v1, see
+     * Content-addressed result cache (pp.rcache.v2, see
      * cache/result_cache.hh): before any run job is dispatched, each
      * cell's full semantic key (workload identity, scheme, config,
      * sampling policy, window, schema version, code salt) is probed

@@ -4,12 +4,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include <signal.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace pp
 {
@@ -63,25 +66,19 @@ FaultPlan::parse(const std::string &spec)
             p.klass = item.substr(0, amp);
             const std::string where = item.substr(amp + 1);
             const std::size_t colon = where.find(':');
-            char *end = nullptr;
-            p.shard = static_cast<std::size_t>(
-                std::strtoull(where.c_str(), &end, 10));
-            const bool shard_ok =
-                end != where.c_str() &&
-                (colon == std::string::npos
-                     ? *end == '\0'
-                     : end == where.c_str() + colon);
-            bool attempt_ok = true;
-            if (colon != std::string::npos) {
-                const char *astr = where.c_str() + colon + 1;
-                p.attempt =
-                    static_cast<unsigned>(std::strtoul(astr, &end, 10));
-                attempt_ok = end != astr && *end == '\0' && p.attempt >= 1;
-            }
-            if (!shard_ok || !attempt_ok) {
+            const std::optional<std::uint64_t> shard =
+                parseU64(where.substr(0, colon));
+            const std::optional<std::uint64_t> attempt =
+                colon == std::string::npos
+                    ? p.attempt
+                    : parseU64(where.substr(colon + 1));
+            if (!shard || !attempt || *attempt < 1 ||
+                *attempt > std::numeric_limits<unsigned>::max()) {
                 fatal("bad --inject-fault item '" + item +
                       "' (want class@shard[:attempt])");
             }
+            p.shard = *shard;
+            p.attempt = static_cast<unsigned>(*attempt);
         }
         if (!knownFaultClass(p.klass)) {
             fatal("unknown fault class '" + p.klass +
@@ -137,7 +134,7 @@ applyOutputFault(const std::string &path)
             warn("fault injection: truncate failed on " + path);
     } else if (fault == "corrupt") {
         // Bit rot: flip one byte in the middle, inside the key text or
-        // the entry, so the envelope parses, keys or hashes wrong.
+        // the entry, so the object fails its frame hash.
         std::fstream f(path,
                        std::ios::binary | std::ios::in | std::ios::out);
         if (!f)

@@ -17,7 +17,7 @@
  *    case), "hang" sleeps forever (the supervisor's deadline kills it).
  *  - applyOutputFault(path): "truncate" halves the result-cache object
  *    of the range's first cell, "corrupt" flips one byte in its middle
- *    — both defeat the object's envelope check, exercising the
+ *    — both defeat the object's frame check, exercising the
  *    corrupt-output path.
  *  - "corrupt-trace" is consumed by TraceFile::loadOrThrow() itself
  *    (program/trace.cc), producing a genuine typed ArtifactError

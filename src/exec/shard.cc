@@ -1,14 +1,15 @@
 #include "exec/shard.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 
 #include "cache/result_cache.hh"
 #include "common/bytestream.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "driver/sweep_engine.hh"
 #include "exec/fault.hh"
 
@@ -39,22 +40,15 @@ shardRanges(std::size_t n, std::size_t shards)
 ShardRange
 parseShardRange(const std::string &text)
 {
-    // Digits only: no sign, no blanks, no overflow.
-    auto bound = [](const std::string &digits, std::size_t &out) {
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos)
-            return false;
-        errno = 0;
-        out = std::strtoull(digits.c_str(), nullptr, 10);
-        return errno != ERANGE;
-    };
     const std::size_t colon = text.find(':');
-    ShardRange r{0, 0};
-    if (colon == std::string::npos ||
-        !bound(text.substr(0, colon), r.first) ||
-        !bound(text.substr(colon + 1), r.second) || r.first >= r.second)
+    std::optional<std::uint64_t> begin, end;
+    if (colon != std::string::npos) {
+        begin = parseU64(text.substr(0, colon));
+        end = parseU64(text.substr(colon + 1));
+    }
+    if (!begin || !end || *begin >= *end)
         fatal("bad --shard-range '" + text + "' (want B:E with B < E)");
-    return r;
+    return {*begin, *end};
 }
 
 std::uint64_t

@@ -161,7 +161,7 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
             results[i] = driver::parseRunJson(cache::ResultCache::readEntry(
                 store.objectPath(keys[i].key), keys[i].key));
             return "";
-        } catch (const cache::ResultCacheError &e) {
+        } catch (const ArtifactError &e) {
             return e.what();
         } catch (const driver::ResultParseError &e) {
             return e.what();

@@ -23,7 +23,7 @@
  * Resume is per cell: a shard whose cells all verify in the cache
  * starts no worker, whatever shard count stored them, and a worker
  * finds the cells of its range that verify and simulates the rest.
- * The cell envelope embeds the full key (salt, every scheme, config,
+ * The cell object stores the full key (salt, every scheme, config,
  * sampling and window field, the trace's content hash), so a cell of
  * another build or spec is never taken.
  *
@@ -31,7 +31,7 @@
  *  - crash          worker killed by a signal or exited nonzero
  *  - timeout        wall-clock deadline hit; worker SIGKILLed
  *  - corrupt-output a cell of the range missing from the cache, or
- *                   failing its envelope check, after a clean exit
+ *                   failing its object check, after a clean exit
  *  - corrupt-trace  worker reported a typed ArtifactError (exit code
  *                   kTraceErrorExit) for a trace or checkpoint set
  *

@@ -111,7 +111,6 @@ class AsmProgram
     const std::vector<Region> &regions() const { return regionTable; }
     const std::vector<ConditionSpec> &conditions() const { return condSpecs; }
     std::size_t positionOf(LabelId label) const;
-    std::size_t numLabels() const { return static_cast<std::size_t>(nextLabel); }
     /// @}
 
     /**

@@ -64,9 +64,6 @@ struct ExecRecord
 
     /** Effective address (loads/stores with true QP). */
     Addr memAddr = 0;
-
-    /** True when this record is a taken (executed) branch. */
-    bool isTakenBranch() const { return ins->isBranch() && branchTaken; }
 };
 
 /**

@@ -37,6 +37,33 @@ elapsedMs(const std::chrono::steady_clock::time_point &since)
  */
 thread_local program::Emulator::Segment spareSegment;
 
+/**
+ * The windows of the region [warmup_insts, warmup_insts +
+ * measure_insts) under @p policy, bounds only: one measurement start
+ * per period, each measuring policy.measureInsts (clipped at the
+ * region's end) after policy.warmupInsts of detailed warmup (clipped
+ * at instruction 0). The builder fills these in; validate() requires
+ * a loaded set to hold exactly these.
+ */
+std::vector<WindowCheckpoint>
+windowLayout(std::uint64_t warmup_insts, std::uint64_t measure_insts,
+             const SamplingPolicy &policy)
+{
+    std::vector<WindowCheckpoint> windows;
+    const std::uint64_t region_end = warmup_insts + measure_insts;
+    for (std::uint64_t s = warmup_insts; s < region_end;
+         s += policy.periodInsts) {
+        WindowCheckpoint w;
+        w.measureStart = s;
+        w.measureEnd =
+            s + std::min<std::uint64_t>(policy.measureInsts,
+                                        region_end - s);
+        w.warmStart = s > policy.warmupInsts ? s - policy.warmupInsts : 0;
+        windows.push_back(std::move(w));
+    }
+    return windows;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -143,19 +170,45 @@ WindowCheckpointSet::loadOrThrow(const std::string &path)
 void
 WindowCheckpointSet::validate(const program::Program &binary,
                               const program::TraceFile *trace,
+                              std::uint64_t warmup_insts,
+                              std::uint64_t measure_insts,
+                              const SamplingPolicy &spec_policy,
                               const std::string &path) const
 {
-    auto mismatch = [&](std::size_t window, const std::string &detail) {
+    auto fail = [&](const std::string &detail) {
         throw ArtifactError(ArtifactError::Kind::Mismatch,
-                            kCkptSetFormat.name, path, kFrameBytes,
-                            "window " + std::to_string(window) + ": " +
-                                detail);
+                            kCkptSetFormat.name, path, kFrameBytes, detail);
     };
-    auto n = [](std::size_t v) { return std::to_string(v); };
+    auto mismatch = [&](std::size_t window, const std::string &detail) {
+        fail("window " + std::to_string(window) + ": " + detail);
+    };
+    auto n = [](std::uint64_t v) { return std::to_string(v); };
+    auto region = [&](std::uint64_t warmup, std::uint64_t measure,
+                      const SamplingPolicy &p) {
+        return n(warmup) + ":" + n(measure) + " under " + p.label() + "h" +
+               n(p.warmingHorizon);
+    };
+    auto bounds = [&](const WindowCheckpoint &w) {
+        return n(w.warmStart) + "/" + n(w.measureStart) + "/" +
+               n(w.measureEnd);
+    };
+    const std::string want = region(warmup_insts, measure_insts, spec_policy);
+    if (region(regionWarmup, regionMeasure, policy) != want)
+        fail("region " + region(regionWarmup, regionMeasure, policy) +
+             ", the sweep's is " + want);
+    const std::vector<WindowCheckpoint> layout =
+        windowLayout(warmup_insts, measure_insts, spec_policy);
+    if (windows.size() != layout.size())
+        fail(n(windows.size()) + " windows, the region lays out " +
+             n(layout.size()));
     const std::size_t words = binary.dataSize() / 8;
     const std::vector<program::ConditionSpec> &conds = binary.conditions();
     for (std::size_t i = 0; i < windows.size(); ++i) {
         const WindowCheckpoint &w = windows[i];
+        if (bounds(w) != bounds(layout[i]))
+            mismatch(i, "bounds " + bounds(w) +
+                            " (warm/measure/end), the layout's are " +
+                            bounds(layout[i]));
         const program::Emulator::Checkpoint &a = w.arch;
         if (a.dataMem.size() != words)
             mismatch(i, "data segment of " + n(a.dataMem.size()) +
@@ -238,24 +291,15 @@ buildWindowCheckpoints(const program::Program &binary,
     set.regionWarmup = warmup_insts;
     set.regionMeasure = measure_insts;
     set.policy = policy;
+    set.windows = windowLayout(warmup_insts, measure_insts, policy);
 
     program::Emulator emu(binary, decoded, sim::coreSeed(profile),
                           trace);
-    const std::uint64_t region_start = warmup_insts;
-    const std::uint64_t region_end = warmup_insts + measure_insts;
 
     // One monotonic functional pass: with a gapped policy, consecutive
     // warm starts strictly increase, so the emulator never rewinds.
     std::uint64_t pos = 0;
-    for (std::uint64_t s = region_start; s < region_end;
-         s += policy.periodInsts) {
-        WindowCheckpoint w;
-        w.measureStart = s;
-        w.measureEnd =
-            s + std::min<std::uint64_t>(policy.measureInsts,
-                                        region_end - s);
-        w.warmStart = s > policy.warmupInsts ? s - policy.warmupInsts : 0;
-
+    for (WindowCheckpoint &w : set.windows) {
         // Functional warming covers [warm_begin, warmStart): the last
         // warmingHorizon instructions of the gap (the whole gap when
         // the horizon is 0), recorded rather than applied.
@@ -274,7 +318,6 @@ buildWindowCheckpoints(const program::Program &binary,
         // window, so a set holds each distinct page once.
         w.arch = emu.checkpoint();
         pos = w.warmStart;
-        set.windows.push_back(std::move(w));
     }
     set.builderInsts = pos;
     return set;

@@ -106,21 +106,27 @@ struct WindowCheckpointSet
 
     /**
      * Throw ArtifactError (Mismatch, naming @p path and the window)
-     * unless the set fits @p binary, replayed from @p trace (null for
-     * a generated workload): every window's data segment has the
-     * binary's size, its register files the core's, its PC and every
-     * return address lie in the code image, its condition state has
-     * the binary's condition count,
+     * unless the set is the one buildWindowCheckpoints() lays out for
+     * the region [@p warmup_insts, + @p measure_insts) under
+     * @p policy — that region and policy, and exactly the windows the
+     * builder places there, bound for bound — and fits @p binary,
+     * replayed from @p trace (null for a generated workload): every
+     * window's data segment has the binary's size, its register files
+     * the core's, its PC and every return address lie in the code
+     * image, its condition state has the binary's condition count,
      * comes from the workload's kind of condition source (generated or
      * replayed) and holds only cursors that source can restore
      * (program::cursorFits), and every Branch and Compare event names
      * one of the binary's instructions. A loaded set is checked before
-     * any window runs, so a hash-sound set of another program or mode
-     * never reaches the core's unchecked image reads or the restore
-     * path's panics.
+     * any window runs, so a hash-sound set of another program, mode or
+     * layout never reaches the core's unchecked image reads, the
+     * restore path's panics or a window run asked for a wrapped
+     * instruction count.
      */
     void validate(const program::Program &binary,
                   const program::TraceFile *trace,
+                  std::uint64_t warmup_insts, std::uint64_t measure_insts,
+                  const SamplingPolicy &policy,
                   const std::string &path) const;
 };
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/fnv.hh"
+#include "common/parse_number.hh"
 #include "core/core.hh"
 #include "obs/trace_event.hh"
 #include "program/codegen.hh"
@@ -153,7 +154,7 @@ envOr(const char *name, std::uint64_t fallback)
     const char *v = std::getenv(name);
     if (v == nullptr || *v == '\0')
         return fallback;
-    return std::strtoull(v, nullptr, 10);
+    return parseU64(name, v);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Content-addressed result cache: key derivation (every semantic axis
- * salts the key), the two-tier store, corruption recovery (typed miss,
+ * salts the key), the on-disk store, corruption recovery (typed miss,
  * never a stale hit, never a panic), and the engine-level contract —
  * a warm rerun executes zero simulations yet emits byte-identical
  * documents, for both the full-sim and the predictor-replay tiers.
@@ -9,8 +9,7 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../common/artifact_mutation.hh"
 #include "cache/result_cache.hh"
 #include "common/atomic_io.hh"
+#include "common/bytestream.hh"
 #include "driver/grids.hh"
 #include "driver/replay_sink.hh"
 #include "driver/result_sink.hh"
@@ -72,20 +73,19 @@ keyOf(const driver::RunSpec &spec)
     return cache::runKeyText(spec, cache::workloadIdentity(spec, ""));
 }
 
-std::string
-scrubHostMs(const std::string &json)
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
 {
-    static const std::regex re("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, re, "\"$1\":0");
+    std::vector<std::uint8_t> bytes;
+    EXPECT_TRUE(readFileBytes(path, bytes)) << path;
+    return bytes;
 }
 
-std::string
-readFile(const std::string &path)
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
 {
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
+    ASSERT_TRUE(
+        writeFileAtomic(path, std::string(bytes.begin(), bytes.end())));
 }
 
 } // namespace
@@ -230,13 +230,21 @@ TEST(ResultCacheCorruption, DamagedEntriesAreTypedMisses)
     writer.store(key, payload);
     const std::string obj = writer.objectPath(key);
     ASSERT_FALSE(obj.empty());
-    const std::string good = readFile(obj);
+    const std::vector<std::uint8_t> good = readBytes(obj);
+    ASSERT_EQ(good, cache::ResultCache::encodeEntry(key, payload));
 
-    const auto expectMiss = [&](const std::string &bytes) {
-        ASSERT_TRUE(writeFileAtomic(obj, bytes));
+    using Kind = ArtifactError::Kind;
+    const auto expectMiss = [&](const std::vector<std::uint8_t> &bytes,
+                                Kind kind) {
+        writeBytes(obj, bytes);
         // readEntry throws the typed error...
-        EXPECT_THROW(cache::ResultCache::readEntry(obj, key),
-                     cache::ResultCacheError);
+        try {
+            cache::ResultCache::readEntry(obj, key);
+            ADD_FAILURE() << "accepted a damaged object";
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), kind) << e.what();
+            EXPECT_EQ(e.path(), obj);
+        }
         // ...and lookup() degrades it to a counted miss.
         cache::ResultCache reader(dir);
         EXPECT_FALSE(reader.lookup(key).has_value());
@@ -244,27 +252,44 @@ TEST(ResultCacheCorruption, DamagedEntriesAreTypedMisses)
         EXPECT_EQ(reader.stats().misses, 1u);
     };
 
-    // Truncation.
-    expectMiss(good.substr(0, good.size() / 2));
-    // Bit rot inside the payload.
+    // Truncation: inside the header, and inside the payload with the
+    // header hash pointing at what is left (the key or entry length
+    // then overruns the object).
+    expectMiss({good.begin(), good.begin() + 16}, Kind::Truncated);
     {
-        std::string bad = good;
-        bad[bad.find("2.0")] = '9';
-        expectMiss(bad);
+        std::vector<std::uint8_t> cut(good.begin(), good.end() - 4);
+        test::rehashFrame(cut);
+        expectMiss(cut, Kind::Truncated);
     }
-    // Garbage.
-    expectMiss("not json at all\n");
-    // Empty file.
-    expectMiss("");
-
-    // Aliased entry: a valid envelope for a DIFFERENT key sitting at
+    // Hash-sound bytes after the entry.
+    {
+        std::vector<std::uint8_t> longer = good;
+        longer.push_back(0);
+        test::rehashFrame(longer);
+        expectMiss(longer, Kind::Malformed);
+    }
+    // Bit rot inside the payload, and a torn write cut mid-payload.
+    {
+        std::vector<std::uint8_t> bad = good;
+        bad[bad.size() - 3] ^= 0x01; // inside "2.0"
+        expectMiss(bad, Kind::HashMismatch);
+        expectMiss({good.begin(), good.begin() + good.size() / 2},
+                   Kind::HashMismatch);
+    }
+    // Garbage, and the empty file.
+    {
+        const std::string text = "not a result-cache object, just text\n";
+        expectMiss({text.begin(), text.end()}, Kind::BadMagic);
+        expectMiss({}, Kind::Truncated);
+    }
+    // Aliased entry: a sound object for a DIFFERENT key sitting at
     // this key's path must never be served (stale-hit defense).
     {
         driver::RunSpec other = baseSpec();
         other.measureInsts += 12345;
-        const std::string other_key = keyOf(other);
-        expectMiss(cache::ResultCache::envelopeJson(other_key,
-                                                    "{\"ipc\":9.9}"));
+        expectMiss(cache::ResultCache::encodeEntry(keyOf(other),
+                                                   "{\"ipc\":9.9}"),
+                   Kind::Mismatch);
     }
 
     // The cache recovers: a fresh store over the damaged file serves
@@ -277,20 +302,64 @@ TEST(ResultCacheCorruption, DamagedEntriesAreTypedMisses)
     EXPECT_EQ(*hit, payload);
 }
 
-TEST(ResultCacheCorruption, EnvelopeRoundTrips)
+TEST(ResultCacheCorruption, ObjectRoundTrips)
 {
     const std::string key = "salt=1\ndoc=test\nworkload=w\n";
     const std::string payload = "{\"a\":1,\"b\":\"x\\\"y\"}";
-    const std::string env =
-        cache::ResultCache::envelopeJson(key, payload);
+    const std::vector<std::uint8_t> object =
+        cache::ResultCache::encodeEntry(key, payload);
 
-    const std::string dir = uniqueDir("env");
-    const std::string path = dir + "/e.json";
-    ASSERT_TRUE(writeFileAtomic(path, env));
-    EXPECT_EQ(cache::ResultCache::readEntry(path, key), payload);
+    const std::string path = uniqueDir("obj") + "/e.pprc";
+    writeBytes(path, object);
+    const std::string entry = cache::ResultCache::readEntry(path, key);
+    EXPECT_EQ(entry, payload);
+    // Re-encoding what was read gives the object's bytes back.
+    EXPECT_EQ(cache::ResultCache::encodeEntry(key, entry), object);
     // Wrong expected key => typed mismatch.
-    EXPECT_THROW(cache::ResultCache::readEntry(path, key + "z"),
-                 cache::ResultCacheError);
+    try {
+        cache::ResultCache::readEntry(path, key + "z");
+        ADD_FAILURE() << "served another key's entry";
+    } catch (const ArtifactError &e) {
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Mismatch) << e.what();
+    }
+}
+
+TEST(ResultCacheCorruption, MutatedObjectsFailTypedOrReencodeToThemselves)
+{
+    // 1,200 seeded mutations of one stored run object, each with its
+    // frame hash recomputed so the key and entry decode is reached.
+    // Every case is an ArtifactError and a counted corrupt miss, or
+    // decodes and re-encodes to its own bytes: the decoder is canonical.
+    const std::string dir = uniqueDir("mutate");
+    const driver::RunSpec spec = baseSpec();
+    driver::SweepOptions opts;
+    opts.resultCacheDir = dir;
+    driver::SweepEngine(opts).run(std::vector<driver::RunSpec>{spec});
+    const std::string key = keyOf(spec);
+    const std::string obj = cache::ResultCache(dir).objectPath(key);
+    const std::vector<std::uint8_t> image = readBytes(obj);
+
+    unsigned corrupt_misses = 0;
+    auto decode = [&](const std::vector<std::uint8_t> &bytes) {
+        writeBytes(obj, bytes);
+        try {
+            return cache::ResultCache::readEntry(obj, key);
+        } catch (const ArtifactError &) {
+            cache::ResultCache reader(dir);
+            EXPECT_FALSE(reader.lookup(key).has_value());
+            corrupt_misses += static_cast<unsigned>(reader.stats().corrupt);
+            throw;
+        }
+    };
+    auto encode = [&](const std::string &entry) {
+        return cache::ResultCache::encodeEntry(key, entry);
+    };
+    const test::MutationTally tally =
+        test::mutateArtifact(image, 1200, 0x72636163ull, decode, encode);
+    EXPECT_EQ(tally.rejected + tally.accepted, 1200u);
+    EXPECT_GT(tally.rejected, 0u);
+    EXPECT_EQ(tally.reencoded, 0u);
+    EXPECT_EQ(corrupt_misses, tally.rejected);
 }
 
 // ---------------------------------------------------------------------
@@ -364,7 +433,7 @@ TEST(ResultCacheEngine, CorruptEntryReSimulatesThatCellOnly)
         driver::JsonSink{engine.counters()}.toString(specs, results);
     // One cell re-simulated (fresh host_ms), everything else replayed;
     // after the scrub the documents are identical.
-    EXPECT_EQ(scrubHostMs(warm_doc), scrubHostMs(cold_doc));
+    EXPECT_EQ(driver::scrubHostMs(warm_doc), driver::scrubHostMs(cold_doc));
     EXPECT_EQ(engine.resultCacheUse().hits, specs.size() - 1);
     EXPECT_EQ(engine.resultCacheUse().simulated, 1u);
     EXPECT_EQ(engine.resultCacheUse().corrupt, 1u);
@@ -398,7 +467,7 @@ TEST(ResultCacheEngine, WarmReplaySweepEvaluatesNothing)
     const std::string warm_doc = driver::replayJsonString(results);
     // The replay tier re-extracts streams (host-time fields recompute),
     // so the identity contract is modulo *host_ms.
-    EXPECT_EQ(scrubHostMs(warm_doc), scrubHostMs(cold_doc));
+    EXPECT_EQ(driver::scrubHostMs(warm_doc), driver::scrubHostMs(cold_doc));
     EXPECT_EQ(engine.resultCacheUse().simulated, 0u);
     EXPECT_EQ(engine.resultCacheUse().hits,
               matrix.workloads().size() * matrix.configs().size());

@@ -1,7 +1,8 @@
 /**
  * @file
  * A seeded mutation sweep over a framed artifact image
- * (common/bytestream.hh), shared by the .pptrace and pp.ckpt.v2 tests.
+ * (common/bytestream.hh), shared by the .pptrace, pp.ckpt.v2 and
+ * result-cache object tests.
  *
  * Each case mutates the payload — bit flips, a truncation or an
  * overwritten word — then recomputes the header hash, so the payload
@@ -9,9 +10,9 @@
  * ArtifactError, or it succeeds and re-serializing is a fixed point
  * (decode, serialize, decode, serialize gives the first serialization's
  * bytes again). The tally counts the accepted cases that re-encode to
- * other bytes than their input; a canonical decoder (pp.ckpt.v2) has
- * none, while the trace decoder still accepts bits its encoder writes
- * as zero. No case may die.
+ * other bytes than their input; a canonical decoder (pp.ckpt.v2, the
+ * result cache's objects) has none, while the trace decoder still
+ * accepts bits its encoder writes as zero. No case may die.
  */
 
 #ifndef PP_TESTS_ARTIFACT_MUTATION_HH

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <regex>
 #include <string>
 #include <thread>
 
@@ -25,19 +24,6 @@ namespace
 
 constexpr std::uint64_t kWarm = 10000;
 constexpr std::uint64_t kRun = 40000;
-
-/**
- * Neutralize the intentionally nondeterministic JSON fields (per-run
- * host wall time, its build/ff/window breakdown and the summary's
- * total — every key ending in "host_ms") so documents can be compared
- * byte-for-byte.
- */
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, host_ms, "\"$1\":0");
-}
 
 RunMatrix
 smallMatrix()
@@ -536,46 +522,6 @@ TEST(ResultSink, JsonContainsSchemaAndRunFields)
     for (const char c : csv)
         lines += c == '\n';
     EXPECT_EQ(lines, 1u + specs.size());
-}
-
-TEST(ResultSink, AggregateSplitsSuites)
-{
-    // Hand-built specs/results: two schemes over one int + one fp
-    // benchmark.
-    std::vector<RunSpec> specs;
-    std::vector<sim::RunResult> results;
-    const char *schemes[] = {"a", "b"};
-    const char *benches[] = {"gzip", "swim"};
-    double ipc = 1.0;
-    for (const char *b : benches) {
-        for (const char *s : schemes) {
-            RunSpec spec;
-            spec.profile = program::profileByName(b);
-            spec.schemeName = s;
-            specs.push_back(spec);
-            sim::RunResult r;
-            r.benchmark = b;
-            r.ipc = ipc;
-            r.mispredRatePct = 4.0;
-            r.accuracyPct = 96.0;
-            results.push_back(r);
-            ipc += 1.0;
-        }
-    }
-
-    const auto aggs = aggregate(specs, results);
-    // 2 schemes x {int, fp, all}.
-    ASSERT_EQ(aggs.size(), 6u);
-    EXPECT_EQ(aggs[0].scheme, "a");
-    EXPECT_EQ(aggs[0].suite, "int");
-    EXPECT_EQ(aggs[0].runs, 1u);
-    EXPECT_DOUBLE_EQ(aggs[0].meanIpc, 1.0);   // gzip under "a"
-    EXPECT_EQ(aggs[2].suite, "all");
-    EXPECT_DOUBLE_EQ(aggs[2].meanIpc, 2.0);   // (1 + 3) / 2
-    EXPECT_EQ(aggs[5].scheme, "b");
-    EXPECT_EQ(aggs[5].suite, "all");
-    EXPECT_DOUBLE_EQ(aggs[5].meanIpc, 3.0);   // (2 + 4) / 2
-    EXPECT_DOUBLE_EQ(aggs[5].meanMispredPct, 4.0);
 }
 
 TEST(StressProfiles, PresentAndDistinct)

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <regex>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -112,19 +112,11 @@ workerCmd(const std::vector<std::string> &extra = {},
     return cmd;
 }
 
-/** Zero the wall-time-only fields; everything else must match exactly. */
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex re("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, re, "\"$1\":0");
-}
-
 std::string
 mergedJson(const std::vector<driver::RunSpec> &specs,
            const std::vector<sim::RunResult> &results)
 {
-    return scrubHostMs(
+    return driver::scrubHostMs(
         driver::JsonSink{driver::sweepCountersFor(specs, false)}.toString(
             specs, results));
 }
@@ -194,6 +186,18 @@ TEST(FaultPlan, ParsesPointsAndBareClasses)
     EXPECT_TRUE(exec::FaultPlan::parse("").empty());
     EXPECT_TRUE(exec::knownFaultClass("corrupt-trace"));
     EXPECT_FALSE(exec::knownFaultClass("meltdown"));
+}
+
+TEST(FaultPlanDeathTest, RejectsSignedAndPartialNumbers)
+{
+    // strtoull wrapped "-1" to a shard no sweep has, so the fault
+    // silently never fired.
+    for (const char *item : {"crash@-1:1", "crash@0:-1", "crash@0:0",
+                             "crash@1x", "crash@0:1 ", "crash@:1"})
+        EXPECT_EXIT(exec::FaultPlan::parse(item),
+                    ::testing::ExitedWithCode(1),
+                    "bad --inject-fault item")
+            << item;
 }
 
 TEST(ShardRanges, ContiguousCoverWithRemainderUpFront)
@@ -541,8 +545,8 @@ TEST(ShardSupervisorDeathTest, WorkerOfAnotherSpecListFailsPermanently)
         ::testing::ExitedWithCode(1),
         "shard 0 \\(specs \\[0,3\\) of 12\\) failed permanently after "
         "2 attempt\\(s\\): corrupt-output, corrupt-output; last error: "
-        "cell 0 \\(gzip/conventional\\): cannot open result-cache "
-        "entry: .*\\.json");
+        "cell 0 \\(gzip/conventional\\): result-cache entry "
+        ".*\\.pprc: cannot open");
 }
 
 TEST(ShardSupervisorDeathTest, ExhaustionNamesShardAndSpecRange)
@@ -637,9 +641,11 @@ TEST(ShardSupervisorDeathTest, CorruptCheckpointFailsFastAndTyped)
 
 TEST(ShardSupervisorDeathTest, HostileCheckpointSetFailsAsCorruptTraceNotCrash)
 {
-    // A hash-sound set whose window 0 PC lies past the code image: the
-    // worker's validation turns it into a typed Mismatch (exit 3)
-    // before Emulator::restore could abort the worker as a crash.
+    // Hash-sound sets whose window 0 PC lies past the code image, or
+    // whose window 0 measures from before its own warm start: the
+    // worker's validation turns each into a typed Mismatch (exit 3)
+    // before Emulator::restore could abort the worker, or the window
+    // run wedge the core, as a crash.
     const auto specs = fig5Specs("", kSampled);
     const std::string ckpt_dir = uniqueDir("hostileckpt");
     {
@@ -647,29 +653,48 @@ TEST(ShardSupervisorDeathTest, HostileCheckpointSetFailsAsCorruptTraceNotCrash)
         fill.checkpointDir = ckpt_dir;
         driver::SweepEngine(fill).run(specs);
     }
-    std::vector<std::string> sets;
+    std::vector<std::pair<std::string, sampling::WindowCheckpointSet>> sets;
     for (const auto &e : std::filesystem::directory_iterator(ckpt_dir))
         if (e.path().extension() == ".ppckpt")
-            sets.push_back(e.path().string());
+            sets.emplace_back(e.path().string(),
+                              sampling::WindowCheckpointSet::loadOrThrow(
+                                  e.path().string()));
     ASSERT_FALSE(sets.empty());
-    for (const std::string &path : sets) {
-        auto set = sampling::WindowCheckpointSet::loadOrThrow(path);
-        set.windows[0].arch.pc = std::uint64_t{1} << 40;
-        set.store(path);
-    }
 
-    auto opts = baseOptions(uniqueDir("hostileckpt-sharded"));
-    opts.workerCmd = workerCmd({"--checkpoint-dir", ckpt_dir}, kSampled);
-    opts.maxAttempts = 5;
-    opts.parallel = 1;
-    EXPECT_EXIT(
-        {
-            exec::ShardSupervisor supervisor(opts);
-            supervisor.run(specs);
+    const auto expectCorruptTrace =
+        [&](const std::function<void(sampling::WindowCheckpoint &)> &mutate,
+            const std::string &detail) {
+            for (const auto &[path, set] : sets) {
+                auto bad = set;
+                mutate(bad.windows[0]);
+                bad.store(path);
+            }
+            auto opts = baseOptions(uniqueDir("hostileckpt-sharded"));
+            opts.workerCmd =
+                workerCmd({"--checkpoint-dir", ckpt_dir}, kSampled);
+            opts.maxAttempts = 5;
+            opts.parallel = 1;
+            const std::string expected =
+                "failed permanently after 2 attempt\\(s\\): corrupt-trace "
+                "\\(exit 3\\), corrupt-trace \\(exit 3\\); last error: "
+                "corrupt artifact: checkpoint file .*\\.ppckpt: window 0: " +
+                detail;
+            EXPECT_EXIT(
+                {
+                    exec::ShardSupervisor supervisor(opts);
+                    supervisor.run(specs);
+                },
+                ::testing::ExitedWithCode(1), expected.c_str());
+        };
+    expectCorruptTrace(
+        [](sampling::WindowCheckpoint &w) {
+            w.arch.pc = std::uint64_t{1} << 40;
         },
-        ::testing::ExitedWithCode(1),
-        "failed permanently after 2 attempt\\(s\\): corrupt-trace "
-        "\\(exit 3\\), corrupt-trace \\(exit 3\\); last error: "
-        "corrupt artifact: checkpoint file .*\\.ppckpt: window 0: PC "
-        "1099511627776 outside the");
+        "PC 1099511627776 outside the");
+    expectCorruptTrace(
+        [](sampling::WindowCheckpoint &w) {
+            w.measureStart = w.warmStart - 1;
+        },
+        "bounds [0-9]+/[0-9]+/[0-9]+ \\(warm/measure/end\\), the "
+        "layout's are");
 }

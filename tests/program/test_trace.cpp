@@ -16,7 +16,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -97,13 +96,6 @@ makeTraceDir()
     const char *dir = mkdtemp(templ.data());
     EXPECT_NE(dir, nullptr);
     return templ;
-}
-
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, host_ms, "\"$1\":0");
 }
 
 } // namespace
@@ -463,7 +455,7 @@ TEST(TraceSweep, RecordThenReplayIsByteIdenticalFullAndSampled)
     const std::string replay_json =
         driver::JsonSink{replayer.counters()}.toString(specs, replayed);
 
-    EXPECT_EQ(scrubHostMs(live_json), scrubHostMs(replay_json));
+    EXPECT_EQ(driver::scrubHostMs(live_json), driver::scrubHostMs(replay_json));
     EXPECT_EQ(driver::CsvSink{}.toString(specs, live),
               driver::CsvSink{}.toString(specs, replayed));
 

@@ -30,9 +30,9 @@
 #include <cmath>
 #include <filesystem>
 #include <iterator>
-#include <regex>
 
 #include "driver/replay_sink.hh"
+#include "driver/result_sink.hh"
 #include "driver/sweep_engine.hh"
 #include "program/trace.hh"
 #include "replay/predictor_replay.hh"
@@ -78,14 +78,6 @@ constexpr double kEarlyResolvedMissShare = 0.12;
 /** Window-boundary slack: the detailed core overshoots the measured
  *  region by up to a fetch group, so edge branches can differ. */
 constexpr double kCountSlack = 2.0;
-
-/** See tests/driver/test_sweep_engine.cpp: neutralize *host_ms. */
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, host_ms, "\"$1\":0");
-}
 
 replay::ReplayWorkloadSpec
 specFor(const program::BenchmarkProfile &profile, bool if_convert,
@@ -278,13 +270,13 @@ TEST(PredictorReplay, EngineDocByteIdenticalAcrossThreadCounts)
     driver::SweepOptions one;
     one.threads = 1;
     driver::SweepEngine engine_one(one);
-    const std::string doc_one = scrubHostMs(
+    const std::string doc_one = driver::scrubHostMs(
         driver::replayJsonString(engine_one.runReplay(matrix)));
 
     driver::SweepOptions four;
     four.threads = 4;
     driver::SweepEngine engine_four(four);
-    const std::string doc_four = scrubHostMs(
+    const std::string doc_four = driver::scrubHostMs(
         driver::replayJsonString(engine_four.runReplay(matrix)));
 
     EXPECT_EQ(doc_one, doc_four);
@@ -335,7 +327,7 @@ TEST(PredictorReplay, EngineTraceDirReplaysTheRecordingSweep)
     driver::SweepOptions record;
     record.threads = 2;
     record.recordTraceDir = dir;
-    const std::string recorded = scrubHostMs(driver::replayJsonString(
+    const std::string recorded = driver::scrubHostMs(driver::replayJsonString(
         driver::SweepEngine(record).runReplay(matrix)));
 
     std::vector<replay::ReplayWorkloadSpec> workloads = matrix.workloads();
@@ -343,7 +335,7 @@ TEST(PredictorReplay, EngineTraceDirReplaysTheRecordingSweep)
     driver::SweepOptions replay_opts;
     replay_opts.threads = 2;
     driver::SweepEngine engine(replay_opts);
-    const std::string replayed = scrubHostMs(driver::replayJsonString(
+    const std::string replayed = driver::scrubHostMs(driver::replayJsonString(
         engine.runReplay(workloads, matrix.configs())));
     EXPECT_EQ(recorded, replayed);
 

@@ -34,9 +34,9 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <regex>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "../common/artifact_mutation.hh"
 #include "common/fnv.hh"
@@ -74,13 +74,6 @@ buildGzipSet()
     const program::Program binary = sim::buildBinary(profile, true);
     return sampling::buildWindowCheckpoints(binary, profile, 5000, 20000,
                                             gappedPolicy());
-}
-
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, host_ms, "\"$1\":0");
 }
 
 std::string
@@ -656,7 +649,7 @@ TEST(WindowCheckpoint, ParallelWindowsBitIdenticalAcrossThreadCounts)
         opts.threads = threads;
         driver::SweepEngine engine(opts);
         const auto results = engine.run(specs);
-        docs.push_back(scrubHostMs(
+        docs.push_back(driver::scrubHostMs(
             driver::JsonSink{engine.counters()}.toString(specs, results)));
         all.push_back(results);
     }
@@ -705,7 +698,7 @@ TEST(WindowCheckpoint, EngineCountersAndDiskCacheAreDeterministic)
     const auto mem_results = mem_engine.run(specs);
     EXPECT_EQ(mem_engine.counters().checkpointsBuilt, 1u);
     EXPECT_EQ(mem_engine.counters().checkpointCacheHits, 1u);
-    const std::string mem_doc = scrubHostMs(
+    const std::string mem_doc = driver::scrubHostMs(
         driver::JsonSink{mem_engine.counters()}.toString(specs,
                                                          mem_results));
     EXPECT_NE(mem_doc.find("\"checkpoints_built\":1"), std::string::npos);
@@ -725,8 +718,8 @@ TEST(WindowCheckpoint, EngineCountersAndDiskCacheAreDeterministic)
         const auto results = engine.run(specs);
         EXPECT_EQ(engine.counters().checkpointsBuilt, 1u);
         EXPECT_EQ(engine.counters().checkpointCacheHits, 1u);
-        EXPECT_EQ(scrubHostMs(driver::JsonSink{engine.counters()}.toString(
-                      specs, results)),
+        EXPECT_EQ(driver::scrubHostMs(driver::JsonSink{engine.counters()}
+                                          .toString(specs, results)),
                   mem_doc);
     }
 
@@ -779,7 +772,7 @@ sweepDoc(const driver::SweepOptions &opts,
     const auto results = engine.run(specs);
     if (use != nullptr)
         *use = engine.resultCacheUse();
-    return scrubHostMs(
+    return driver::scrubHostMs(
         driver::JsonSink{engine.counters()}.toString(specs, results));
 }
 
@@ -1070,6 +1063,67 @@ TEST(StreamedSets, HostileWindowStateFailsAsMismatchNotAbort)
             EXPECT_EQ(e.kind(), ArtifactError::Kind::Mismatch) << e.what();
             EXPECT_NE(std::string(e.what()).find("window 0: " + detail),
                       std::string::npos)
+                << e.what();
+        }
+    }
+
+    writeBytes(path, good);
+    EXPECT_NO_THROW(driver::SweepEngine(opts).run(specs));
+}
+
+TEST(StreamedSets, ASetOfAnotherLayoutFailsAsMismatchNotAbort)
+{
+    // Hash-sound sets of another region or policy, or with a window
+    // moved off the builder's layout. Window 0 measuring from before
+    // its own warm start asked the window core for a wrapped
+    // instruction count, and the core panicked "simulation wedged".
+    // Each payload word is rewritten in place and the frame rehashed,
+    // so only validate() stands between the file and the window run.
+    const auto specs = setsOf({"gzip"});
+    driver::SweepOptions opts;
+    opts.threads = 2;
+    opts.checkpointDir = tempPath("layout_ckpt");
+    std::filesystem::remove_all(opts.checkpointDir);
+    sweepDoc(opts, specs);
+    const std::string path = onlySetIn(opts.checkpointDir);
+    const std::vector<std::uint8_t> good = readBytes(path);
+    const WindowCheckpointSet set = WindowCheckpointSet::loadOrThrow(path);
+    const sampling::WindowCheckpoint &w0 = set.windows[0];
+    const auto n = [](std::uint64_t v) { return std::to_string(v); };
+    const std::string under = " under " + set.policy.label() + "h";
+    const std::string sweeps = ", the sweep's is 5000:20000" + under +
+                               n(set.policy.warmingHorizon);
+
+    // pp.ckpt.v2 payload words: 0 is the region's warmup, 6 the
+    // warming horizon and 10 window 0's measureStart.
+    const std::vector<std::tuple<std::size_t, std::uint64_t, std::string>>
+        cases = {
+            {10, w0.warmStart - 1,
+             "window 0: bounds " + n(w0.warmStart) + "/" +
+                 n(w0.warmStart - 1) + "/" + n(w0.measureEnd) +
+                 " (warm/measure/end), the layout's are " +
+                 n(w0.warmStart) + "/" + n(w0.measureStart) + "/" +
+                 n(w0.measureEnd)},
+            {6, set.policy.warmingHorizon + 1,
+             "region 5000:20000" + under +
+                 n(set.policy.warmingHorizon + 1) + sweeps},
+            {0, 5001,
+             "region 5001:20000" + under + n(set.policy.warmingHorizon) +
+                 sweeps},
+        };
+    for (const auto &[word, value, detail] : cases) {
+        std::vector<std::uint8_t> bad = good;
+        for (std::size_t b = 0; b < 8; ++b)
+            bad[kFrameBytes + 8 * word + b] =
+                static_cast<std::uint8_t>(value >> (8 * b));
+        test::rehashFrame(bad);
+        writeBytes(path, bad);
+        try {
+            driver::SweepEngine(opts).run(specs);
+            ADD_FAILURE() << "accepted: " << detail;
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), ArtifactError::Kind::Mismatch) << e.what();
+            EXPECT_NE(std::string(e.what()).find(detail), std::string::npos)
                 << e.what();
         }
     }

@@ -60,6 +60,25 @@ TEST(Simulator, EnvironmentOverridesDefaults)
     EXPECT_EQ(defaultWarmup(), 150000u);
 }
 
+TEST(SimulatorDeathTest, MalformedEnvironmentWindowIsFatal)
+{
+    // strtoull read "1e6" as 1 and "2k" as 2: the sweep ran a window
+    // of a few instructions and reported an IPC of 0 with exit 0.
+    EXPECT_EXIT(
+        {
+            setenv("REPRO_INSTRUCTIONS", "1e6", 1);
+            defaultInstructions();
+        },
+        ::testing::ExitedWithCode(1),
+        "invalid number for REPRO_INSTRUCTIONS: '1e6'");
+    EXPECT_EXIT(
+        {
+            setenv("REPRO_WARMUP", "2k", 1);
+            defaultWarmup();
+        },
+        ::testing::ExitedWithCode(1), "invalid number for REPRO_WARMUP: '2k'");
+}
+
 TEST(Simulator, SplitPvtKnobChangesResults)
 {
     const auto prof = program::profileByName("crafty");

@@ -32,11 +32,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/json_min.hh"
+#include "common/parse_number.hh"
 
 namespace
 {
@@ -344,16 +346,20 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (std::strcmp(a, "--tol-ipc") == 0) {
+        if (std::strcmp(a, "--tol-ipc") == 0 ||
+            std::strcmp(a, "--tol-mispred") == 0) {
             const char *v = need_value();
             if (v == nullptr)
                 return 2;
-            tol_ipc = std::strtod(v, nullptr);
-        } else if (std::strcmp(a, "--tol-mispred") == 0) {
-            const char *v = need_value();
-            if (v == nullptr)
+            const std::optional<double> tol = pp::parseDecimal(v);
+            if (!tol) {
+                std::fprintf(stderr,
+                             "sweep_diff: invalid number for %s: '%s'\n",
+                             a, v);
                 return 2;
-            tol_mispred = std::strtod(v, nullptr);
+            }
+            (std::strcmp(a, "--tol-ipc") == 0 ? tol_ipc : tol_mispred) =
+                *tol;
         } else if (std::strcmp(a, "--quiet") == 0) {
             quiet = true;
         } else if (std::strcmp(a, "--help") == 0 ||

@@ -64,12 +64,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/atomic_io.hh"
 #include "common/json_min.hh"
+#include "common/parse_number.hh"
 
 namespace
 {
@@ -1032,7 +1034,16 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--check") == 0) {
             check = true;
         } else if (std::strcmp(a, "--noise") == 0) {
-            noise_pct = std::strtod(need_value(), nullptr);
+            const char *v = need_value();
+            const std::optional<double> noise = pp::parseDecimal(v);
+            if (!noise) {
+                std::fprintf(stderr,
+                             "sweep_report: invalid number for --noise:"
+                             " '%s'\n",
+                             v);
+                return 2;
+            }
+            noise_pct = *noise;
         } else if (std::strcmp(a, "--help") == 0 ||
                    std::strcmp(a, "-h") == 0) {
             usage();
