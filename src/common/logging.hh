@@ -23,8 +23,8 @@
  * 0-3, default info) and can be overridden programmatically — the
  * harnesses' --verbose flag maps to setLogLevel(LogLevel::Debug).
  * logRaw()/logRawf() emit unconditionally but still hold the emission
- * lock; they serve pre-existing diagnostic dumps (REPRO_TRACE pipeline
- * traces, OoOCore::dumpState) that have their own gating.
+ * lock; they serve output with its own gating (the sweep's --progress
+ * line).
  */
 
 #ifndef PP_COMMON_LOGGING_HH
@@ -219,9 +219,9 @@ logDebugf(const char *fmt, ...)
 }
 
 /**
- * Unleveled, untagged, but still serialized emission for diagnostic
- * dumps with their own gating (REPRO_TRACE, dumpState). The message is
- * written verbatim — include the trailing newline.
+ * Unleveled, untagged, but still serialized emission for output with
+ * its own gating (the --progress line). The message is written
+ * verbatim — include any trailing newline.
  */
 inline void
 logRaw(const std::string &msg)

@@ -39,7 +39,6 @@ OoOCore::OoOCore(const program::Program &prog, const CoreConfig &config,
       fpMap(isa::numFpRegs, config.fpPhysRegs),
       pprf(isa::numPredRegs, config.predPhysRegs), fetchPc(prog.entry())
 {
-    traceOn = std::getenv("REPRO_TRACE") != nullptr;
     panicIfNot(cfg.predication != PredicationModel::SelectivePrediction ||
                cfg.scheme == PredictionScheme::PredicatePredictor,
                "selective predication requires the predicate predictor");
@@ -166,14 +165,6 @@ OoOCore::doFetch()
                 oracle_rec = &rec;
             } else {
                 fetchOnOracle = false;
-                if (traceOn) {
-                    logRawf("[%llu] diverge: fetchPc=0x%llx "
-                            "oracle[%llu].pc=0x%llx\n",
-                                 (unsigned long long)now,
-                                 (unsigned long long)fetchPc,
-                                 (unsigned long long)oracleCursor,
-                                 (unsigned long long)rec.pc);
-                }
             }
         }
 
@@ -300,15 +291,6 @@ OoOCore::renameBranch(DynInst &d)
         // Second-level override: squash the younger front end and
         // redirect fetch (the penalty is the natural refill latency).
         ++stats_.overrideRedirects;
-        if (traceOn) {
-            logRawf("[%llu] override seq=%llu idx=%llu pc=0x%llx "
-                         "cp=%d final=%d\n",
-                         (unsigned long long)now,
-                         (unsigned long long)d.seq,
-                         (unsigned long long)d.oracleIdx,
-                         (unsigned long long)d.pc, d.correctPath,
-                         (int)d.finalPredTaken);
-        }
         while (rob.feSize() > 0) {
             undoInst(rob.back());
             rob.popBack();
@@ -854,15 +836,6 @@ OoOCore::completeBranch(DynInst &d)
         return;
 
     ++stats_.branchMispredFlushes;
-    if (traceOn) {
-        logRawf("[%llu] brflush seq=%llu idx=%llu pc=0x%llx -> "
-                     "0x%llx dirw=%d tgtw=%d\n",
-                     (unsigned long long)now, (unsigned long long)d.seq,
-                     (unsigned long long)d.oracleIdx,
-                     (unsigned long long)d.pc,
-                     (unsigned long long)d.rec.nextPc, dir_wrong,
-                     target_wrong);
-    }
     squashFrom(d.seq + 1, d.rec.nextPc, cfg.mispredictRecovery);
     oracleCursor = d.oracleIdx + 1;
     fetchOnOracle = true;
@@ -926,27 +899,6 @@ OoOCore::processCompletions()
 void
 OoOCore::commitTrain(DynInst &d)
 {
-    static const char *trace_pc_env = std::getenv("REPRO_TRACE_PC");
-    static const Addr trace_pc =
-        trace_pc_env ? std::strtoull(trace_pc_env, nullptr, 16) : 0;
-    if (trace_pc != 0 && d.pc == trace_pc && d.ins->isConditionalBranch()) {
-        logRawf("BR pc=0x%llx pred=%d actual=%d early=%d "
-                     "l2ghr=%06llx l2loc=%03llx ppPred2=%d\n",
-                     (unsigned long long)d.pc, (int)d.finalPredTaken,
-                     (int)d.rec.branchTaken, (int)d.earlyResolved,
-                     (unsigned long long)(d.l2State.ghrCkpt & 0xffffff),
-                     (unsigned long long)(d.l2State.localCkpt & 0x3ff),
-                     (int)d.ppState.pred2);
-    }
-    if (trace_pc != 0 && d.isCompare() && d.pc == trace_pc) {
-        logRawf("CMP pc=0x%llx pred1=%d act1=%d ghr=%06llx loc=%03llx"
-                     " out1=%d\n",
-                     (unsigned long long)d.pc, (int)d.ppState.pred1,
-                     (int)d.actualPd1,
-                     (unsigned long long)(d.ppState.ghrCkpt & 0xffffff),
-                     (unsigned long long)(d.ppState.localCkpt & 0x3ff),
-                     d.ppState.out1);
-    }
     if (d.ins->isConditionalBranch()) {
         ++stats_.committedCondBranches;
         const bool actual = d.rec.branchTaken;
@@ -1151,48 +1103,6 @@ OoOCore::tick()
     doIssue();
     doRename();
     doFetch();
-}
-
-void
-OoOCore::dumpState() const
-{
-    std::size_t completions = 0;
-    for (std::uint32_t e : calendar)
-        for (; e != kNoEvent; e = completionEvents[e].next)
-            ++completions;
-    logRawf("cycle=%llu committed=%llu rob=%zu fe=%zu iq(i/f/b)="
-                 "%u/%u/%u lq=%zu sq=%zu events=%zu\n",
-                 static_cast<unsigned long long>(now),
-                 static_cast<unsigned long long>(stats_.committedInsts),
-                 rob.robSize(), rob.feSize(), intIqCount, fpIqCount,
-                 brIqCount, loadQ.size(), storeQ.size(),
-                 completions);
-    logRawf("fetchPc=0x%llx resume=%llu halted=%d onOracle=%d "
-                 "cursor=%llu base=%llu free(i/f/p)=%zu/%zu\n",
-                 static_cast<unsigned long long>(fetchPc),
-                 static_cast<unsigned long long>(fetchResumeCycle),
-                 fetchHalted, fetchOnOracle,
-                 static_cast<unsigned long long>(oracleCursor),
-                 static_cast<unsigned long long>(oracleBase),
-                 intMap.freeCount(), fpMap.freeCount());
-    for (std::size_t i = 0; i < rob.robSize() && i < 8; ++i) {
-        const DynInst &d = rob.atIndex(i);
-        logRawf("  rob[%zu] seq=%llu pc=0x%llx stage=%d cp=%d "
-                     "done=%llu  %s\n",
-                     i + 1, static_cast<unsigned long long>(d.seq),
-                     static_cast<unsigned long long>(d.pc),
-                     static_cast<int>(d.stage), d.correctPath,
-                     static_cast<unsigned long long>(d.doneCycle),
-                     d.ins->disassemble().c_str());
-    }
-    for (std::size_t i = 0; i < rob.feSize() && i < 4; ++i) {
-        const DynInst &d = rob.atIndex(rob.robSize() + i);
-        logRawf("  fe[%zu] seq=%llu pc=0x%llx rdy=%llu %s\n",
-                     i + 1, static_cast<unsigned long long>(d.seq),
-                     static_cast<unsigned long long>(d.pc),
-                     static_cast<unsigned long long>(d.renameReadyCycle),
-                     d.ins->disassemble().c_str());
-    }
 }
 
 void

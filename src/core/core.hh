@@ -128,9 +128,6 @@ class OoOCore
     /** Current cycle. */
     Cycle cycle() const { return now; }
 
-    /** Print a one-page pipeline snapshot to stderr (debugging aid). */
-    void dumpState() const;
-
     const CoreConfig &config() const { return cfg; }
 
     /**
@@ -388,7 +385,6 @@ class OoOCore
     /** PEP-PA's logical predicate register file (OoO writeback order). */
     std::array<bool, isa::numPredRegs> archPred{};
 
-    bool traceOn = false;
     Cycle now = 0;
     InstSeqNum seqCounter = 0;
     CoreStats stats_;

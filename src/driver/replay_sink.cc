@@ -38,25 +38,16 @@ writeReplayConfigJson(JsonWriter &w, const replay::ReplayConfigResult &c,
 }
 
 replay::ReplayConfigResult
-parseReplayConfigJson(const std::string &text)
+parseReplayConfigJson(const jsonmin::JsonValue &doc)
 {
-    jsonmin::JsonValue doc;
-    try {
-        doc = jsonmin::parseJson(text);
-    } catch (const jsonmin::JsonParseError &e) {
-        throw ResultParseError(std::string("replay config object: ") +
-                               e.what());
-    }
-    const jsonmin::JsonValue *name = doc.get("name");
-    if (name == nullptr ||
-        name->kind != jsonmin::JsonValue::Kind::String)
-        throw ResultParseError("replay config object: bad 'name'");
-    auto count = [&doc](const char *key) {
-        return jsonmin::u64Field<ResultParseError>(doc, key,
-                                                   "replay config object");
+    const char *what = "replay config object";
+    auto count = [&doc, what](const char *key) {
+        return jsonmin::u64Field(doc, key, what);
     };
     replay::ReplayConfigResult out;
-    out.name = name->str;
+    out.name =
+        jsonmin::field(doc, "name", jsonmin::JsonValue::Kind::String, what)
+            .str;
     out.storageBytes = count("storage_bytes");
     replay::ReplayStats &s = out.stats;
     s.condBranches = count("cond_branches");
@@ -77,6 +68,13 @@ parseReplayConfigJson(const std::string &text)
     s.confidentPd1Wrong = count("confident_pd1_wrong");
     s.shadowMispredicts = count("shadow_mispredicts");
     return out;
+}
+
+replay::ReplayConfigResult
+parseReplayConfigJson(const std::string &text)
+{
+    return parseReplayConfigJson(
+        jsonmin::parseJson(text, "replay config object"));
 }
 
 void

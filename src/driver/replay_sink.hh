@@ -47,9 +47,14 @@ void writeReplayConfigJson(JsonWriter &w,
 /**
  * Rebuild a ReplayConfigResult from one pp.replay.v1 config object —
  * the inverse of writeReplayConfigJson for every counter field (the
- * derived rates are recomputed at emission). Throws ResultParseError
- * on a missing or mistyped field.
+ * derived rates are recomputed at emission). Throws
+ * jsonmin::JsonParseError on a syntax error or a missing or mistyped
+ * field.
  */
+replay::ReplayConfigResult
+parseReplayConfigJson(const jsonmin::JsonValue &doc);
+
+/** parseReplayConfigJson over serialized text (one config object). */
 replay::ReplayConfigResult parseReplayConfigJson(const std::string &text);
 
 /** Emit one pp.replay.v1 workload object (fixed field order). */

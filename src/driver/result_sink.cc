@@ -1,7 +1,5 @@
 #include "driver/result_sink.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <regex>
@@ -15,118 +13,6 @@ namespace pp
 {
 namespace driver
 {
-
-// ---------------------------------------------------------------------
-// JsonWriter
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-std::string
-formatDouble(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
-
-void
-JsonWriter::separate()
-{
-    if (afterKey_) {
-        afterKey_ = false;
-        return;
-    }
-    if (!firstInScope_.back())
-        os_ << ",";
-    firstInScope_.back() = false;
-}
-
-JsonWriter &
-JsonWriter::beginObject()
-{
-    separate();
-    os_ << "{";
-    firstInScope_.push_back(true);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endObject()
-{
-    firstInScope_.pop_back();
-    os_ << "}";
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::beginArray()
-{
-    separate();
-    os_ << "[";
-    firstInScope_.push_back(true);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endArray()
-{
-    firstInScope_.pop_back();
-    os_ << "]";
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::key(const std::string &k)
-{
-    separate();
-    os_ << "\"" << jsonmin::escape(k) << "\":";
-    afterKey_ = true;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const std::string &v)
-{
-    separate();
-    os_ << "\"" << jsonmin::escape(v) << "\"";
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string(v));
-}
-
-JsonWriter &
-JsonWriter::value(double v)
-{
-    separate();
-    os_ << formatDouble(v);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(std::uint64_t v)
-{
-    separate();
-    os_ << v;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(bool v)
-{
-    separate();
-    os_ << (v ? "true" : "false");
-    return *this;
-}
 
 // ---------------------------------------------------------------------
 // Sinks
@@ -239,78 +125,43 @@ writeRunJson(JsonWriter &w, const RunSpec &s, const sim::RunResult &r)
     w.endObject();
 }
 
-namespace
-{
-
-const jsonmin::JsonValue &
-member(const jsonmin::JsonValue &obj, const char *key)
-{
-    const jsonmin::JsonValue *v = obj.get(key);
-    if (v == nullptr)
-        throw ResultParseError(std::string("run object: missing field '") +
-                               key + "'");
-    return *v;
-}
-
-double
-num(const jsonmin::JsonValue &obj, const char *key)
-{
-    const jsonmin::JsonValue &v = member(obj, key);
-    if (v.kind != jsonmin::JsonValue::Kind::Number)
-        throw ResultParseError(std::string("run object: field '") + key +
-                               "' is not a number");
-    return v.number;
-}
-
-} // namespace
-
 sim::RunResult
 parseRunJson(const jsonmin::JsonValue &run)
 {
+    using Kind = jsonmin::JsonValue::Kind;
+    const char *what = "run object";
+    auto num = [&](const char *key) {
+        return jsonmin::field(run, key, Kind::Number, what).number;
+    };
     sim::RunResult out;
-    const jsonmin::JsonValue &bench = member(run, "benchmark");
-    out.benchmark = bench.str;
-    out.ipc = num(run, "ipc");
-    out.mispredRatePct = num(run, "mispred_pct");
-    out.accuracyPct = num(run, "accuracy_pct");
-    out.earlyResolvedPct = num(run, "early_resolved_pct");
-    out.shadowMispredRatePct = num(run, "shadow_mispred_pct");
-    const jsonmin::JsonValue &sampled = member(run, "sampled");
-    if (sampled.kind != jsonmin::JsonValue::Kind::Bool)
-        throw ResultParseError("run object: 'sampled' is not a bool");
-    out.sampled = sampled.boolean;
-    out.measuredInsts = jsonmin::u64Field<ResultParseError>(
-        run, "measured_insts", "run object");
-    out.detailedInsts = jsonmin::u64Field<ResultParseError>(
-        run, "detailed_insts", "run object");
-    out.ipcErrorBound = num(run, "ipc_error_bound");
-    if (const jsonmin::JsonValue *th = run.get("trace_hash")) {
-        if (th->kind != jsonmin::JsonValue::Kind::String)
-            throw ResultParseError(
-                "run object: 'trace_hash' is not a string");
-        out.traceHash = th->str;
-    }
-    out.hostMs = num(run, "host_ms");
-    out.buildHostMs = num(run, "build_host_ms");
-    out.ffHostMs = num(run, "ff_host_ms");
-    out.windowHostMs = num(run, "window_host_ms");
-    const jsonmin::JsonValue &counters = member(run, "counters");
+    out.benchmark = jsonmin::field(run, "benchmark", Kind::String, what).str;
+    out.ipc = num("ipc");
+    out.mispredRatePct = num("mispred_pct");
+    out.accuracyPct = num("accuracy_pct");
+    out.earlyResolvedPct = num("early_resolved_pct");
+    out.shadowMispredRatePct = num("shadow_mispred_pct");
+    out.sampled = jsonmin::field(run, "sampled", Kind::Bool, what).boolean;
+    out.measuredInsts = jsonmin::u64Field(run, "measured_insts", what);
+    out.detailedInsts = jsonmin::u64Field(run, "detailed_insts", what);
+    out.ipcErrorBound = num("ipc_error_bound");
+    if (run.get("trace_hash") != nullptr)
+        out.traceHash =
+            jsonmin::field(run, "trace_hash", Kind::String, what).str;
+    out.hostMs = num("host_ms");
+    out.buildHostMs = num("build_host_ms");
+    out.ffHostMs = num("ff_host_ms");
+    out.windowHostMs = num("window_host_ms");
+    const jsonmin::JsonValue &counters =
+        jsonmin::field(run, "counters", Kind::Object, what);
     for (const auto &f : core::kCoreStatsFields)
-        out.stats.*f.member = jsonmin::u64Field<ResultParseError>(
-            counters, f.name, "run object");
+        out.stats.*f.member = jsonmin::u64Field(counters, f.name, what);
     return out;
 }
 
 sim::RunResult
 parseRunJson(const std::string &text)
 {
-    jsonmin::JsonValue doc;
-    try {
-        doc = jsonmin::parseJson(text);
-    } catch (const jsonmin::JsonParseError &e) {
-        throw ResultParseError(std::string("run object: ") + e.what());
-    }
-    return parseRunJson(doc);
+    return parseRunJson(jsonmin::parseJson(text, "run object"));
 }
 
 void
@@ -384,17 +235,17 @@ CsvSink::write(std::ostream &os, const std::vector<RunSpec> &specs,
            << "," << (s.ifConvert ? 1 : 0) << "," << s.schemeName << ","
            << s.configName << "," << s.profile.seed << ","
            << s.warmupInsts << "," << s.measureInsts << ","
-           << formatDouble(r.ipc) << ","
-           << formatDouble(r.mispredRatePct) << ","
-           << formatDouble(r.accuracyPct) << ","
-           << formatDouble(r.earlyResolvedPct) << ","
-           << formatDouble(r.shadowMispredRatePct);
+           << jsonmin::formatDouble(r.ipc) << ","
+           << jsonmin::formatDouble(r.mispredRatePct) << ","
+           << jsonmin::formatDouble(r.accuracyPct) << ","
+           << jsonmin::formatDouble(r.earlyResolvedPct) << ","
+           << jsonmin::formatDouble(r.shadowMispredRatePct);
         // Sampling annotations are deterministic; full runs leave them
         // empty so spreadsheets can tell "not sampled" from "zero". The
         // policy-name column disambiguates rows in multi-policy sweeps.
         if (r.sampled) {
             os << "," << s.samplingName << ",1," << r.measuredInsts
-               << "," << formatDouble(r.ipcErrorBound);
+               << "," << jsonmin::formatDouble(r.ipcErrorBound);
         } else {
             os << ",,,,";
         }

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,43 +32,8 @@ namespace pp
 namespace driver
 {
 
-/**
- * Minimal deterministic JSON emitter (objects, arrays, scalars).
- * Doubles are printed with %.17g so values round-trip exactly and the
- * bytes never depend on locale or stream state.
- */
-class JsonWriter
-{
-  public:
-    explicit JsonWriter(std::ostream &os) : os_(os) {}
-
-    JsonWriter &beginObject();
-    JsonWriter &endObject();
-    JsonWriter &beginArray();
-    JsonWriter &endArray();
-    JsonWriter &key(const std::string &k);
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
-    JsonWriter &value(double v);
-    JsonWriter &value(std::uint64_t v);
-    JsonWriter &value(bool v);
-
-    /** key() + value() in one call. */
-    template <typename T>
-    JsonWriter &
-    field(const std::string &k, const T &v)
-    {
-        key(k);
-        return value(v);
-    }
-
-  private:
-    void separate();
-
-    std::ostream &os_;
-    std::vector<bool> firstInScope_{true};
-    bool afterKey_ = false;
-};
+/** The one JSON writer (common/json_min.hh); the ledger names it here. */
+using jsonmin::JsonWriter;
 
 /**
  * Open @p path ("-" = stdout) and run @p emit on it. fatal() if the
@@ -93,22 +57,15 @@ void withOutputStream(const std::string &path,
 void writeRunJson(JsonWriter &w, const RunSpec &spec,
                   const sim::RunResult &result);
 
-/** A result object that cannot be rebuilt from its JSON form. */
-class ResultParseError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
 /**
  * Rebuild a sim::RunResult from one pp.sweep.v1 run object (as the
  * result cache stores it) — the exact inverse of writeRunJson for
  * every field that emitter reads from the result. Numbers round-trip
  * exactly (%.17g doubles, u64 counters far below 2^53), so re-emitting
  * the parsed result reproduces the original bytes. Throws
- * ResultParseError on a missing or mistyped field (the shard
- * supervisor classifies that as corrupt output; the result cache
- * treats it as a miss).
+ * jsonmin::JsonParseError on a syntax error or a missing or mistyped
+ * field (the shard supervisor classifies that as corrupt output; the
+ * engine re-simulates the cell).
  */
 sim::RunResult parseRunJson(const jsonmin::JsonValue &run);
 

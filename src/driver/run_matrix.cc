@@ -113,13 +113,6 @@ RunMatrix::filterBenchmarks(const std::string &regex)
     return *this;
 }
 
-RunMatrix &
-RunMatrix::filter(const std::string &regex)
-{
-    labelFilter_ = regex;
-    return *this;
-}
-
 std::vector<RunSpec>
 RunMatrix::specs() const
 {
@@ -158,14 +151,6 @@ RunMatrix::specs() const
                 }
             }
         }
-    }
-    if (!labelFilter_.empty()) {
-        const std::regex re = compileRegex(labelFilter_);
-        std::vector<RunSpec> kept;
-        for (auto &s : out)
-            if (std::regex_search(s.label(), re))
-                kept.push_back(std::move(s));
-        out = std::move(kept);
     }
     return out;
 }

@@ -98,8 +98,6 @@ class RunMatrix
     /// @{
     /** Keep only benchmarks whose name matches @p regex (search). */
     RunMatrix &filterBenchmarks(const std::string &regex);
-    /** Keep only cells whose label() matches @p regex (search). */
-    RunMatrix &filter(const std::string &regex);
     /// @}
 
     /**
@@ -117,7 +115,6 @@ class RunMatrix
     std::vector<SamplingAxis> samplings_;
     std::uint64_t warmup_;
     std::uint64_t measure_;
-    std::string labelFilter_;
 };
 
 } // namespace driver

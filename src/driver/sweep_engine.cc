@@ -533,7 +533,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         try {
             rcached[i] = parseRunJson(*payload);
             rhit[i] = 1;
-        } catch (const ResultParseError &e) {
+        } catch (const jsonmin::JsonParseError &e) {
             warn("result-cache entry unusable, re-running " +
                  specs[i].label() + ": " + e.what());
         }
@@ -853,7 +853,7 @@ SweepEngine::runReplay(
             try {
                 rcached[i][c] = parseReplayConfigJson(*payload);
                 rhit[i][c] = 1;
-            } catch (const ResultParseError &e) {
+            } catch (const jsonmin::JsonParseError &e) {
                 warn("result-cache entry unusable, re-evaluating " +
                      workloads[i].binaryKey() + "/" + configs[c].name +
                      ": " + e.what());

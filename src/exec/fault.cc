@@ -11,8 +11,10 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include "common/atomic_io.hh"
 #include "common/logging.hh"
 #include "common/parse_number.hh"
+#include "program/trace.hh"
 
 namespace pp
 {
@@ -150,6 +152,17 @@ applyOutputFault(const std::string &path)
         f.seekp(size / 2);
         f.put(c);
     }
+}
+
+void
+applyTraceFault(const std::string &trace_path)
+{
+    std::vector<std::uint8_t> bytes;
+    if (armedFault() != "corrupt-trace" ||
+        !readFileBytes(trace_path, bytes) || bytes.empty())
+        return;
+    bytes[bytes.size() / 2] ^= 0x01;
+    program::TraceFile::deserialize(bytes, trace_path);
 }
 
 } // namespace exec

@@ -12,16 +12,17 @@
  * worker via the PP_FAULT environment variable, so every failure is
  * reproducible bit-for-bit: same plan, same shard count, same fault.
  *
- * Worker side, the two apply hooks act on PP_FAULT:
+ * Worker side, the apply hooks act on PP_FAULT:
  *  - applyStartFault(): "crash" raises SIGKILL (the kill-9-mid-shard
  *    case), "hang" sleeps forever (the supervisor's deadline kills it).
  *  - applyOutputFault(path): "truncate" halves the result-cache object
  *    of the range's first cell, "corrupt" flips one byte in its middle
  *    — both defeat the object's frame check, exercising the
  *    corrupt-output path.
- *  - "corrupt-trace" is consumed by TraceFile::loadOrThrow() itself
- *    (program/trace.cc), producing a genuine typed ArtifactError
- *    (HashMismatch) end-to-end; checkpoint-set loads ignore it.
+ *  - applyTraceFault(path): "corrupt-trace" decodes the worker's first
+ *    trace from an in-memory copy with one byte flipped, producing a
+ *    genuine typed ArtifactError (HashMismatch); the file, which
+ *    healthy workers may share, is never touched.
  */
 
 #ifndef PP_EXEC_FAULT_HH
@@ -74,6 +75,7 @@ bool knownFaultClass(const std::string &klass);
  */
 void applyStartFault();
 void applyOutputFault(const std::string &path);
+void applyTraceFault(const std::string &trace_path);
 
 } // namespace exec
 } // namespace pp

@@ -105,6 +105,11 @@ runShardWorker(const std::vector<driver::RunSpec> &specs,
     opts.resultCacheDir = result_cache_dir;
     std::vector<sim::RunResult> results;
     try {
+        const auto traced = std::find_if(
+            slice.begin(), slice.end(),
+            [](const driver::RunSpec &s) { return !s.tracePath.empty(); });
+        if (traced != slice.end())
+            applyTraceFault(traced->tracePath);
         results = driver::SweepEngine(opts).run(slice);
     } catch (const ArtifactError &e) {
         // A damaged or mis-keyed trace or checkpoint set: report it

@@ -71,7 +71,8 @@ leaseOrder(const std::vector<driver::RunSpec> &specs,
 
 /**
  * Worker-process body behind a harness's hidden --shard-range mode
- * (bench/bench_common.hh): apply any armed start fault, execute
+ * (bench/bench_common.hh): apply any armed start fault (and an armed
+ * trace fault to the slice's first trace), execute
  * @p range of @p specs on @p threads with @p result_cache_dir as the
  * engine's result cache, then apply any armed output fault to the
  * object of the range's first cell. A non-empty @p checkpoint_dir is

@@ -163,7 +163,7 @@ ShardSupervisor::run(const std::vector<driver::RunSpec> &specs)
             return "";
         } catch (const ArtifactError &e) {
             return e.what();
-        } catch (const driver::ResultParseError &e) {
+        } catch (const jsonmin::JsonParseError &e) {
             return e.what();
         }
     };

@@ -213,5 +213,51 @@ makeNop()
     return Instruction{};
 }
 
+const char *
+illegalReason(const Instruction &ins, std::size_t num_insts,
+              std::size_t num_conds)
+{
+    // A register field either names a register of its file or, where
+    // the role allows it, holds invalidReg (an integer source reads r0,
+    // an integer destination is discarded).
+    auto opt = [](RegIndex r, RegIndex n) { return r == invalidReg || r < n; };
+    if (ins.op >= Opcode::NumOpcodes)
+        return "unknown opcode";
+    if (ins.ctype > CmpType::Or)
+        return "unknown compare type";
+    if (ins.qp >= numPredRegs || !opt(ins.pdst1, numPredRegs) ||
+        !opt(ins.pdst2, numPredRegs))
+        return "predicate register out of range";
+    bool regs_ok;
+    switch (ins.op) {
+      case Opcode::FAdd:
+      case Opcode::FMul:
+      case Opcode::FDiv:
+      case Opcode::FMov:
+        regs_ok = ins.dst < numFpRegs && ins.src1 < numFpRegs &&
+            opt(ins.src2, numFpRegs);
+        break;
+      case Opcode::FLd:
+        regs_ok = ins.dst < numFpRegs && opt(ins.src1, numIntRegs) &&
+            opt(ins.src2, numIntRegs);
+        break;
+      case Opcode::FSt:
+        regs_ok = opt(ins.dst, numFpRegs) && opt(ins.src1, numIntRegs) &&
+            ins.src2 < numFpRegs;
+        break;
+      default:
+        regs_ok = opt(ins.dst, numIntRegs) && opt(ins.src1, numIntRegs) &&
+            opt(ins.src2, numIntRegs);
+    }
+    if (!regs_ok)
+        return "register operand out of range";
+    if (ins.op == Opcode::Cmp && ins.condId >= num_conds)
+        return "condition id out of range";
+    if ((ins.op == Opcode::Br || ins.op == Opcode::BrCall) &&
+        (ins.target % instBytes != 0 || ins.target / instBytes >= num_insts))
+        return "branch target outside the code image";
+    return nullptr;
+}
+
 } // namespace isa
 } // namespace pp

@@ -6,6 +6,7 @@
 #ifndef PP_ISA_INSTRUCTION_HH
 #define PP_ISA_INSTRUCTION_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -100,6 +101,19 @@ struct Instruction
     /** Human-readable disassembly, e.g. "(p3) cmp.unc p1,p2 = cond7". */
     std::string disassemble() const;
 };
+
+/**
+ * Why @p ins cannot run as one of @p num_insts instructions of a
+ * program with @p num_conds conditions, or nullptr when it can: an
+ * unknown opcode or compare type, a register operand out of range for
+ * its role (or missing where the role needs one), a compare's condition
+ * id at or past @p num_conds, or a direct branch whose target is not an
+ * instruction of the image. The predecoder asserts this rule and the
+ * trace decoder reports it, so a loaded trace never holds an
+ * instruction the core or the emulator would refuse.
+ */
+const char *illegalReason(const Instruction &ins, std::size_t num_insts,
+                          std::size_t num_conds);
 
 /** @name Builder helpers for the code generator and tests. */
 /// @{

@@ -1,9 +1,9 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "common/json_min.hh"
 #include "common/logging.hh"
 
 namespace pp
@@ -163,50 +163,33 @@ MetricRegistry::reset()
 // MetricSnapshot serialization
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-std::string
-formatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
-
 void
 MetricSnapshot::writeJson(std::ostream &os) const
 {
-    os << "{";
-    bool first_entry = true;
+    jsonmin::JsonWriter w(os);
+    w.beginObject();
     for (const MetricEntry &e : entries) {
-        if (!first_entry)
-            os << ",";
-        first_entry = false;
-        os << "\"" << e.name << "\":";
+        w.key(e.name);
         switch (e.kind) {
           case MetricEntry::Kind::Counter:
-            os << e.count;
+            w.value(e.count);
             break;
           case MetricEntry::Kind::Gauge:
-            os << formatDouble(e.value);
+            w.value(e.value);
             break;
-          case MetricEntry::Kind::Histogram: {
-            os << "{\"count\":" << e.count
-               << ",\"sum\":" << formatDouble(e.value) << ",\"edges\":[";
-            for (std::size_t i = 0; i < e.edges.size(); ++i)
-                os << (i ? "," : "") << formatDouble(e.edges[i]);
-            os << "],\"buckets\":[";
-            for (std::size_t i = 0; i < e.buckets.size(); ++i)
-                os << (i ? "," : "") << e.buckets[i];
-            os << "]}";
+          case MetricEntry::Kind::Histogram:
+            w.beginObject().field("count", e.count).field("sum", e.value);
+            w.key("edges").beginArray();
+            for (const double edge : e.edges)
+                w.value(edge);
+            w.endArray().key("buckets").beginArray();
+            for (const std::uint64_t b : e.buckets)
+                w.value(b);
+            w.endArray().endObject();
             break;
-          }
         }
     }
-    os << "}";
+    w.endObject();
 }
 
 std::string

@@ -141,24 +141,22 @@ Tracer::events() const
 void
 Tracer::writeJson(std::ostream &os) const
 {
-    const std::vector<TraceEvent> evs = events();
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    for (const TraceEvent &ev : evs) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << "{\"name\":\"" << jsonmin::escape(ev.name)
-           << "\",\"cat\":\"" << jsonmin::escape(ev.cat)
-           << "\",\"ph\":\"" << ev.ph << "\",\"ts\":" << ev.ts_us
-           << ",\"pid\":1,\"tid\":" << ev.tid;
-        if (ev.ph == 'B' && !ev.args_id.empty()) {
-            os << ",\"args\":{\"id\":\"" << jsonmin::escape(ev.args_id)
-               << "\"}";
-        }
-        os << "}";
+    jsonmin::JsonWriter w(os);
+    w.beginObject().key("traceEvents").beginArray();
+    for (const TraceEvent &ev : events()) {
+        w.beginObject()
+            .field("name", ev.name)
+            .field("cat", ev.cat)
+            .field("ph", std::string(1, ev.ph))
+            .field("ts", ev.ts_us)
+            .field("pid", std::uint64_t{1})
+            .field("tid", std::uint64_t{ev.tid});
+        if (ev.ph == 'B' && !ev.args_id.empty())
+            w.key("args").beginObject().field("id", ev.args_id).endObject();
+        w.endObject();
     }
-    os << "],\"displayTimeUnit\":\"ms\"}\n";
+    w.endArray().field("displayTimeUnit", "ms").endObject();
+    os << "\n";
 }
 
 bool

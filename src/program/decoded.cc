@@ -58,8 +58,10 @@ DecodedProgram::DecodedProgram(const Program &prog) : src_(&prog)
         const isa::Instruction &ins = image[i];
         DecodedOp &d = ops_[i];
 
-        panicIfNot(ins.qp < isa::numPredRegs,
-                   "decoder: qualifying predicate out of range");
+        // Every operand below is then in range for its narrowed field.
+        if (const char *why = isa::illegalReason(ins, image.size(),
+                                                 prog.conditions().size()))
+            panic(std::string("decoder: ") + why);
         d.qp = static_cast<std::uint8_t>(ins.qp);
 
         using isa::Opcode;
@@ -113,23 +115,14 @@ DecodedProgram::DecodedProgram(const Program &prog) : src_(&prog)
             // the FP/latency distinction lives in the timing model.
             d.kind = ins.src2 == invalidReg ? ExecKind::FAlu1
                                             : ExecKind::FAlu2;
-            panicIfNot(ins.dst < isa::numFpRegs &&
-                       ins.src1 < isa::numFpRegs,
-                       "decoder: FP operand out of range");
             d.dst = static_cast<std::uint8_t>(ins.dst);
             d.src1 = static_cast<std::uint8_t>(ins.src1);
-            if (d.kind == ExecKind::FAlu2) {
-                panicIfNot(ins.src2 < isa::numFpRegs,
-                           "decoder: FP operand out of range");
+            if (d.kind == ExecKind::FAlu2)
                 d.src2 = static_cast<std::uint8_t>(ins.src2);
-            }
             break;
 
           case Opcode::FMov:
             d.kind = ExecKind::FMov;
-            panicIfNot(ins.dst < isa::numFpRegs &&
-                       ins.src1 < isa::numFpRegs,
-                       "decoder: FP operand out of range");
             d.dst = static_cast<std::uint8_t>(ins.dst);
             d.src1 = static_cast<std::uint8_t>(ins.src1);
             break;
@@ -140,10 +133,6 @@ DecodedProgram::DecodedProgram(const Program &prog) : src_(&prog)
             d.dst = dstReg(ins.dst);
             d.src1 = srcReg(ins.src1);
             d.imm = ins.imm;
-            if (ins.op == Opcode::FLd) {
-                panicIfNot(ins.dst < isa::numFpRegs,
-                           "decoder: FP operand out of range");
-            }
             break;
 
           case Opcode::St:
@@ -152,10 +141,6 @@ DecodedProgram::DecodedProgram(const Program &prog) : src_(&prog)
             d.src1 = srcReg(ins.src1);
             d.src2 = srcReg(ins.src2);
             d.imm = ins.imm;
-            if (ins.op == Opcode::FSt) {
-                panicIfNot(ins.src2 < isa::numFpRegs,
-                           "decoder: FP operand out of range");
-            }
             break;
 
           case Opcode::Cmp:
@@ -172,13 +157,11 @@ DecodedProgram::DecodedProgram(const Program &prog) : src_(&prog)
                 ? ExecKind::Br
                 : (ins.op == Opcode::BrCall ? ExecKind::BrCall
                                             : ExecKind::BrRet);
-            const Addr t = ins.target;
-            d.imm = static_cast<std::int64_t>(t);
-            const bool ok = t % isa::instBytes == 0 &&
-                t / isa::instBytes < image.size();
-            d.targetIdx = ok ? static_cast<std::uint32_t>(
-                                   t / isa::instBytes)
-                             : DecodedOp::badTarget;
+            // illegalReason() keeps Br/BrCall targets inside the image;
+            // BrRet ignores its target.
+            d.imm = static_cast<std::int64_t>(ins.target);
+            d.targetIdx =
+                static_cast<std::uint32_t>(ins.target / isa::instBytes);
             break;
           }
 

@@ -125,12 +125,7 @@ struct DecodedOp
     /** Condition-generator id (compares). */
     std::uint32_t condId = 0;
 
-    /**
-     * Branch-target instruction index, or @ref badTarget when the
-     * encoded target lies outside (or misaligned within) the code
-     * image — taken branches to it panic exactly where the legacy
-     * interpreter's next fetch would.
-     */
+    /** Branch-target instruction index (Br/BrCall). */
     std::uint32_t targetIdx = 0;
 
     /**
@@ -148,9 +143,6 @@ struct DecodedOp
     std::uint8_t src2 = 0;
     std::uint8_t pdst1 = 0;
     std::uint8_t pdst2 = 0;
-
-    /** targetIdx sentinel: branch target outside the code image. */
-    static constexpr std::uint32_t badTarget = 0xffffffff;
 };
 
 /**

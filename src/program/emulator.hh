@@ -605,9 +605,7 @@ Emulator::execOne(ExecRecord *rec, Sink *sink, std::uint64_t &pred_mask)
             if constexpr (T == ExecTier::Produce)
                 rec->branchTaken = true;
             nextPc = static_cast<Addr>(op.imm);
-            newIdx = op.targetIdx != DecodedOp::badTarget
-                ? op.targetIdx
-                : static_cast<std::uint32_t>(nextPc / isa::instBytes);
+            newIdx = op.targetIdx;
             redirected = true;
         }
         break;
@@ -626,9 +624,7 @@ Emulator::execOne(ExecRecord *rec, Sink *sink, std::uint64_t &pred_mask)
                     sink->takenCall(pc + isa::instBytes);
             }
             nextPc = static_cast<Addr>(op.imm);
-            newIdx = op.targetIdx != DecodedOp::badTarget
-                ? op.targetIdx
-                : static_cast<std::uint32_t>(nextPc / isa::instBytes);
+            newIdx = op.targetIdx;
             redirected = true;
         }
         break;

@@ -1,12 +1,11 @@
 #include "program/trace.hh"
 
-#include <cstdlib>
-#include <cstring>
-
+#include "common/bitutils.hh"
 #include "common/bytestream.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "program/emulator.hh"
+#include "program/warm_stream.hh"
 
 namespace pp
 {
@@ -48,14 +47,18 @@ getInstruction(ByteReader &r)
     i.qp = static_cast<RegIndex>((w0 >> 16) & 0xffff);
     i.dst = static_cast<RegIndex>((w0 >> 32) & 0xffff);
     i.src1 = static_cast<RegIndex>((w0 >> 48) & 0xffff);
+    const std::size_t w1_at = r.at;
     const std::uint64_t w1 = r.u64();
+    if ((w1 >> 49) != 0)
+        r.fail(ArtifactError::Kind::Malformed, w1_at,
+               "instruction bits past if_converted");
     i.src2 = static_cast<RegIndex>(w1 & 0xffff);
     i.pdst1 = static_cast<RegIndex>((w1 >> 16) & 0xffff);
     i.pdst2 = static_cast<RegIndex>((w1 >> 32) & 0xffff);
     i.ifConverted = ((w1 >> 48) & 1) != 0;
     i.imm = static_cast<std::int64_t>(r.u64());
     i.target = r.u64();
-    i.condId = static_cast<std::uint32_t>(r.u64());
+    i.condId = static_cast<std::uint32_t>(r.u64Below(1ull << 32));
     return i;
 }
 
@@ -76,11 +79,16 @@ ConditionSpec
 getSpec(ByteReader &r)
 {
     ConditionSpec s;
+    const std::size_t w0_at = r.at;
     const std::uint64_t w0 = r.u64();
     s.kind = static_cast<ConditionSpec::Kind>(w0 & 0xff);
     s.fn = static_cast<ConditionSpec::Fn>((w0 >> 8) & 0xff);
+    if ((w0 >> 16) != 0 || s.kind > ConditionSpec::Kind::DataDep ||
+        s.fn > ConditionSpec::Fn::Xor)
+        r.fail(ArtifactError::Kind::Malformed, w0_at,
+               "unknown condition kind or function");
     s.bias = r.f64();
-    s.period = static_cast<std::uint32_t>(r.u64());
+    s.period = static_cast<std::uint32_t>(r.u64Below(1ull << 32));
     s.pattern = r.u64();
     const std::uint64_t srcs = r.u64();
     s.srcs = {static_cast<CondId>(srcs & 0xffffffff),
@@ -188,19 +196,35 @@ TraceFile::deserialize(const std::vector<std::uint8_t> &bytes,
     ByteReader r{bytes, kTraceFormat.name, kFrameBytes, &path};
     Meta meta;
     meta.benchmark = r.str();
-    meta.isFp = r.u64() != 0;
-    meta.ifConverted = r.u64() != 0;
+    meta.isFp = r.u64Below(2) != 0;
+    meta.ifConverted = r.u64Below(2) != 0;
     meta.seed = r.u64();
     meta.instCount = r.u64();
 
+    // Every field below is checked against what the core and the
+    // emulator can run, so a hash-sound trace of an impossible program
+    // fails here instead of aborting a run.
     const std::string prog_name = r.str();
+    const std::size_t data_at = r.at;
     const std::uint64_t data_bytes = r.u64();
+    if (!isPowerOfTwo(data_bytes) || data_bytes < 8 ||
+        data_bytes / 8 > kWarmIndexLimit)
+        r.fail(ArtifactError::Kind::Malformed, data_at,
+               "data segment is not a power of two of 8 B to 2^26 words");
+    const std::size_t image_at = r.at;
     std::vector<isa::Instruction> image(r.length(5));
+    if (image.empty())
+        r.fail(ArtifactError::Kind::Malformed, image_at, "empty code image");
     for (auto &i : image)
         i = getInstruction(r);
     std::vector<ConditionSpec> specs(r.length(6));
     for (auto &s : specs)
         s = getSpec(r);
+    for (std::size_t i = 0; i < image.size(); ++i)
+        if (const char *why =
+                isa::illegalReason(image[i], image.size(), specs.size()))
+            r.fail(ArtifactError::Kind::Malformed, image_at + 8 + 40 * i,
+                   why);
 
     // Stream lengths are bit counts, not word counts, so they cannot go
     // through ByteReader::length()'s word-granular bound; validate the
@@ -221,6 +245,9 @@ TraceFile::deserialize(const std::vector<std::uint8_t> &bytes,
         s.words.resize(static_cast<std::size_t>(words));
         for (auto &w : s.words)
             w = r.u64();
+        if (bits % 64 != 0 && (s.words.back() >> (bits % 64)) != 0)
+            r.fail(ArtifactError::Kind::Malformed, r.at - 8,
+                   "stream bits past its length");
     }
     r.expectEnd();
 
@@ -241,17 +268,7 @@ TraceFile::store(const std::string &path) const
 TraceFile
 TraceFile::loadOrThrow(const std::string &path)
 {
-    std::vector<std::uint8_t> bytes = readArtifact(kTraceFormat, path);
-
-    // Deterministic fault injection for the supervisor tests/CI: flip
-    // one mid-image byte of the in-memory copy only — the artifact on
-    // disk may be shared with healthy concurrent workers.
-    const char *fault = std::getenv("PP_FAULT");
-    if (fault != nullptr && std::strcmp(fault, "corrupt-trace") == 0 &&
-        !bytes.empty())
-        bytes[bytes.size() / 2] ^= 0x01;
-
-    return deserialize(bytes, path);
+    return deserialize(readArtifact(kTraceFormat, path), path);
 }
 
 } // namespace program

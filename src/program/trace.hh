@@ -133,12 +133,6 @@ class TraceFile
     /**
      * Read @p path and deserialize() it; throws ArtifactError, of kind
      * Io when the file cannot be read.
-     *
-     * Fault injection: when the PP_FAULT environment variable is
-     * "corrupt-trace", one byte of the in-memory image is flipped after
-     * the read (the file on disk — possibly shared with concurrent
-     * workers — is never touched), deterministically producing a
-     * HashMismatch end-to-end.
      */
     static TraceFile loadOrThrow(const std::string &path);
 

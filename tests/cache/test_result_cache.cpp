@@ -439,6 +439,42 @@ TEST(ResultCacheEngine, CorruptEntryReSimulatesThatCellOnly)
     EXPECT_EQ(engine.resultCacheUse().corrupt, 1u);
 }
 
+TEST(ResultCacheEngine, DeeplyNestedEntryReSimulatesThatCellOnly)
+{
+    // A hash-sound object whose entry is 200,000 nested '[': the lookup
+    // hits, and the parser's depth bound (unbounded recursion would
+    // overflow the stack) makes the entry a JsonParseError the engine
+    // warns on, so that cell alone is simulated again.
+    const std::vector<driver::RunSpec> specs = smallSpecs();
+
+    driver::SweepOptions opts;
+    opts.resultCacheDir = uniqueDir("engine-nested");
+    std::string cold_doc;
+    {
+        driver::SweepEngine engine(opts);
+        const auto results = engine.run(specs);
+        cold_doc = driver::JsonSink{engine.counters()}.toString(specs,
+                                                                results);
+    }
+    cache::ResultCache(opts.resultCacheDir)
+        .store(keyOf(specs[2]), std::string(200000, '['));
+
+    ::testing::internal::CaptureStderr();
+    driver::SweepEngine engine(opts);
+    const auto results = engine.run(specs);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("result-cache entry unusable, re-running " +
+                       specs[2].label() + ": run object: JSON parse "
+                       "error at byte 64: nested deeper than 64 levels"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(driver::scrubHostMs(driver::JsonSink{engine.counters()}
+                                      .toString(specs, results)),
+              driver::scrubHostMs(cold_doc));
+    EXPECT_EQ(engine.resultCacheUse().hits, specs.size());
+    EXPECT_EQ(engine.resultCacheUse().simulated, 1u);
+}
+
 TEST(ResultCacheEngine, WarmReplaySweepEvaluatesNothing)
 {
     replay::ReplayMatrix matrix;
@@ -499,9 +535,9 @@ TEST(ResultCacheParse, RunJsonRoundTripsByteIdentically)
     EXPECT_EQ(os2.str(), bytes);
 
     EXPECT_THROW(driver::parseRunJson(std::string("{\"benchmark\":1}")),
-                 driver::ResultParseError);
+                 jsonmin::JsonParseError);
     EXPECT_THROW(driver::parseRunJson(std::string("nonsense")),
-                 driver::ResultParseError);
+                 jsonmin::JsonParseError);
 
     // A counter must be an integer std::uint64_t can hold; casting any
     // other double to it is undefined.
@@ -513,7 +549,7 @@ TEST(ResultCacheParse, RunJsonRoundTripsByteIdentically)
         damaged.replace(damaged.find(cycles), cycles.size(),
                         std::string("\"cycles\":") + bad);
         EXPECT_THROW(driver::parseRunJson(damaged),
-                     driver::ResultParseError)
+                     jsonmin::JsonParseError)
             << bad;
     }
 }

@@ -10,9 +10,8 @@
  * ArtifactError, or it succeeds and re-serializing is a fixed point
  * (decode, serialize, decode, serialize gives the first serialization's
  * bytes again). The tally counts the accepted cases that re-encode to
- * other bytes than their input; a canonical decoder (pp.ckpt.v2, the
- * result cache's objects) has none, while the trace decoder still
- * accepts bits its encoder writes as zero. No case may die.
+ * other bytes than their input; every decoder here is canonical and
+ * has none. No case may die.
  */
 
 #ifndef PP_TESTS_ARTIFACT_MUTATION_HH

@@ -131,16 +131,6 @@ TEST(RunMatrix, FilterBenchmarksSelectsSubset)
     EXPECT_EQ(specs[2].profile.name, "swim");
 }
 
-TEST(RunMatrix, LabelFilterSelectsCells)
-{
-    auto m = smallMatrix();
-    m.filter("predicate");
-    const auto specs = m.specs();
-    ASSERT_EQ(specs.size(), 3u);
-    for (const auto &s : specs)
-        EXPECT_EQ(s.schemeName, "predicate");
-}
-
 TEST(RunMatrix, ConfigOverrideAxisMultiplies)
 {
     auto m = smallMatrix();

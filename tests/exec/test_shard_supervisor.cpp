@@ -33,7 +33,9 @@
 #include "exec/fault.hh"
 #include "exec/shard.hh"
 #include "exec/shard_supervisor.hh"
+#include "exec/subprocess.hh"
 #include "program/suite.hh"
+#include "program/trace.hh"
 #include "sampling/sampling_policy.hh"
 #include "sampling/window_checkpoint.hh"
 
@@ -370,6 +372,55 @@ TEST(ShardSupervisor, RecoversFromCorruptTraceArtifact)
     EXPECT_EQ(mergedJson(specs, results), referenceJson(specs));
     EXPECT_EQ(supervisor.stats().corruptTraceFailures, 1u);
     EXPECT_EQ(supervisor.stats().retries, 1u);
+}
+
+TEST(ShardSupervisorDeathTest, ImpossibleTraceFailsTypedNotCrash)
+{
+    // Hash-sound traces whose first instruction has no opcode: the
+    // trace decoder rejects them as Malformed before the predecoder
+    // could abort, so a single-process harness reports a corrupt
+    // artifact (exit 1) and a --shards worker a corrupt trace (exit 3).
+    const std::string trace_dir = uniqueDir("badop");
+    {
+        driver::SweepOptions record_opts;
+        record_opts.recordTraceDir = trace_dir;
+        driver::SweepEngine(record_opts).run(fig5Specs());
+    }
+    for (const auto &e : std::filesystem::directory_iterator(trace_dir)) {
+        const auto trace = program::TraceFile::loadOrThrow(e.path());
+        std::vector<isa::Instruction> image = trace.binary().image();
+        image[0].op = static_cast<isa::Opcode>(0xee);
+        program::TraceFile(trace.meta(),
+                           program::Program(std::move(image),
+                                            trace.binary().conditions(),
+                                            trace.binary().dataSize(),
+                                            trace.binary().progName()),
+                           trace.streams())
+            .store(e.path());
+    }
+
+    const auto direct = exec::Subprocess::run(workerCmd(
+        {"--trace-dir", trace_dir, "--json", trace_dir + "/out.json"}));
+    EXPECT_EQ(direct.exitCode, 1) << direct.err;
+    EXPECT_NE(direct.err.find("fatal: corrupt artifact: trace file "),
+              std::string::npos)
+        << direct.err;
+    EXPECT_NE(direct.err.find("unknown opcode"), std::string::npos)
+        << direct.err;
+
+    auto opts = baseOptions(uniqueDir("badop-sharded"));
+    opts.workerCmd = workerCmd({"--trace-dir", trace_dir});
+    opts.maxAttempts = 5;
+    opts.parallel = 1;
+    EXPECT_EXIT(
+        {
+            exec::ShardSupervisor supervisor(opts);
+            supervisor.run(fig5Specs(trace_dir));
+        },
+        ::testing::ExitedWithCode(1),
+        "failed permanently after 2 attempt\\(s\\): corrupt-trace "
+        "\\(exit 3\\), corrupt-trace \\(exit 3\\); last error: "
+        "corrupt artifact: trace file .*\\.pptrace: unknown opcode");
 }
 
 TEST(ShardSupervisor, ARerunAtAnotherShardCountStartsNoWorker)

@@ -118,13 +118,10 @@ TEST(Metrics, SnapshotJsonIsDeterministic)
     const std::string a = build()->snapshot().toJson();
     const std::string b = build()->snapshot().toJson();
     EXPECT_EQ(a, b);
-    // Counters serialize as integers, histograms carry buckets.
-    EXPECT_NE(a.find("\"c.runs\":7"), std::string::npos) << a;
-    EXPECT_NE(a.find("\"h.ms\""), std::string::npos) << a;
-    EXPECT_NE(a.find("\"buckets\":[1,0,1]"), std::string::npos) << a;
-    // Name order: c.runs < g.pi < h.ms.
-    EXPECT_LT(a.find("c.runs"), a.find("g.pi"));
-    EXPECT_LT(a.find("g.pi"), a.find("h.ms"));
+    // The whole string is pinned: names in order, counters as
+    // integers, doubles as %.17g, histograms with edges and buckets.
+    EXPECT_EQ(a, "{\"c.runs\":7,\"g.pi\":3.25,\"h.ms\":{\"count\":2,"
+                 "\"sum\":100.5,\"edges\":[1,10],\"buckets\":[1,0,1]}}");
 }
 
 TEST(Metrics, ConcurrentHistogramObservationsAreExact)

@@ -362,8 +362,6 @@ TEST(DecodedProgramStructure, TargetsAndRunsAreConsistent)
         // Direct branches carry a decode-resolved target index.
         if (image[i].op == isa::Opcode::Br ||
             image[i].op == isa::Opcode::BrCall) {
-            ASSERT_NE(ops[i].targetIdx, DecodedOp::badTarget)
-                << "op " << i;
             ASSERT_EQ(Program::addrOf(ops[i].targetIdx), image[i].target)
                 << "op " << i;
         }

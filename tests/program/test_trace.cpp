@@ -9,13 +9,16 @@
  * if-conversion variants) and at sweep level (byte-identical
  * pp.sweep.v1 JSON modulo the host_ms scrub, full and sampled runs).
  * The image's bytes are pinned by a golden hash, and damaged or
- * mutated images end in a typed ArtifactError, never a panic.
+ * mutated images, or sound images of programs the core cannot run, end
+ * in a typed ArtifactError, never a panic.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -367,9 +370,114 @@ TEST(TraceLoad, MutatedImagesFailTypedOrReencodeToAFixedPoint)
             return TraceFile::deserialize(b);
         },
         [](const TraceFile &t) { return t.serialize(); });
-    // Both outcomes occur, so neither half of the property is vacuous.
+    // Both outcomes occur, so neither half of the property is vacuous,
+    // and the decoder is canonical: no field holds bits the encoder
+    // would not write back.
     EXPECT_GT(tally.rejected, 0u);
     EXPECT_GT(tally.accepted, 0u);
+    EXPECT_EQ(tally.reencoded, 0u);
+}
+
+namespace
+{
+
+/** The index of the first instruction of @p image with opcode @p op. */
+std::size_t
+firstOf(const std::vector<isa::Instruction> &image, isa::Opcode op)
+{
+    const auto it = std::find_if(
+        image.begin(), image.end(),
+        [op](const isa::Instruction &i) { return i.op == op; });
+    EXPECT_NE(it, image.end());
+    return static_cast<std::size_t>(it - image.begin());
+}
+
+} // namespace
+
+TEST(TraceLoad, ImpossibleProgramsAreMalformed)
+{
+    // Hash-sound images of programs the core cannot run fail at load:
+    // run, they would abort (an unknown opcode, a condition id past the
+    // table, a data segment of no power of two) or read out of bounds
+    // in the rename map (a destination past the register file).
+    const BenchmarkProfile profile = profileByName("gzip");
+    const TraceFile trace =
+        TraceFile::record(sim::buildBinary(profile, false),
+                          metaFor(profile, false), sim::coreSeed(profile),
+                          5000);
+    const auto edited = [&](const std::function<void(
+                                std::vector<isa::Instruction> &,
+                                std::uint64_t &)> &edit) {
+        std::vector<isa::Instruction> image = trace.binary().image();
+        std::uint64_t data_bytes = trace.binary().dataSize();
+        edit(image, data_bytes);
+        return TraceFile(trace.meta(),
+                         Program(std::move(image), trace.binary().conditions(),
+                                 data_bytes, trace.binary().progName()),
+                         trace.streams())
+            .serialize();
+    };
+    const std::pair<std::vector<std::uint8_t>, const char *> cases[] = {
+        {edited([](auto &image, auto &) {
+             image[0].op = static_cast<isa::Opcode>(0xee);
+         }),
+         "unknown opcode"},
+        {edited([](auto &image, auto &) {
+             image[firstOf(image, isa::Opcode::Cmp)].condId = 1000000;
+         }),
+         "condition id out of range"},
+        {edited([](auto &image, auto &) {
+             image[firstOf(image, isa::Opcode::IAdd)].dst = 300;
+         }),
+         "register operand out of range"},
+        {edited([](auto &, auto &data_bytes) { data_bytes = 12344; }),
+         "data segment is not a power of two"},
+    };
+    for (const auto &[image, detail] : cases) {
+        const ArtifactError e = decodeError(image);
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+        EXPECT_NE(std::string(e.what()).find(detail), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(TraceLoad, BitsTheEncoderNeverWritesAreMalformed)
+{
+    // Each of these would decode to the same trace under another
+    // content hash: an is_fp flag of 2, bit 49 of an instruction's
+    // second word, and a set bit past a stream's length (the recorder
+    // leaves the rest of the last word zero).
+    const BenchmarkProfile profile = profileByName("gzip");
+    const TraceFile trace =
+        TraceFile::record(sim::buildBinary(profile, false),
+                          metaFor(profile, false), sim::coreSeed(profile),
+                          5000);
+    const std::vector<std::uint8_t> image = trace.serialize();
+    const std::size_t is_fp_at = 24 + 8 + trace.meta().benchmark.size();
+    const std::size_t word1_at = is_fp_at + 8 * 4 + 8 +
+        trace.binary().progName().size() + 8 + 8 + 8;
+    std::vector<std::uint8_t> is_fp = image;
+    is_fp[is_fp_at] = 2;
+    std::vector<std::uint8_t> word1 = image;
+    word1[word1_at + 6] ^= 0x02;
+
+    std::vector<ConditionStream> streams = trace.streams();
+    const auto partial = std::find_if(
+        streams.begin(), streams.end(),
+        [](const ConditionStream &s) { return s.length % 64 != 0; });
+    ASSERT_NE(partial, streams.end());
+    partial->words.back() |= 1ull << 63;
+
+    for (auto *bytes : {&is_fp, &word1})
+        test::rehashFrame(*bytes);
+    for (const auto &bad :
+         {is_fp, word1,
+          TraceFile(trace.meta(), trace.binary(), streams).serialize()}) {
+        const ArtifactError e = decodeError(bad);
+        EXPECT_EQ(e.kind(), ArtifactError::Kind::Malformed) << e.what();
+    }
+    EXPECT_EQ(decodeError(is_fp).offset(), is_fp_at);
+    EXPECT_EQ(decodeError(word1).offset(), word1_at);
 }
 
 TEST(TraceDeath, ReplayPastRecordedHorizonPanics)

@@ -1,9 +1,12 @@
 /**
  * @file
- * sweep_store index idempotency: re-adding identical bytes under the
- * same label must not duplicate the object OR its index line (a retried
- * CI job replays the exact same add). Drives the real sweep_store
- * binary found beside this test binary.
+ * The result-analytics tools, driven as the real binaries found beside
+ * this test binary. sweep_store index idempotency: re-adding identical
+ * bytes under the same label must not duplicate the object OR its index
+ * line (a retried CI job replays the exact same add). And hostile
+ * documents: sweep_diff, sweep_store and sweep_report exit 2 with a
+ * message naming the file on a document that is malformed or lacks a
+ * field they read, never crash.
  */
 
 #include <filesystem>
@@ -179,4 +182,78 @@ TEST(SweepStore, ALabelWithControlBytesRoundTripsThroughList)
     ASSERT_TRUE(retry.ok());
     EXPECT_NE(retry.out.find("already indexed"), std::string::npos);
     EXPECT_EQ(indexLines(store).size(), 1u);
+}
+
+namespace
+{
+
+/** @p text written to @p name in a fresh directory; returns its path. */
+std::string
+writeDoc(const std::string &name, const std::string &text)
+{
+    const std::string path = uniqueDir("hostile") + "/" + name;
+    EXPECT_TRUE(writeFileAtomic(path, text));
+    return path;
+}
+
+/** Run tool @p args[0] (beside this test) and expect exit 2 naming
+ *  @p path on stderr. */
+void
+expectParseFailure(std::vector<std::string> args, const std::string &path)
+{
+    args[0] = binDir() + "/" + args[0];
+    const auto r = exec::Subprocess::run(args);
+    EXPECT_EQ(r.termSignal, 0) << r.err;
+    EXPECT_EQ(r.exitCode, 2) << r.err;
+    EXPECT_NE(r.err.find(path), std::string::npos) << r.err;
+}
+
+} // namespace
+
+TEST(ToolInputs, MalformedDocumentsExitTwoNamingTheFile)
+{
+    const std::string out = uniqueDir("out") + "/chart.svg";
+    const std::string nested =
+        writeDoc("nested.json", std::string(200000, '['));
+    const std::string sweep =
+        writeDoc("sweep.json", "{\"schema\":\"pp.sweep.v1\"}");
+    expectParseFailure({"sweep_report", "--sweep", sweep, "--out", out},
+                       sweep);
+    const std::string replay =
+        writeDoc("replay.json", "{\"schema\":\"pp.replay.v1\"}");
+    expectParseFailure({"sweep_report", "--replay", replay, "--out", out},
+                       replay);
+    const std::string no_configs = writeDoc(
+        "noconfigs.json", "{\"schema\":\"pp.replay.v1\",\"workloads\":"
+                          "[{\"benchmark\":\"gzip\",\"if_convert\":false}]}");
+    expectParseFailure(
+        {"sweep_report", "--replay", no_configs, "--out", out}, no_configs);
+    for (const char *edges : {"[]", "3"}) {
+        const std::string metrics = writeDoc(
+            "metrics.json", std::string("{\"h\":{\"count\":1,\"sum\":1,"
+                                        "\"edges\":") +
+                                edges + ",\"buckets\":[0]}}");
+        expectParseFailure(
+            {"sweep_report", "--metrics", metrics, "--out", out}, metrics);
+    }
+    expectParseFailure({"sweep_diff", nested, sweep}, nested);
+    expectParseFailure({"sweep_store", "add", "--store",
+                        uniqueDir("nested-store"), "--label", "ci", nested},
+                       nested);
+}
+
+TEST(ToolInputs, StoreIndexCannotNameAnObjectOutsideObjects)
+{
+    // An index entry's object names a file under objects/ by the 16 hex
+    // digits sweep_store writes; "../x" would read beside the store.
+    const std::string store = uniqueDir("escape");
+    std::filesystem::create_directories(store + "/objects");
+    ASSERT_TRUE(writeFileAtomic(store + "/x.json",
+                                "{\"schema\":\"pp.bench.sampling.v1\"}"));
+    const std::string index = store + "/index.jsonl";
+    ASSERT_TRUE(writeFileAtomic(
+        index, "{\"seq\":0,\"label\":\"ci\",\"commit\":\"c\",\"kind\":"
+               "\"pp.bench.sampling.v1\",\"object\":\"../x\",\"file\":"
+               "\"x.json\"}\n"));
+    expectParseFailure({"sweep_report", "--store", store, "--check"}, index);
 }

@@ -25,7 +25,8 @@
  * Exit codes: 0 = documents match, 1 = mismatch, 2 = usage/parse error.
  *
  * JSON parsing lives in json_min.hh (shared with sweep_store and
- * sweep_report) — no third-party dependency, by design.
+ * sweep_report): a malformed document, or one missing a field the diff
+ * reads, exits 2 with a message naming the file.
  */
 
 #include <cmath>
@@ -45,6 +46,7 @@ namespace
 
 using pp::jsonmin::JsonParseError;
 using pp::jsonmin::JsonValue;
+using Kind = JsonValue::Kind;
 
 // ---------------------------------------------------------------------
 // pp.sweep.v1 extraction
@@ -69,23 +71,11 @@ struct Document
     std::vector<SummaryCounter> summary; ///< host_ms keys excluded
 };
 
-std::string
-fieldStr(const JsonValue &run, const char *key)
+/** The string field @p key of @p obj (JsonParseError naming @p what). */
+const std::string &
+str(const JsonValue &obj, const char *key, const std::string &what)
 {
-    const JsonValue *v = run.get(key);
-    return v != nullptr && v->kind == JsonValue::Kind::String ? v->str : "";
-}
-
-double
-fieldNum(const JsonValue &run, const char *key)
-{
-    const JsonValue *v = run.get(key);
-    if (v == nullptr || v->kind != JsonValue::Kind::Number) {
-        std::fprintf(stderr, "sweep_diff: run is missing numeric '%s'\n",
-                     key);
-        std::exit(2);
-    }
-    return v->number;
+    return pp::jsonmin::field(obj, key, Kind::String, what).str;
 }
 
 /** Wall-time keys (host_ms and its variants) are never compared. */
@@ -96,56 +86,30 @@ isHostTimeKey(const std::string &key)
         key.compare(key.size() - 7, 7, "host_ms") == 0;
 }
 
-JsonValue
-parseOrDie(const std::string &path)
-{
-    try {
-        return pp::jsonmin::parseJsonFile(path);
-    } catch (const JsonParseError &e) {
-        std::fprintf(stderr, "sweep_diff: %s: %s\n", path.c_str(),
-                     e.what());
-        std::exit(2);
-    }
-}
-
-std::string
-schemaOf(const JsonValue &doc, const std::string &path)
-{
-    const JsonValue *schema = doc.get("schema");
-    if (schema == nullptr || schema->kind != JsonValue::Kind::String) {
-        std::fprintf(stderr, "sweep_diff: %s has no schema field\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    return schema->str;
-}
-
 Document
 loadDocument(const JsonValue &doc, const std::string &path)
 {
-    const JsonValue *runs = doc.get("runs");
-    if (runs == nullptr || runs->kind != JsonValue::Kind::Array) {
-        std::fprintf(stderr, "sweep_diff: %s has no runs array\n",
-                     path.c_str());
-        std::exit(2);
-    }
-
     Document out;
-    for (const JsonValue &r : runs->items) {
+    const JsonValue &runs = pp::jsonmin::field(doc, "runs", Kind::Array, path);
+    for (std::size_t i = 0; i < runs.items.size(); ++i) {
+        const JsonValue &r = runs.items[i];
+        const std::string what = path + ": run " + std::to_string(i);
+        auto num = [&](const char *key) {
+            return pp::jsonmin::field(r, key, Kind::Number, what).number;
+        };
         Run run;
-        run.id = fieldStr(r, "benchmark");
-        const JsonValue *ifc = r.get("if_converted");
-        if (ifc != nullptr && ifc->boolean)
+        run.id = str(r, "benchmark", what);
+        if (pp::jsonmin::field(r, "if_converted", Kind::Bool, what).boolean)
             run.id += "+ifc";
-        run.id += "/" + fieldStr(r, "scheme");
-        const std::string config = fieldStr(r, "config");
+        run.id += "/" + str(r, "scheme", what);
+        const std::string &config = str(r, "config", what);
         if (!config.empty())
             run.id += "/" + config;
-        const std::string sampling = fieldStr(r, "sampling");
+        const std::string &sampling = str(r, "sampling", what);
         if (!sampling.empty())
             run.id += "/" + sampling;
-        run.ipc = fieldNum(r, "ipc");
-        run.mispredPct = fieldNum(r, "mispred_pct");
+        run.ipc = num("ipc");
+        run.mispredPct = num("mispred_pct");
         out.runs.push_back(std::move(run));
     }
 
@@ -185,11 +149,8 @@ std::string
 canonValue(const JsonValue &v)
 {
     switch (v.kind) {
-      case JsonValue::Kind::Number: {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", v.number);
-        return buf;
-      }
+      case JsonValue::Kind::Number:
+        return pp::jsonmin::formatDouble(v.number);
       case JsonValue::Kind::String:
         return v.str;
       case JsonValue::Kind::Bool:
@@ -202,18 +163,14 @@ canonValue(const JsonValue &v)
 std::vector<ReplayEntry>
 loadReplayDocument(const JsonValue &doc, const std::string &path)
 {
-    const JsonValue *workloads = doc.get("workloads");
-    if (workloads == nullptr ||
-        workloads->kind != JsonValue::Kind::Array) {
-        std::fprintf(stderr, "sweep_diff: %s has no workloads array\n",
-                     path.c_str());
-        std::exit(2);
-    }
+    const JsonValue &workloads =
+        pp::jsonmin::field(doc, "workloads", Kind::Array, path);
     std::vector<ReplayEntry> out;
-    for (const JsonValue &w : workloads->items) {
-        std::string wid = fieldStr(w, "benchmark");
-        const JsonValue *ifc = w.get("if_convert");
-        if (ifc != nullptr && ifc->boolean)
+    for (std::size_t i = 0; i < workloads.items.size(); ++i) {
+        const JsonValue &w = workloads.items[i];
+        const std::string what = path + ": workload " + std::to_string(i);
+        std::string wid = str(w, "benchmark", what);
+        if (pp::jsonmin::field(w, "if_convert", Kind::Bool, what).boolean)
             wid += "+ifc";
         for (const auto &f : w.fields) {
             if (f.first == "configs" || isHostTimeKey(f.first))
@@ -221,16 +178,9 @@ loadReplayDocument(const JsonValue &doc, const std::string &path)
             out.push_back(
                 ReplayEntry{wid + "." + f.first, canonValue(f.second)});
         }
-        const JsonValue *configs = w.get("configs");
-        if (configs == nullptr ||
-            configs->kind != JsonValue::Kind::Array) {
-            std::fprintf(stderr,
-                         "sweep_diff: %s: workload '%s' has no configs"
-                         " array\n", path.c_str(), wid.c_str());
-            std::exit(2);
-        }
-        for (const JsonValue &c : configs->items) {
-            const std::string cid = wid + "/" + fieldStr(c, "name");
+        for (const JsonValue &c :
+             pp::jsonmin::field(w, "configs", Kind::Array, what).items) {
+            const std::string cid = wid + "/" + str(c, "name", what);
             for (const auto &f : c.fields) {
                 if (isHostTimeKey(f.first))
                     continue;
@@ -327,10 +277,8 @@ usage()
         " error\n");
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::vector<std::string> paths;
     double tol_ipc = 0.0;
@@ -378,10 +326,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const JsonValue doc_a = parseOrDie(paths[0]);
-    const JsonValue doc_b = parseOrDie(paths[1]);
-    const std::string schema_a = schemaOf(doc_a, paths[0]);
-    const std::string schema_b = schemaOf(doc_b, paths[1]);
+    const JsonValue doc_a = pp::jsonmin::parseJsonFile(paths[0]);
+    const JsonValue doc_b = pp::jsonmin::parseJsonFile(paths[1]);
+    const std::string &schema_a = str(doc_a, "schema", paths[0]);
+    const std::string &schema_b = str(doc_b, "schema", paths[1]);
     if (schema_a != schema_b) {
         std::fprintf(stderr,
                      "sweep_diff: schema mismatch: %s is %s, %s is %s\n",
@@ -484,4 +432,17 @@ main(int argc, char **argv)
     std::printf("OK: %zu runs match (tol_ipc=%g, tol_mispred=%g)\n", n,
                 tol_ipc, tol_mispred);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const JsonParseError &e) {
+        std::fprintf(stderr, "sweep_diff: %s\n", e.what());
+        return 2;
+    }
 }

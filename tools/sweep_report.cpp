@@ -77,7 +77,10 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using pp::jsonmin::field;
+using pp::jsonmin::JsonParseError;
 using pp::jsonmin::JsonValue;
+using Kind = JsonValue::Kind;
 
 // ---------------------------------------------------------------------
 // Palette (reference tokens; dark variants live in the HTML wrapper)
@@ -472,6 +475,16 @@ writeOut(const std::string &path, const std::string &content)
 // Figure mode: pp.sweep.v1 -> grouped bars
 // ---------------------------------------------------------------------
 
+/** @p path parsed; JsonParseError unless its schema is @p schema. */
+JsonValue
+parseDocument(const std::string &path, const std::string &schema)
+{
+    JsonValue doc = pp::jsonmin::parseJsonFile(path);
+    if (field(doc, "schema", Kind::String, path).str != schema)
+        throw JsonParseError(path + ": not a " + schema + " document");
+    return doc;
+}
+
 struct SweepRun
 {
     std::string benchmark; ///< benchmark[+ifc]
@@ -485,56 +498,37 @@ loadSweepRuns(const std::string &path, const std::string &metric,
               const std::vector<std::pair<std::string, std::string>>
                   &filters)
 {
-    JsonValue doc;
-    try {
-        doc = pp::jsonmin::parseJsonFile(path);
-    } catch (const pp::jsonmin::JsonParseError &e) {
-        std::fprintf(stderr, "sweep_report: %s: %s\n", path.c_str(),
-                     e.what());
-        std::exit(2);
-    }
-    const JsonValue *schema = doc.get("schema");
-    if (schema == nullptr || schema->str != "pp.sweep.v1") {
-        std::fprintf(stderr,
-                     "sweep_report: %s is not a pp.sweep.v1 document\n",
-                     path.c_str());
-        std::exit(2);
-    }
+    const JsonValue doc = parseDocument(path, "pp.sweep.v1");
+    const JsonValue &runs = field(doc, "runs", Kind::Array, path);
     std::vector<SweepRun> out;
-    for (const JsonValue &r : doc.get("runs")->items) {
-        SweepRun run;
-        auto str = [&](const char *k) {
-            const JsonValue *v = r.get(k);
-            return v != nullptr && v->kind == JsonValue::Kind::String
-                ? v->str : std::string();
-        };
+    for (std::size_t i = 0; i < runs.items.size(); ++i) {
+        const JsonValue &r = runs.items[i];
+        const std::string what = path + ": run " + std::to_string(i);
         // Filters match the raw field values ("" selects runs where
         // the field is empty, e.g. --filter sampling= for the full
         // detailed cells of a mixed sweep).
         bool keep = true;
-        for (const auto &f : filters)
-            keep = keep && str(f.first.c_str()) == f.second;
+        for (const auto &f : filters) {
+            const JsonValue *v = r.get(f.first);
+            keep = keep &&
+                (v != nullptr && v->kind == Kind::String ? v->str : "") ==
+                    f.second;
+        }
         if (!keep)
             continue;
-        run.benchmark = str("benchmark");
-        const JsonValue *ifc = r.get("if_converted");
-        if (ifc != nullptr && ifc->boolean)
+        SweepRun run;
+        run.benchmark = field(r, "benchmark", Kind::String, what).str;
+        if (field(r, "if_converted", Kind::Bool, what).boolean)
             run.benchmark += "+ifc";
-        run.scheme = str("scheme");
-        const std::string sampling = str("sampling");
+        run.scheme = field(r, "scheme", Kind::String, what).str;
+        const std::string &sampling =
+            field(r, "sampling", Kind::String, what).str;
         if (!sampling.empty())
             run.scheme += "/" + sampling;
-        run.config = str("config");
+        run.config = field(r, "config", Kind::String, what).str;
         if (run.config.empty())
             run.config = "table1";
-        const JsonValue *v = r.get(metric);
-        if (v == nullptr || v->kind != JsonValue::Kind::Number) {
-            std::fprintf(stderr,
-                         "sweep_report: run has no numeric '%s'\n",
-                         metric.c_str());
-            std::exit(2);
-        }
-        run.value = v->number;
+        run.value = field(r, metric.c_str(), Kind::Number, what).number;
         out.push_back(std::move(run));
     }
     return out;
@@ -553,22 +547,6 @@ loadReplayRuns(const std::string &path, const std::string &metric,
                const std::vector<std::pair<std::string, std::string>>
                    &filters)
 {
-    JsonValue doc;
-    try {
-        doc = pp::jsonmin::parseJsonFile(path);
-    } catch (const pp::jsonmin::JsonParseError &e) {
-        std::fprintf(stderr, "sweep_report: %s: %s\n", path.c_str(),
-                     e.what());
-        std::exit(2);
-    }
-    const JsonValue *schema = doc.get("schema");
-    if (schema == nullptr || schema->str != "pp.replay.v1") {
-        std::fprintf(stderr,
-                     "sweep_report: %s is not a pp.replay.v1"
-                     " document\n",
-                     path.c_str());
-        std::exit(2);
-    }
     auto keep = [&](const char *key, const std::string &value) {
         bool constrained = false;
         for (const auto &f : filters) {
@@ -589,34 +567,32 @@ loadReplayRuns(const std::string &path, const std::string &metric,
             std::exit(2);
         }
     }
+    const JsonValue doc = parseDocument(path, "pp.replay.v1");
+    const JsonValue &workloads = field(doc, "workloads", Kind::Array, path);
     std::vector<SweepRun> out;
-    for (const JsonValue &w : doc.get("workloads")->items) {
-        const JsonValue *bench = w.get("benchmark");
-        if (bench == nullptr ||
-            !keep("benchmark", bench->str))
+    for (std::size_t i = 0; i < workloads.items.size(); ++i) {
+        const JsonValue &w = workloads.items[i];
+        const std::string what = path + ": workload " + std::to_string(i);
+        const std::string &bench =
+            field(w, "benchmark", Kind::String, what).str;
+        const JsonValue &configs = field(w, "configs", Kind::Array, what);
+        if (!keep("benchmark", bench))
             continue;
-        std::string label = bench->str;
-        const JsonValue *ifc = w.get("if_convert");
-        if (ifc != nullptr && ifc->boolean)
+        std::string label = bench;
+        if (field(w, "if_convert", Kind::Bool, what).boolean)
             label += "+ifc";
-        for (const JsonValue &c : w.get("configs")->items) {
-            const JsonValue *name = c.get("name");
-            if (name == nullptr || !keep("config", name->str))
+        for (const JsonValue &c : configs.items) {
+            const std::string &name =
+                field(c, "name", Kind::String, what).str;
+            if (!keep("config", name))
                 continue;
-            const JsonValue *v = c.get(metric);
-            if (v == nullptr ||
-                v->kind != JsonValue::Kind::Number) {
-                std::fprintf(stderr,
-                             "sweep_report: replay config '%s' has"
-                             " no numeric '%s'\n",
-                             name->str.c_str(), metric.c_str());
-                std::exit(2);
-            }
             SweepRun run;
             run.benchmark = label;
             run.scheme = "replay";
-            run.config = name->str;
-            run.value = v->number;
+            run.config = name;
+            run.value = field(c, metric.c_str(), Kind::Number,
+                              what + " config '" + name + "'")
+                            .number;
             out.push_back(std::move(run));
         }
     }
@@ -765,35 +741,28 @@ loadTrends(const std::string &store)
     for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
         if (line.empty())
             continue;
-        JsonValue entry;
-        std::uint64_t seq = 0;
-        try {
-            entry = pp::jsonmin::parseJson(line);
-            seq = pp::jsonmin::u64Field<pp::jsonmin::JsonParseError>(
-                entry, "seq", "index entry");
-        } catch (const pp::jsonmin::JsonParseError &e) {
-            std::fprintf(stderr, "sweep_report: bad index line %zu: %s\n",
-                         lineno, e.what());
-            std::exit(2);
-        }
-        const JsonValue *kind = entry.get("kind");
-        const JsonValue *object = entry.get("object");
-        if (kind == nullptr || object == nullptr)
-            continue;
+        const std::string what =
+            index_path + ": bad index line " + std::to_string(lineno);
+        const JsonValue entry = pp::jsonmin::parseJson(line, what);
+        const std::uint64_t seq = pp::jsonmin::u64Field(entry, "seq", what);
+        const std::string &kind = field(entry, "kind", Kind::String, what).str;
+        const std::string &object =
+            field(entry, "object", Kind::String, what).str;
+        const std::string &commit =
+            field(entry, "commit", Kind::String, what).str;
+        // sweep_store names objects by 16 hex digits; any other name
+        // (a path, say) would read outside objects/.
+        if (object.size() != 16 ||
+            object.find_first_not_of("0123456789abcdef") !=
+                std::string::npos)
+            throw JsonParseError(what + ": object '" + object +
+                                 "' is not a 16-hex object name");
         for (std::size_t i = 0; i < std::size(kTrendMetrics); ++i) {
             const MetricSpec &m = kTrendMetrics[i];
-            if (kind->str != m.kind)
+            if (kind != m.kind)
                 continue;
-            const fs::path obj = fs::path(store) / "objects" /
-                (object->str + ".json");
-            JsonValue doc;
-            try {
-                doc = pp::jsonmin::parseJsonFile(obj.string());
-            } catch (const pp::jsonmin::JsonParseError &e) {
-                std::fprintf(stderr, "sweep_report: %s: %s\n",
-                             obj.string().c_str(), e.what());
-                std::exit(2);
-            }
+            const JsonValue doc = pp::jsonmin::parseJsonFile(
+                (fs::path(store) / "objects" / (object + ".json")).string());
             // The detailed-throughput smoke also embeds a fast_forward
             // section, but measured at a different instruction count
             // than the dedicated fast-forward document — mixing the two
@@ -813,11 +782,9 @@ loadTrends(const std::string &store)
             if (value == nullptr ||
                 value->kind != JsonValue::Kind::Number)
                 continue;
-            const JsonValue *commit = entry.get("commit");
-            std::string label =
-                commit != nullptr && !commit->str.empty()
-                    ? commit->str.substr(0, 7)
-                    : "#" + std::to_string(seq);
+            std::string label = !commit.empty()
+                ? commit.substr(0, 7)
+                : "#" + std::to_string(seq);
             out[i].labels.push_back(std::move(label));
             out[i].values.push_back(value->number);
         }
@@ -882,7 +849,7 @@ fmtEdge(double v)
 
 /** One chart per histogram entry, in the snapshot's (sorted) order. */
 std::vector<std::string>
-metricsToSections(const JsonValue &doc)
+metricsToSections(const JsonValue &doc, const std::string &path)
 {
     std::vector<std::string> sections;
     std::ostringstream scalars;
@@ -890,46 +857,42 @@ metricsToSections(const JsonValue &doc)
                "</thead><tbody>\n";
     bool have_scalar = false;
 
-    for (const auto &field : doc.fields) {
-        const std::string &name = field.first;
-        const JsonValue &v = field.second;
-        if (v.kind == JsonValue::Kind::Number) {
+    for (const auto &[name, v] : doc.fields) {
+        if (v.kind == Kind::Number) {
             scalars << "<tr><td>" << escapeXml(name) << "</td><td>"
                     << fmtNum(v.number, 3) << "</td></tr>\n";
             have_scalar = true;
             continue;
         }
-        if (v.kind != JsonValue::Kind::Object)
+        if (v.kind != Kind::Object)
             continue;
-        const JsonValue *count = v.get("count");
-        const JsonValue *sum = v.get("sum");
-        const JsonValue *edges = v.get("edges");
-        const JsonValue *buckets = v.get("buckets");
-        if (count == nullptr || sum == nullptr || edges == nullptr ||
-            buckets == nullptr ||
-            buckets->items.size() != edges->items.size() + 1) {
-            std::fprintf(stderr,
-                         "sweep_report: metric '%s' is not a histogram"
-                         " snapshot\n",
-                         name.c_str());
-            std::exit(2);
-        }
+        // A histogram snapshot: count, sum, edges and one bucket per
+        // edge plus the overflow bucket, all numbers.
+        const std::string what = path + ": metric '" + name + "'";
+        const double n = field(v, "count", Kind::Number, what).number;
+        const double sum = field(v, "sum", Kind::Number, what).number;
+        const JsonValue &edges = field(v, "edges", Kind::Array, what);
+        const JsonValue &buckets = field(v, "buckets", Kind::Array, what);
+        if (edges.items.empty() ||
+            buckets.items.size() != edges.items.size() + 1)
+            throw JsonParseError(what + ": not a histogram snapshot");
+        for (const JsonValue *x : {&edges, &buckets})
+            for (const JsonValue &e : x->items)
+                if (e.kind != Kind::Number)
+                    throw JsonParseError(what + ": not a histogram snapshot");
         ChartData c;
-        const double n = count->number;
         std::ostringstream title;
         title << name << " — " << fmtNum(n, 0) << " obs";
         if (n > 0.0)
-            title << ", mean " << fmtNum(sum->number / n, 2);
+            title << ", mean " << fmtNum(sum / n, 2);
         c.title = title.str();
         c.yLabel = "observations per bucket";
-        for (std::size_t i = 0; i < edges->items.size(); ++i)
-            c.categories.push_back(
-                "<=" + fmtEdge(edges->items[i].number));
-        c.categories.push_back(
-            ">" + fmtEdge(edges->items.back().number));
+        for (const JsonValue &e : edges.items)
+            c.categories.push_back("<=" + fmtEdge(e.number));
+        c.categories.push_back(">" + fmtEdge(edges.items.back().number));
         Series s;
         s.name = "count";
-        for (const JsonValue &b : buckets->items)
+        for (const JsonValue &b : buckets.items)
             s.values.push_back(b.number);
         c.series.push_back(std::move(s));
         sections.push_back(renderGroupedBars(c));
@@ -984,10 +947,8 @@ usage()
         " error\n");
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string sweep_path;
     std::string replay_path;
@@ -1100,15 +1061,8 @@ main(int argc, char **argv)
                          "sweep_report: --metrics needs --out\n");
             return 2;
         }
-        JsonValue doc;
-        try {
-            doc = pp::jsonmin::parseJsonFile(metrics_path);
-        } catch (const pp::jsonmin::JsonParseError &e) {
-            std::fprintf(stderr, "sweep_report: %s: %s\n",
-                         metrics_path.c_str(), e.what());
-            return 2;
-        }
-        std::vector<std::string> sections = metricsToSections(doc);
+        std::vector<std::string> sections = metricsToSections(
+            pp::jsonmin::parseJsonFile(metrics_path), metrics_path);
         if (sections.empty())
             sections.push_back("<p>No metrics in the snapshot.</p>\n");
         writeOut(out,
@@ -1157,4 +1111,17 @@ main(int argc, char **argv)
 
     usage();
     return 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const JsonParseError &e) {
+        std::fprintf(stderr, "sweep_report: %s\n", e.what());
+        return 2;
+    }
 }

@@ -19,10 +19,10 @@
  *                                (a retried CI job must not duplicate
  *                                its history entry)
  *
- * "kind" is sniffed from the document ("pp.sweep.v1", the BENCH doc's
- * own schema string, or "unknown"). The index is the history: CI
- * appends one entry per commit per benchmark document, and
- * sweep_report reads the sequence back to chart trends and gate
+ * "kind" is the document's "schema" string ("pp.sweep.v1", a BENCH
+ * document's own schema), or "unknown" when it has none. The index is
+ * the history: CI appends one entry per commit per benchmark document,
+ * and sweep_report reads the sequence back to chart trends and gate
  * regressions. Nothing is ever rewritten, so concurrent readers are
  * safe and the store can live in a CI cache or an artifact branch.
  *
@@ -33,7 +33,8 @@
  * single O_APPEND writes (common/atomic_io.hh), so a killed add never
  * leaves a torn object or a half-written index entry behind.
  *
- * Exit codes: 0 = ok, 2 = usage/IO/parse error.
+ * Exit codes: 0 = ok, 2 = usage/IO/parse error (a document or index
+ * line the JSON reader rejects, named in the message).
  */
 
 #include <cstdint>
@@ -56,42 +57,15 @@ namespace
 namespace fs = std::filesystem;
 using pp::jsonmin::JsonValue;
 
+/** Document kind: its schema string, or "unknown" when it has none. */
 std::string
-readFile(const std::string &path)
+kindOf(const std::string &bytes, const std::string &file)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        std::fprintf(stderr, "sweep_store: cannot open %s\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
-
-/** Document kind: its schema string when it names one, else sniffed. */
-std::string
-sniffKind(const std::string &bytes)
-{
-    try {
-        const JsonValue doc = pp::jsonmin::parseJson(bytes);
-        const JsonValue *schema = doc.get("schema");
-        if (schema != nullptr &&
-            schema->kind == JsonValue::Kind::String)
-            return schema->str;
-        // The BENCH_* documents predate a schema field; identify them
-        // by their stable top-level sections.
-        if (doc.get("current") != nullptr)
-            return "bench.sim_throughput";
-        if (doc.get("speedup") != nullptr ||
-            doc.get("accuracy_grid") != nullptr)
-            return "bench.sampling";
-    } catch (const pp::jsonmin::JsonParseError &e) {
-        std::fprintf(stderr, "sweep_store: %s\n", e.what());
-        std::exit(2);
-    }
-    return "unknown";
+    const JsonValue doc = pp::jsonmin::parseJson(bytes, file);
+    const JsonValue *schema = doc.get("schema");
+    return schema != nullptr && schema->kind == JsonValue::Kind::String
+        ? schema->str
+        : "unknown";
 }
 
 /** Count existing index lines so the new entry gets the next seq. */
@@ -157,8 +131,8 @@ cmdAdd(const std::string &store, const std::string &label,
     std::uint64_t seq = nextSeq(index_path);
 
     for (const std::string &file : files) {
-        const std::string bytes = readFile(file);
-        const std::string kind = sniffKind(bytes);
+        const std::string bytes = pp::jsonmin::readJsonFile(file);
+        const std::string kind = kindOf(bytes, file);
         const std::string hash = pp::hashHex(pp::fnv1a(bytes));
         const fs::path obj =
             fs::path(store) / "objects" / (hash + ".json");
@@ -177,13 +151,15 @@ cmdAdd(const std::string &store, const std::string &label,
             continue;
         }
         std::ostringstream entry;
-        entry << "{\"seq\":" << seq << ",\"label\":\""
-              << pp::jsonmin::escape(label) << "\",\"commit\":\""
-              << pp::jsonmin::escape(commit) << "\",\"kind\":\""
-              << pp::jsonmin::escape(kind) << "\",\"object\":\"" << hash
-              << "\",\"file\":\""
-              << pp::jsonmin::escape(fs::path(file).filename().string())
-              << "\"}";
+        pp::jsonmin::JsonWriter(entry)
+            .beginObject()
+            .field("seq", seq)
+            .field("label", label)
+            .field("commit", commit)
+            .field("kind", kind)
+            .field("object", hash)
+            .field("file", fs::path(file).filename().string())
+            .endObject();
         if (!pp::appendLineDurable(index_path, entry.str(), &error)) {
             std::fprintf(stderr,
                          "sweep_store: cannot append to %s: %s\n",
@@ -215,20 +191,13 @@ cmdList(const std::string &store)
     for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
         if (line.empty())
             continue;
-        JsonValue e;
-        std::uint64_t seq = 0;
-        try {
-            e = pp::jsonmin::parseJson(line);
-            seq = pp::jsonmin::u64Field<pp::jsonmin::JsonParseError>(
-                e, "seq", "index entry");
-        } catch (const pp::jsonmin::JsonParseError &err) {
-            std::fprintf(stderr, "sweep_store: bad index line %zu: %s\n",
-                         lineno, err.what());
-            return 2;
-        }
+        const std::string what =
+            index_path + ": bad index line " + std::to_string(lineno);
+        const JsonValue e = pp::jsonmin::parseJson(line, what);
+        const std::uint64_t seq = pp::jsonmin::u64Field(e, "seq", what);
         auto str = [&](const char *k) {
-            const JsonValue *v = e.get(k);
-            return v != nullptr ? v->str : std::string();
+            return pp::jsonmin::field(e, k, JsonValue::Kind::String, what)
+                .str;
         };
         std::printf("%-5llu %-20s %-12s %-24s %s\n",
                     static_cast<unsigned long long>(seq),
@@ -300,10 +269,15 @@ main(int argc, char **argv)
         std::fprintf(stderr, "sweep_store: --store is required\n");
         return 2;
     }
-    if (cmd == "add")
-        return cmdAdd(store, label, commit, files);
-    if (cmd == "list")
-        return cmdList(store);
+    try {
+        if (cmd == "add")
+            return cmdAdd(store, label, commit, files);
+        if (cmd == "list")
+            return cmdList(store);
+    } catch (const pp::jsonmin::JsonParseError &e) {
+        std::fprintf(stderr, "sweep_store: %s\n", e.what());
+        return 2;
+    }
     usage();
     return 2;
 }
