@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -342,48 +343,143 @@ buildWorkloads(const std::vector<W> &workloads, const SweepOptions &opts,
     return set;
 }
 
-/** The sweep's result cache; nullptr when none is configured. */
-std::unique_ptr<cache::ResultCache>
-openResultCache(const SweepOptions &opts)
-{
-    if (opts.resultCacheDir.empty())
-        return nullptr;
-    makeDirs(opts.resultCacheDir, "result cache");
-    return std::make_unique<cache::ResultCache>(opts.resultCacheDir);
-}
-
 /**
- * The real cache behavior of one sweep: @p rcache's stats (none when
- * null) plus the @p simulated cells actually executed, also added to
- * the "<tier>.result_cache_*" and "<tier>.<simulated_metric>" metrics.
+ * The result-cache policy of both tiers, over one sweep's cells
+ * 0..n-1. The constructor probes every cell before any job forms, so a
+ * hit skips the cell's whole downstream cost. The cached value is the
+ * cell's exact emitter bytes; parsing it back (and re-emitting at sink
+ * time) round-trips exactly, so a fully warm document is byte-identical
+ * to the cold one. A damaged object is a typed miss inside lookup(); an
+ * entry that loads but does not parse as the tier's result is a miss
+ * here, with a warning. finish() stores every executed cell's bytes (a
+ * failed store is a warning) and publishes the real cache behavior.
  * The deterministic summary counters never look at any of this.
  */
-ResultCacheUse
-publishResultCacheUse(const cache::ResultCache *rcache,
-                      std::uint64_t simulated, const std::string &tier,
-                      const std::string &simulated_metric)
+template <typename Result>
+class CellCache
 {
-    obs::MetricRegistry &m = obs::metrics();
-    obs::Counter &m_hits = m.counter(tier + ".result_cache_hits");
-    obs::Counter &m_misses = m.counter(tier + ".result_cache_misses");
-    obs::Counter &m_stores = m.counter(tier + ".result_cache_stores");
-    obs::Counter &m_corrupt = m.counter(tier + ".result_cache_corrupt");
-    ResultCacheUse use;
-    if (rcache != nullptr) {
-        const cache::ResultCacheStats st = rcache->stats();
-        use.hits = st.hits;
-        use.misses = st.misses;
-        use.stores = st.stores;
-        use.corrupt = st.corrupt;
-        m_hits.add(st.hits);
-        m_misses.add(st.misses);
-        m_stores.add(st.stores);
-        m_corrupt.add(st.corrupt);
+  public:
+    /** What differs between the tiers. */
+    struct Tier
+    {
+        const char *name;      ///< metric prefix: "<name>.result_cache_*"
+        const char *simulated; ///< metric "<name>.<simulated>"
+        const char *redo;      ///< what a miss costs, for the warning
+        Result (*parse)(const std::string &);
+    };
+
+    /** Probe cells 0..@p n-1: @p key gives a cell's key text, @p label
+     *  its name in warnings. Without a cache every cell misses. */
+    CellCache(const SweepOptions &opts, const Tier &tier, std::size_t n,
+              const std::function<std::string(std::size_t)> &key,
+              std::function<std::string(std::size_t)> label)
+        : tier_(tier), label_(std::move(label)), keys_(n), cached_(n)
+    {
+        if (opts.resultCacheDir.empty())
+            return;
+        makeDirs(opts.resultCacheDir, "result cache");
+        rcache_ = std::make_unique<cache::ResultCache>(opts.resultCacheDir);
+        for (std::size_t i = 0; i < n; ++i) {
+            keys_[i] = key(i);
+            const auto payload = rcache_->lookup(keys_[i]);
+            if (!payload)
+                continue;
+            try {
+                cached_[i] = tier_.parse(*payload);
+            } catch (const jsonmin::JsonParseError &e) {
+                warn(std::string("result-cache entry unusable, ") +
+                     tier_.redo + " " + label_(i) + ": " + e.what());
+            }
+        }
     }
-    use.simulated = simulated;
-    m.counter(tier + "." + simulated_metric).add(simulated);
-    return use;
-}
+
+    CellCache(const CellCache &) = delete; // pool jobs hold its address
+
+    /** Cell @p i's cached result; nullptr when it must execute. */
+    const Result *
+    hit(std::size_t i) const
+    {
+        return cached_[i] ? &*cached_[i] : nullptr;
+    }
+
+    /**
+     * Store every executed cell's emitter bytes (@p write), then return
+     * the sweep's real cache behavior, also added to the metrics.
+     */
+    ResultCacheUse
+    finish(const std::function<void(JsonWriter &, std::size_t)> &write)
+    {
+        ResultCacheUse use;
+        for (std::size_t i = 0; i < cached_.size(); ++i) {
+            if (cached_[i])
+                continue;
+            ++use.simulated;
+            if (rcache_ == nullptr)
+                continue;
+            std::ostringstream os;
+            JsonWriter w(os);
+            write(w, i);
+            try {
+                rcache_->store(keys_[i], os.str());
+            } catch (const ArtifactError &e) {
+                warn("result-cache store failed for " + label_(i) + ": " +
+                     e.what());
+            }
+        }
+        if (rcache_ != nullptr)
+            static_cast<cache::ResultCacheStats &>(use) = rcache_->stats();
+        obs::MetricRegistry &m = obs::metrics();
+        const std::string t = tier_.name;
+        m.counter(t + ".result_cache_hits").add(use.hits);
+        m.counter(t + ".result_cache_misses").add(use.misses);
+        m.counter(t + ".result_cache_stores").add(use.stores);
+        m.counter(t + ".result_cache_corrupt").add(use.corrupt);
+        m.counter(t + "." + tier_.simulated).add(use.simulated);
+        return use;
+    }
+
+  private:
+    const Tier tier_;
+    const std::function<std::string(std::size_t)> label_;
+    std::unique_ptr<cache::ResultCache> rcache_; ///< null: no cache
+    std::vector<std::string> keys_;
+    std::vector<std::optional<Result>> cached_;
+};
+
+/**
+ * How many pool items (checkpoint sets, replay streams) are held at
+ * once: acquire() when one starts to be held, release() when it is
+ * freed, publish() sets a gauge to the peak.
+ */
+class Resident
+{
+  public:
+    void
+    acquire()
+    {
+        const std::size_t held = held_.fetch_add(1) + 1;
+        std::size_t peak = peak_.load();
+        while (held > peak && !peak_.compare_exchange_weak(peak, held)) {
+        }
+    }
+
+    void release() { held_.fetch_sub(1); }
+
+    void
+    publish(const char *gauge) const
+    {
+        obs::metrics().gauge(gauge).set(static_cast<double>(peak_.load()));
+    }
+
+  private:
+    std::atomic<std::size_t> held_{0};
+    std::atomic<std::size_t> peak_{0};
+};
+
+const CellCache<sim::RunResult>::Tier kRunCells{
+    "sweep", "runs_simulated", "re-running", &parseRunJson};
+const CellCache<replay::ReplayConfigResult>::Tier kReplayCells{
+    "replay", "configs_simulated", "re-evaluating", &parseReplayConfigJson};
 
 /**
  * Live phase-2 progress line on stderr: completed/total jobs plus an
@@ -511,33 +607,13 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
 
     // Result-cache probe: each cell's full semantic key (workload
     // identity — the trace's content hash when one is attached — plus
-    // scheme, config, sampling policy, window, schema version, salt)
-    // is looked up BEFORE any checkpoint or run job is formed, so a
-    // hit skips the cell's entire downstream cost. The cached value is
-    // the cell's exact emitter bytes; parsing it back (and re-emitting
-    // at sink time) round-trips exactly, so a fully warm sweep's
-    // document is byte-identical to the cold one. Any damaged entry is
-    // a typed recoverable miss inside lookup(); an entry that parses
-    // but no longer matches the run schema is handled the same way
-    // here.
-    const std::unique_ptr<cache::ResultCache> rcache =
-        openResultCache(opts_);
-    std::vector<std::string> rkeys(specs.size());
-    std::vector<char> rhit(specs.size(), 0);
-    std::vector<sim::RunResult> rcached(specs.size());
-    for (std::size_t i = 0; rcache != nullptr && i < specs.size(); ++i) {
-        rkeys[i] = cache::cellKeyText(specs[i], builds.of(i).traceHash());
-        const auto payload = rcache->lookup(rkeys[i]);
-        if (!payload)
-            continue;
-        try {
-            rcached[i] = parseRunJson(*payload);
-            rhit[i] = 1;
-        } catch (const jsonmin::JsonParseError &e) {
-            warn("result-cache entry unusable, re-running " +
-                 specs[i].label() + ": " + e.what());
-        }
-    }
+    // scheme, config, sampling policy, window, schema version, salt).
+    CellCache<sim::RunResult> cells(
+        opts_, kRunCells, specs.size(),
+        [&](std::size_t i) {
+            return cache::cellKeyText(specs[i], builds.of(i).traceHash());
+        },
+        [&](std::size_t i) { return specs[i].label(); });
 
     // Phase 2: one pool runs every miss cell. Its work items, in
     // first-appearance order of the specs, are a whole run per
@@ -572,7 +648,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         const RunSpec &s = specs[i];
         // A cache-hit cell needs no job at all, and must not force a
         // checkpoint set to be built on its behalf.
-        if (rhit[i])
+        if (cells.hit(i) != nullptr)
             continue;
         if (!sampling::checkpointEligible(s.sampling)) {
             items.push_back(i);
@@ -601,8 +677,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     std::vector<std::vector<sampling::WindowRunResult>> window_runs(
         specs.size());
     std::vector<std::atomic<std::size_t>> windows_left(ckpts.size());
-    std::atomic<std::size_t> resident{0};
-    std::atomic<std::size_t> resident_peak{0};
+    Resident resident;
     std::vector<sim::RunResult> results(specs.size());
     obs::Counter &m_ckpts =
         obs::metrics().counter("sweep.checkpoint_sets");
@@ -613,11 +688,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         CkptSet &c = ckpts[k];
         const RunSpec &s = specs[c.cells.front()];
         const Build &b = builds.of(c.cells.front());
-        const std::size_t held = resident.fetch_add(1) + 1;
-        std::size_t peak = resident_peak.load();
-        while (held > peak &&
-               !resident_peak.compare_exchange_weak(peak, held)) {
-        }
+        resident.acquire();
         const auto t0 = std::chrono::steady_clock::now();
         std::string path;
         if (!opts_.checkpointDir.empty()) {
@@ -683,7 +754,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
             window_runs[i] = {};
         }
         c.set = {};
-        resident.fetch_sub(1);
+        resident.release();
     };
 
     const std::function<std::vector<WindowJob>(std::size_t)> item =
@@ -731,20 +802,18 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         };
     streamFor(items.size(), threads, item, window);
     progress.finish();
-    obs::metrics()
-        .gauge("sweep.checkpoint_sets_resident_peak")
-        .set(static_cast<double>(resident_peak.load()));
+    resident.publish("sweep.checkpoint_sets_resident_peak");
 
     // Per-run bookkeeping, in spec order.
     obs::Counter &m_runs = obs::metrics().counter("sweep.runs");
     obs::Histogram &m_run_ms =
         obs::metrics().histogram("sweep.run_host_ms");
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (rhit[i]) {
+        if (const sim::RunResult *hit = cells.hit(i)) {
             // Cached cells are taken verbatim — host-time fields
             // included, so a fully warm document is byte-identical to
             // the cold one without any scrubbing.
-            results[i] = rcached[i];
+            results[i] = *hit;
             continue;
         }
         // The build's wall time is amortized over the cell's runs, so
@@ -754,28 +823,9 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         m_runs.add(1);
         m_run_ms.observe(results[i].hostMs);
     }
-
-    // Store every executed cell's exact emitter bytes, then publish
-    // the real cache behavior.
-    std::uint64_t simulated = 0;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (rhit[i])
-            continue;
-        ++simulated;
-        if (rcache == nullptr)
-            continue;
-        std::ostringstream os;
-        JsonWriter w(os);
+    resultCacheUse_ = cells.finish([&](JsonWriter &w, std::size_t i) {
         writeRunJson(w, specs[i], results[i]);
-        try {
-            rcache->store(rkeys[i], os.str());
-        } catch (const ArtifactError &e) {
-            warn("result-cache store failed for " + specs[i].label() +
-                 ": " + e.what());
-        }
-    }
-    resultCacheUse_ = publishResultCacheUse(rcache.get(), simulated,
-                                            "sweep", "runs_simulated");
+    });
     return results;
 }
 
@@ -826,172 +876,162 @@ SweepEngine::runReplay(
 
     const BuildSet builds = buildWorkloads(workloads, opts_, threads);
 
-    // Result-cache probe, per (workload, config) cell: the replay
-    // tier's cacheable unit is one pp.replay.v1 config object. Stream
-    // extraction below always runs — the workload-level stream fields
-    // need it — but every hit cell drops out of the batch fan-out.
-    const std::unique_ptr<cache::ResultCache> rcache =
-        openResultCache(opts_);
-    std::vector<std::vector<std::string>> rkeys(workloads.size());
-    std::vector<std::vector<char>> rhit(workloads.size());
-    std::vector<std::vector<replay::ReplayConfigResult>> rcached(
-        workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        rkeys[i].resize(configs.size());
-        rhit[i].assign(configs.size(), 0);
-        rcached[i].resize(configs.size());
-        if (rcache == nullptr)
-            continue;
-        const std::string wl = cache::workloadIdentity(
-            workloads[i], builds.of(i).traceHash());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            rkeys[i][c] =
-                cache::replayKeyText(workloads[i], wl, configs[c]);
-            const auto payload = rcache->lookup(rkeys[i][c]);
-            if (!payload)
-                continue;
-            try {
-                rcached[i][c] = parseReplayConfigJson(*payload);
-                rhit[i][c] = 1;
-            } catch (const jsonmin::JsonParseError &e) {
-                warn("result-cache entry unusable, re-evaluating " +
-                     workloads[i].binaryKey() + "/" + configs[c].name +
-                     ": " + e.what());
-            }
-        }
-    }
+    // Result-cache probe, per (workload i, config c) cell i * n_cfg + c:
+    // the replay tier's cacheable unit is one pp.replay.v1 config
+    // object.
+    const std::size_t n_cfg = configs.size();
+    CellCache<replay::ReplayConfigResult> cells(
+        opts_, kReplayCells, workloads.size() * n_cfg,
+        [&](std::size_t cell) {
+            const replay::ReplayWorkloadSpec &w = workloads[cell / n_cfg];
+            return cache::replayKeyText(
+                w,
+                cache::workloadIdentity(w,
+                                        builds.of(cell / n_cfg).traceHash()),
+                configs[cell % n_cfg]);
+        },
+        [&](std::size_t cell) {
+            return workloads[cell / n_cfg].binaryKey() + "/" +
+                configs[cell % n_cfg].name;
+        });
 
-    // Extract each workload's committed outcome stream ONCE — this is
-    // the cached artifact every config batch shares, the replay tier's
-    // analogue of the binary cache.
-    std::vector<replay::ReplayStream> streams(workloads.size());
-    std::vector<double> stream_ms(workloads.size(), 0.0);
-    obs::Counter &m_streams =
-        obs::metrics().counter("replay.streams_built");
-    parallelFor(workloads.size(), threads, [&](std::size_t i) {
-        const replay::ReplayWorkloadSpec &s = workloads[i];
-        const Build &b = builds.of(i);
-        const double t0 = threadCpuMs();
-        obs::ScopedSpan span(obs::tracer(), "stream_extract", "replay",
-                             s.binaryKey());
-        streams[i] = replay::extractStream(
-            *b.binary, s.profile, s.warmupInsts, s.measureInsts,
-            b.decoded.get(), b.replayed());
-        stream_ms[i] = threadCpuMs() - t0;
-        m_streams.add(1);
-    });
-
-    // Phase 2: fan config batches across the pool. Each job walks the
-    // shared stream once with its own cells (and its own architectural
-    // predicate walker — per-batch shared state evolves identically in
-    // every batch), then writes into disjoint result slots, so the
-    // document is byte-identical at any thread count or batch size.
-    std::vector<replay::ReplayWorkloadResult> results(workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        const replay::ReplayWorkloadSpec &s = workloads[i];
-        replay::ReplayWorkloadResult &r = results[i];
-        r.benchmark = s.profile.name;
-        r.ifConvert = s.ifConvert;
-        r.warmupInsts = s.warmupInsts;
-        r.measureInsts = s.measureInsts;
-        r.streamEvents = streams[i].events();
-        r.streamBranches = streams[i].measureBranches;
-        r.streamCompares = streams[i].measureCompares;
-        r.buildHostMs = builds.of(i).hostMs;
-        r.streamHostMs = stream_ms[i];
-        r.traceHash = builds.of(i).traceHash();
-        r.configs.resize(configs.size());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            if (rhit[i][c])
-                r.configs[c] = rcached[i][c];
-        }
-    }
-
-    // Only the miss cells fan out. Batching an arbitrary subset is
-    // safe: each batch's shared walker state is independent of which
-    // cells ride along (see kReplayConfigBatch), so a partially warm
-    // sweep's cells are byte-identical to a cold sweep's.
-    struct BatchJob
+    // Each workload's miss cells in config batches; batches of workload
+    // i are [first_batch[i], first_batch[i + 1]). Batching an arbitrary
+    // subset is safe: each batch's shared walker state is independent
+    // of which cells ride along (see kReplayConfigBatch), so a partly
+    // warm sweep's cells are byte-identical to a cold sweep's.
+    struct Batch
     {
         std::size_t workload;
         std::vector<std::size_t> cfgs; ///< config indices (miss cells)
     };
-    std::vector<BatchJob> jobs;
+    std::vector<Batch> batches;
+    std::vector<std::size_t> first_batch;
     for (std::size_t i = 0; i < workloads.size(); ++i) {
+        first_batch.push_back(batches.size());
         std::vector<std::size_t> missing;
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            if (!rhit[i][c])
+        for (std::size_t c = 0; c < n_cfg; ++c) {
+            if (cells.hit(i * n_cfg + c) == nullptr)
                 missing.push_back(c);
         }
         for (std::size_t from = 0; from < missing.size();
              from += kReplayConfigBatch) {
-            BatchJob job;
-            job.workload = i;
-            job.cfgs.assign(
-                missing.begin() + from,
-                missing.begin() +
-                    std::min(from + kReplayConfigBatch, missing.size()));
-            jobs.push_back(std::move(job));
+            batches.push_back(Batch{
+                i, std::vector<std::size_t>(
+                       missing.begin() + from,
+                       missing.begin() + std::min(from + kReplayConfigBatch,
+                                                  missing.size()))});
         }
     }
-    std::vector<double> batch_ms(jobs.size(), 0.0);
+    first_batch.push_back(batches.size());
+
+    // Phase 2: one pool, whose items are the workloads, as run()'s are
+    // checkpoint sets. A worker runs a queued batch when one is ready;
+    // otherwise it takes the next workload: it extracts the committed
+    // outcome stream ONCE (the replay tier's analogue of the binary
+    // cache; even when every cell hits, as the workload's fields need
+    // it), fills the workload's fields and cached cells, and queues the
+    // workload's batches. Each batch walks the shared stream once
+    // with its own cells (and its own architectural predicate walker —
+    // per-batch shared state evolves identically in every batch) and
+    // writes into disjoint result slots, so the document is
+    // byte-identical at any thread count or batch size. The worker that
+    // finishes a workload's last batch frees its stream, so a sweep
+    // holds only the streams its running batches need.
+    std::vector<replay::ReplayStream> streams(workloads.size());
+    std::vector<std::atomic<std::size_t>> batches_left(workloads.size());
+    std::vector<double> batch_ms(batches.size(), 0.0);
+    std::vector<replay::ReplayWorkloadResult> results(workloads.size());
+    Resident resident;
+    obs::Counter &m_streams =
+        obs::metrics().counter("replay.streams_built");
     obs::Counter &m_evals =
         obs::metrics().counter("replay.config_evals");
-    Progress progress(opts_.progress, jobs.size());
-    parallelFor(jobs.size(), threads, [&](std::size_t j) {
-        const BatchJob &job = jobs[j];
-        const replay::ReplayWorkloadSpec &s = workloads[job.workload];
-        const double t0 = threadCpuMs();
-        {
-            obs::ScopedSpan span(obs::tracer(), "replay_batch", "replay",
-                                 s.binaryKey());
-            std::vector<replay::ReplayCell> cells;
-            cells.reserve(job.cfgs.size());
-            for (const std::size_t c : job.cfgs)
-                cells.emplace_back(configs[c]);
-            replay::PredictorReplay pass(*builds.of(job.workload).binary,
-                                         streams[job.workload]);
-            pass.run(cells);
-            for (std::size_t k = 0; k < job.cfgs.size(); ++k) {
-                replay::ReplayConfigResult &cr =
-                    results[job.workload].configs[job.cfgs[k]];
-                cr.name = cells[k].name();
-                cr.storageBytes = cells[k].storageBytes();
-                cr.stats = cells[k].stats();
-            }
-        }
-        batch_ms[j] = threadCpuMs() - t0;
-        m_evals.add(static_cast<std::uint64_t>(job.cfgs.size()));
-        progress.jobDone();
-    });
-    progress.finish();
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        results[jobs[j].workload].replayHostMs += batch_ms[j];
+    Progress progress(opts_.progress, batches.size());
 
-    // Store every evaluated cell's exact emitter bytes.
-    std::uint64_t simulated = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            if (rhit[i][c])
-                continue;
-            ++simulated;
-            if (rcache == nullptr)
-                continue;
-            std::ostringstream os;
-            JsonWriter w(os);
-            writeReplayConfigJson(w, results[i].configs[c],
-                                  workloads[i].measureInsts);
-            try {
-                rcache->store(rkeys[i][c], os.str());
-            } catch (const ArtifactError &e) {
-                warn("result-cache store failed for " +
-                     workloads[i].binaryKey() + "/" + configs[c].name +
-                     ": " + e.what());
+    auto freeStream = [&](std::size_t i) {
+        streams[i] = {};
+        resident.release();
+    };
+    const std::function<std::vector<std::size_t>(std::size_t)> item =
+        [&](std::size_t i) {
+            const replay::ReplayWorkloadSpec &s = workloads[i];
+            const Build &b = builds.of(i);
+            replay::ReplayWorkloadResult &r = results[i];
+            resident.acquire();
+            {
+                const double t0 = threadCpuMs();
+                obs::ScopedSpan span(obs::tracer(), "stream_extract",
+                                     "replay", s.binaryKey());
+                streams[i] = replay::extractStream(
+                    *b.binary, s.profile, s.warmupInsts, s.measureInsts,
+                    b.decoded.get(), b.replayed());
+                r.streamHostMs = threadCpuMs() - t0;
             }
-        }
-    }
-    resultCacheUse_ = publishResultCacheUse(rcache.get(), simulated,
-                                            "replay", "configs_simulated");
+            m_streams.add(1);
+            r.benchmark = s.profile.name;
+            r.ifConvert = s.ifConvert;
+            r.warmupInsts = s.warmupInsts;
+            r.measureInsts = s.measureInsts;
+            r.streamEvents = streams[i].events();
+            r.streamBranches = streams[i].measureBranches;
+            r.streamCompares = streams[i].measureCompares;
+            r.buildHostMs = b.hostMs;
+            r.traceHash = b.traceHash();
+            r.configs.resize(n_cfg);
+            for (std::size_t c = 0; c < n_cfg; ++c) {
+                if (const auto *hit = cells.hit(i * n_cfg + c))
+                    r.configs[c] = *hit;
+            }
+            std::vector<std::size_t> jobs;
+            for (std::size_t j = first_batch[i]; j < first_batch[i + 1]; ++j)
+                jobs.push_back(j);
+            batches_left[i].store(jobs.size());
+            if (jobs.empty())
+                freeStream(i);
+            return jobs;
+        };
+    const std::function<void(const std::size_t &)> batch =
+        [&](const std::size_t &j) {
+            const Batch &job = batches[j];
+            const std::size_t i = job.workload;
+            const double t0 = threadCpuMs();
+            {
+                obs::ScopedSpan span(obs::tracer(), "replay_batch",
+                                     "replay", workloads[i].binaryKey());
+                std::vector<replay::ReplayCell> walked;
+                walked.reserve(job.cfgs.size());
+                for (const std::size_t c : job.cfgs)
+                    walked.emplace_back(configs[c]);
+                replay::PredictorReplay pass(*builds.of(i).binary,
+                                             streams[i]);
+                pass.run(walked);
+                for (std::size_t k = 0; k < job.cfgs.size(); ++k) {
+                    replay::ReplayConfigResult &cr =
+                        results[i].configs[job.cfgs[k]];
+                    cr.name = walked[k].name();
+                    cr.storageBytes = walked[k].storageBytes();
+                    cr.stats = walked[k].stats();
+                }
+            }
+            batch_ms[j] = threadCpuMs() - t0;
+            m_evals.add(static_cast<std::uint64_t>(job.cfgs.size()));
+            progress.jobDone();
+            // The countdown orders every batch's walk before the free,
+            // which the last batch to finish runs.
+            if (batches_left[i].fetch_sub(1) == 1)
+                freeStream(i);
+        };
+    streamFor(workloads.size(), threads, item, batch);
+    progress.finish();
+    resident.publish("replay.streams_resident_peak");
+    for (std::size_t j = 0; j < batches.size(); ++j)
+        results[batches[j].workload].replayHostMs += batch_ms[j];
+
+    resultCacheUse_ = cells.finish([&](JsonWriter &w, std::size_t cell) {
+        writeReplayConfigJson(w, results[cell / n_cfg].configs[cell % n_cfg],
+                              workloads[cell / n_cfg].measureInsts);
+    });
     return results;
 }
 

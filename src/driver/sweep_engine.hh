@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "cache/result_cache.hh"
 #include "driver/run_matrix.hh"
 #include "replay/predictor_replay.hh"
 #include "sim/simulator.hh"
@@ -149,14 +150,13 @@ struct SweepCounters
 /**
  * Real result-cache behavior of the last run()/runReplay() — NOT part
  * of any deterministic document (that is what SweepCounters is for):
- * these tell you whether silicon was actually spent.
+ * these tell you whether silicon was actually spent. The hits, misses,
+ * stores and corrupt entries are the sweep's cache's own stats (all
+ * zero without a cache; an entry that loads but does not parse is a
+ * hit there and executes anyway).
  */
-struct ResultCacheUse
+struct ResultCacheUse : cache::ResultCacheStats
 {
-    std::uint64_t hits = 0;      ///< cells served from the cache
-    std::uint64_t misses = 0;    ///< cells not served
-    std::uint64_t stores = 0;    ///< cells stored after execution
-    std::uint64_t corrupt = 0;   ///< damaged entries (recovered as misses)
     std::uint64_t simulated = 0; ///< cells actually executed
 };
 
@@ -204,11 +204,14 @@ class SweepEngine
 
     /**
      * Execute a predictor-replay sweep (replay/predictor_replay.hh):
-     * one committed-outcome stream per workload — extracted once from
-     * the cached binary/decoded/trace, like the binary cache of run() —
-     * with the config list fanned out across the pool in batches that
-     * each make one pass over the shared stream. Results align with
-     * matrix.workloads(); each result's configs align with
+     * one committed-outcome stream per workload, extracted once from
+     * the cached binary/decoded/trace, with the workload's result-cache
+     * misses fanned out across the pool in config batches that each
+     * make one pass over the shared stream. Streams flow through the
+     * pool as run()'s checkpoint sets do: each is extracted when a
+     * worker runs out of batch jobs and freed after its workload's
+     * last batch, so about one stream per worker is resident. Results
+     * align with matrix.workloads(); each result's configs align with
      * matrix.configs(). Byte-identical serialization at any thread
      * count (batched cells see identical inputs by construction).
      * recordTraceDir records one artifact per workload, as in run().

@@ -395,42 +395,5 @@ ReplayMatrix::workloads() const
     return out;
 }
 
-ReplayWorkloadResult
-runReplayWorkload(const program::Program &binary,
-                  const ReplayWorkloadSpec &spec,
-                  const std::vector<ReplayConfig> &configs,
-                  const program::DecodedProgram *decoded,
-                  const program::TraceFile *trace)
-{
-    ReplayWorkloadResult r;
-    r.benchmark = spec.profile.name;
-    r.ifConvert = spec.ifConvert;
-    r.warmupInsts = spec.warmupInsts;
-    r.measureInsts = spec.measureInsts;
-
-    const ReplayStream stream = extractStream(
-        binary, spec.profile, spec.warmupInsts, spec.measureInsts,
-        decoded, trace);
-    r.streamEvents = stream.events();
-    r.streamBranches = stream.measureBranches;
-    r.streamCompares = stream.measureCompares;
-
-    std::vector<ReplayCell> cells;
-    cells.reserve(configs.size());
-    for (const ReplayConfig &rc : configs)
-        cells.emplace_back(rc);
-    PredictorReplay pass(binary, stream);
-    pass.run(cells);
-
-    for (const ReplayCell &cell : cells) {
-        ReplayConfigResult cr;
-        cr.name = cell.name();
-        cr.storageBytes = cell.storageBytes();
-        cr.stats = cell.stats();
-        r.configs.push_back(std::move(cr));
-    }
-    return r;
-}
-
 } // namespace replay
 } // namespace pp

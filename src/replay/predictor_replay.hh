@@ -335,17 +335,6 @@ class ReplayMatrix
     std::string benchmarkFilter_;
 };
 
-/**
- * Convenience single-workload runner (tests, serial baselines): build
- * the stream and replay @p configs over it in one batch.
- */
-ReplayWorkloadResult runReplayWorkload(
-    const program::Program &binary,
-    const ReplayWorkloadSpec &spec,
-    const std::vector<ReplayConfig> &configs,
-    const program::DecodedProgram *decoded = nullptr,
-    const program::TraceFile *trace = nullptr);
-
 } // namespace replay
 } // namespace pp
 

@@ -509,6 +509,47 @@ TEST(ResultCacheEngine, WarmReplaySweepEvaluatesNothing)
               matrix.workloads().size() * matrix.configs().size());
 }
 
+TEST(ResultCacheEngine, UnusableReplayEntryReEvaluatesThatCellOnly)
+{
+    // A hash-sound object under one replay cell's key whose entry is
+    // JSON but not a config object: the lookup hits, the parse fails,
+    // and the engine warns and evaluates that cell alone again.
+    replay::ReplayMatrix matrix;
+    auto suite = program::spec2000Suite();
+    suite.resize(2);
+    matrix.benchmarks(std::move(suite)).window(1000, 5000);
+    for (const auto &s : driver::fig5Schemes())
+        matrix.addConfig(s.name, s.scheme);
+    const auto workloads = matrix.workloads();
+    const auto &configs = matrix.configs();
+    const std::size_t cells = workloads.size() * configs.size();
+
+    driver::SweepOptions opts;
+    opts.resultCacheDir = uniqueDir("replay-unusable");
+    const std::string cold_doc = driver::replayJsonString(
+        driver::SweepEngine(opts).runReplay(workloads, configs));
+    cache::ResultCache(opts.resultCacheDir)
+        .store(cache::replayKeyText(
+                   workloads[1], cache::workloadIdentity(workloads[1], ""),
+                   configs[2]),
+               "[1,2]");
+
+    ::testing::internal::CaptureStderr();
+    driver::SweepEngine engine(opts);
+    const auto results = engine.runReplay(workloads, configs);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("result-cache entry unusable, re-evaluating " +
+                       workloads[1].binaryKey() + "/" + configs[2].name +
+                       ": "),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(driver::scrubHostMs(driver::replayJsonString(results)),
+              driver::scrubHostMs(cold_doc));
+    EXPECT_EQ(engine.resultCacheUse().hits, cells);
+    EXPECT_EQ(engine.resultCacheUse().simulated, 1u);
+    EXPECT_EQ(engine.resultCacheUse().stores, 1u);
+}
+
 // ---------------------------------------------------------------------
 // Run-object parser (the cache's read side)
 // ---------------------------------------------------------------------

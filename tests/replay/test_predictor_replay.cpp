@@ -13,7 +13,10 @@
  *  - Batched-vs-serial bit-identity: a cell's counters may never
  *    depend on which other configs shared its pass.
  *  - Thread-count determinism: the pp.replay.v1 document is
- *    byte-identical at 1 and 4 threads (modulo *host_ms).
+ *    byte-identical at 1 and 4 threads (modulo *host_ms), cold or
+ *    against a partly warm result cache.
+ *  - Streamed schedule: each workload's stream is freed after its last
+ *    config batch, so at most about one stream per worker is resident.
  *  - Trace parity: a stream extracted from a recorded trace artifact
  *    is word-identical to one generated from the profile seed, and a
  *    sweep replaying the artifacts the engine recorded emits the
@@ -34,6 +37,7 @@
 #include "driver/replay_sink.hh"
 #include "driver/result_sink.hh"
 #include "driver/sweep_engine.hh"
+#include "obs/metrics.hh"
 #include "program/trace.hh"
 #include "replay/predictor_replay.hh"
 #include "sampling/accuracy_contract.hh"
@@ -89,6 +93,28 @@ specFor(const program::BenchmarkProfile &profile, bool if_convert,
     s.warmupInsts = warmup;
     s.measureInsts = measure;
     return s;
+}
+
+/** The engine's replay of @p configs over @p workloads, serially. */
+std::vector<replay::ReplayWorkloadResult>
+engineReplay(const std::vector<replay::ReplayWorkloadSpec> &workloads,
+             const std::vector<replay::ReplayConfig> &configs)
+{
+    driver::SweepOptions serial;
+    serial.threads = 1;
+    return driver::SweepEngine(serial).runReplay(workloads, configs);
+}
+
+/** One pass of @p configs, batched, over @p stream of @p binary. */
+std::vector<replay::ReplayCell>
+replayPass(const program::Program &binary, const replay::ReplayStream &stream,
+           const std::vector<replay::ReplayConfig> &configs)
+{
+    std::vector<replay::ReplayCell> cells;
+    for (const replay::ReplayConfig &rc : configs)
+        cells.emplace_back(rc);
+    replay::PredictorReplay(binary, stream).run(cells);
+    return cells;
 }
 
 void
@@ -167,13 +193,9 @@ TEST(PredictorReplay, ReconcilesWithFullSimOnGoldenGrid)
         const sim::RunResult full = sim::buildAndRun(
             profile, c.ifConvert, scheme, kWarmup, kMeasure);
 
-        const sim::ProgramRef binary =
-            sim::buildBinaryShared(profile, c.ifConvert);
-        const sim::DecodedRef decoded = sim::decodeShared(binary);
-        const replay::ReplayWorkloadResult r = replay::runReplayWorkload(
-            *binary, specFor(profile, c.ifConvert),
-            {replay::ReplayConfig{c.scheme, scheme, core::CoreConfig{}}},
-            decoded.get());
+        const replay::ReplayWorkloadResult r = engineReplay(
+            {specFor(profile, c.ifConvert)},
+            {replay::ReplayConfig{c.scheme, scheme, core::CoreConfig{}}})[0];
         const replay::ReplayStats &s = r.configs[0].stats;
 
         // Stream geometry: the replayed stream IS the committed
@@ -236,24 +258,20 @@ TEST(PredictorReplay, BatchedBitIdenticalToSerial)
     const auto profile = program::profileByName("gzip");
     const sim::ProgramRef binary = sim::buildBinaryShared(profile, true);
     const sim::DecodedRef decoded = sim::decodeShared(binary);
-    const replay::ReplayWorkloadSpec spec =
-        specFor(profile, true, 10000, 40000);
+    const replay::ReplayStream stream = replay::extractStream(
+        *binary, profile, 10000, 40000, decoded.get());
     const std::vector<replay::ReplayConfig> configs = mixedConfigs();
 
-    const replay::ReplayWorkloadResult batched =
-        replay::runReplayWorkload(*binary, spec, configs,
-                                  decoded.get());
-    ASSERT_EQ(batched.configs.size(), configs.size());
+    const std::vector<replay::ReplayCell> batched =
+        replayPass(*binary, stream, configs);
+    ASSERT_EQ(batched.size(), configs.size());
 
     for (std::size_t c = 0; c < configs.size(); ++c) {
         SCOPED_TRACE(configs[c].name);
-        const replay::ReplayWorkloadResult solo =
-            replay::runReplayWorkload(*binary, spec, {configs[c]},
-                                      decoded.get());
-        expectStatsIdentical(batched.configs[c].stats,
-                             solo.configs[0].stats);
-        EXPECT_EQ(batched.configs[c].storageBytes,
-                  solo.configs[0].storageBytes);
+        const std::vector<replay::ReplayCell> solo =
+            replayPass(*binary, stream, {configs[c]});
+        expectStatsIdentical(batched[c].stats(), solo[0].stats());
+        EXPECT_EQ(batched[c].storageBytes(), solo[0].storageBytes());
     }
 }
 
@@ -426,23 +444,98 @@ TEST(PredictorReplay, GoldenCountersForNonDefaultGeometries)
     };
 
     std::size_t g = 0;
-    for (const char *name : {"gzip", "crafty"}) {
-        const auto profile = program::profileByName(name);
-        const sim::ProgramRef binary = sim::buildBinaryShared(profile, true);
-        const sim::DecodedRef decoded = sim::decodeShared(binary);
-        const replay::ReplayWorkloadResult result =
-            replay::runReplayWorkload(*binary,
-                                      specFor(profile, true, 10000, 60000),
-                                      configs, decoded.get());
+    for (const replay::ReplayWorkloadResult &result : engineReplay(
+             {specFor(program::profileByName("gzip"), true, 10000, 60000),
+              specFor(program::profileByName("crafty"), true, 10000,
+                      60000)},
+             configs)) {
         ASSERT_EQ(result.configs.size(), configs.size());
         for (const replay::ReplayConfigResult &cell : result.configs) {
             const Golden &want = golden[g++];
             SCOPED_TRACE(std::string(want.benchmark) + "/" + want.config);
-            ASSERT_EQ(profile.name, want.benchmark);
+            ASSERT_EQ(result.benchmark, want.benchmark);
             ASSERT_EQ(cell.name, want.config);
             EXPECT_EQ(cell.storageBytes, want.storageBytes);
             expectStatsIdentical(cell.stats, want.stats);
         }
     }
     EXPECT_EQ(g, std::size(golden));
+}
+
+TEST(PredictorReplay, PartlyWarmSweepEvaluatesOnlyTheMissingCells)
+{
+    // A result cache primed with all of gzip's cells and two configs'
+    // cells of every workload: the sweep batches each workload's
+    // remaining configs (crafty and swim 7 of 9, gzip none, though its
+    // stream is still extracted for the workload fields) and emits the
+    // cold document at any thread count.
+    replay::ReplayMatrix matrix;
+    matrix.addBenchmark(program::profileByName("gzip"))
+        .addBenchmark(program::profileByName("crafty"))
+        .addBenchmark(program::profileByName("swim"))
+        .ifConvert(true)
+        .window(10000, 40000);
+    for (const replay::ReplayConfig &rc : mixedConfigs())
+        matrix.addConfig(rc.name, rc.scheme, rc.config);
+    const std::vector<replay::ReplayWorkloadSpec> workloads =
+        matrix.workloads();
+    const std::vector<replay::ReplayConfig> &configs = matrix.configs();
+    const std::string cold = driver::scrubHostMs(
+        driver::replayJsonString(engineReplay(workloads, configs)));
+
+    obs::Counter &evals = obs::metrics().counter("replay.config_evals");
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        driver::SweepOptions opts;
+        opts.threads = threads;
+        opts.resultCacheDir = ::testing::TempDir() + "pp-replay-warm-" +
+            std::to_string(::getpid()) + "-" + std::to_string(threads);
+        std::filesystem::remove_all(opts.resultCacheDir);
+        driver::SweepEngine(opts).runReplay({workloads[0]}, configs);
+        driver::SweepEngine(opts).runReplay(workloads,
+                                            {configs[1], configs[5]});
+
+        driver::SweepEngine engine(opts);
+        const std::uint64_t evals_before = evals.value();
+        EXPECT_EQ(driver::scrubHostMs(driver::replayJsonString(
+                      engine.runReplay(workloads, configs))),
+                  cold);
+        EXPECT_EQ(engine.resultCacheUse().hits, 9u + 2u + 2u);
+        EXPECT_EQ(engine.resultCacheUse().simulated, 7u + 7u);
+        EXPECT_EQ(evals.value() - evals_before, 7u + 7u);
+        std::filesystem::remove_all(opts.resultCacheDir);
+    }
+}
+
+TEST(PredictorReplay, ResidentStreamsAreBoundedByTheWorkers)
+{
+    // A workload's stream is resident from its extraction to the end of
+    // its last config batch; a worker extracts only when no batch is
+    // queued, so at most about one stream per worker is held at once
+    // (the bound checked here leaves slack). Extracting every stream
+    // before the first batch would read 8.
+    replay::ReplayMatrix matrix;
+    for (const char *name :
+         {"gzip", "swim", "crafty", "mcf", "twolf", "art", "vpr", "gcc"})
+        matrix.addBenchmark(program::profileByName(name));
+    matrix.ifConvert(true).window(2000, 10000);
+    for (const char *name : {"conventional", "peppa", "selective"})
+        matrix.addConfig(name, sampling::accuracySchemeByName(name));
+    obs::Gauge &peak =
+        obs::metrics().gauge("replay.streams_resident_peak");
+    driver::SweepOptions opts;
+    opts.threads = 2;
+    opts.progress = true;
+    testing::internal::CaptureStderr();
+    driver::SweepEngine(opts).runReplay(matrix);
+    const std::string progress = testing::internal::GetCapturedStderr();
+    EXPECT_GE(peak.value(), 1.0);
+    EXPECT_LE(peak.value(), 4.0);
+    // One config batch per workload.
+    EXPECT_NE(progress.find("sweep: 8/8 jobs (100%)"), std::string::npos)
+        << progress;
+
+    opts.threads = 1;
+    driver::SweepEngine(opts).runReplay(matrix);
+    EXPECT_EQ(peak.value(), 1.0);
 }

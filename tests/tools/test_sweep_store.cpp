@@ -133,6 +133,47 @@ TEST(SweepStore, DistinctLabelsAndBytesStillAppend)
     EXPECT_NE(lines.back().find("\"seq\":2"), std::string::npos);
 }
 
+TEST(SweepStore, AddAfterATornLastLineStartsANewEntry)
+{
+    // An add killed mid-append leaves a last index line with no newline,
+    // the one partial line appendLineDurable can leave. Readers skip it;
+    // the next add cuts it, so its entry neither fuses with the fragment
+    // nor takes the fragment's seq.
+    const std::string dir = uniqueDir("torn");
+    const std::string a = dir + "/a.json";
+    const std::string b = dir + "/b.json";
+    ASSERT_TRUE(writeFileAtomic(
+        a, "{\"schema\":\"pp.sweep.v1\",\"runs\":[]}\n"));
+    ASSERT_TRUE(writeFileAtomic(
+        b, "{\"schema\":\"pp.sweep.v1\",\"runs\":[{}]}\n"));
+    const std::string store = dir + "/store";
+    ASSERT_TRUE(storeAdd(store, "ci", a).ok());
+    {
+        std::ofstream os(store + "/index.jsonl", std::ios::app);
+        os << "{\"seq\":1,\"label\":\"ci\",\"com";
+    }
+    const std::vector<std::string> list = {binDir() + "/sweep_store",
+                                           "list", "--store", store};
+    const auto torn = exec::Subprocess::run(list);
+    EXPECT_EQ(torn.exitCode, 0) << torn.err;
+    const auto report = exec::Subprocess::run(
+        {binDir() + "/sweep_report", "--store", store, "--check"});
+    EXPECT_EQ(report.exitCode, 0) << report.err;
+
+    ASSERT_TRUE(storeAdd(store, "ci", b).ok());
+    const auto lines = indexLines(store);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[1].rfind("{\"seq\":1,\"label\":\"ci\",\"commit\":"
+                             "\"deadbeef\"",
+                             0),
+              0u)
+        << lines[1];
+    const auto both = exec::Subprocess::run(list);
+    EXPECT_EQ(both.exitCode, 0) << both.err;
+    EXPECT_NE(both.out.find("\n0 "), std::string::npos) << both.out;
+    EXPECT_NE(both.out.find("\n1 "), std::string::npos) << both.out;
+}
+
 TEST(SweepStore, ListRejectsASeqThatIsNotAnUnsignedInteger)
 {
     // A hand-edited or foreign index line must fail as a parse error

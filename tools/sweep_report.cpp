@@ -739,6 +739,8 @@ loadTrends(const std::string &store)
                                   m.unit, {}, {}});
     std::string line;
     for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
+        if (is.eof())
+            break; // a torn last line (sweep_store.cpp), not an entry
         if (line.empty())
             continue;
         const std::string what =

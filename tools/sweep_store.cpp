@@ -23,15 +23,18 @@
  * document's own schema), or "unknown" when it has none. The index is
  * the history: CI appends one entry per commit per benchmark document,
  * and sweep_report reads the sequence back to chart trends and gate
- * regressions. Nothing is ever rewritten, so concurrent readers are
- * safe and the store can live in a CI cache or an artifact branch.
+ * regressions. Nothing is ever rewritten but a torn last index line
+ * (below), so concurrent readers are safe and the store can live in a
+ * CI cache or an artifact branch.
  *
  *   sweep_store add  --store DIR --label L [--commit SHA] FILE...
  *   sweep_store list --store DIR
  *
  * Crash safety: objects land via atomic tmp+rename and index lines via
- * single O_APPEND writes (common/atomic_io.hh), so a killed add never
- * leaves a torn object or a half-written index entry behind.
+ * single O_APPEND writes (common/atomic_io.hh), so a killed add leaves
+ * no torn object and at most a torn last index line (no trailing
+ * newline). Readers skip that line; the next add cuts it before it
+ * appends, and numbers its entry from the complete lines.
  *
  * Exit codes: 0 = ok, 2 = usage/IO/parse error (a document or index
  * line the JSON reader rejects, named in the message).
@@ -68,25 +71,38 @@ kindOf(const std::string &bytes, const std::string &file)
         : "unknown";
 }
 
-/** Count existing index lines so the new entry gets the next seq. */
-std::uint64_t
-nextSeq(const std::string &index_path)
+/**
+ * Cut a torn last index line, so the next entry starts a line of its
+ * own instead of fusing with it, and set @p seq to the number of
+ * complete entries (the next entry's seq). False, with @p error, when
+ * the cut fails.
+ */
+bool
+completeIndex(const std::string &index_path, std::uint64_t &seq,
+              std::string &error)
 {
     std::ifstream is(index_path);
-    std::uint64_t n = 0;
-    std::string line;
-    while (std::getline(is, line))
+    std::uintmax_t complete = 0; // bytes through the last newline
+    seq = 0;
+    for (std::string line; std::getline(is, line);) {
+        if (is.eof()) {
+            std::error_code ec;
+            fs::resize_file(index_path, complete, ec);
+            error = ec.message();
+            return !ec;
+        }
+        complete += line.size() + 1;
         if (!line.empty())
-            ++n;
-    return n;
+            ++seq;
+    }
+    return true;
 }
 
 /**
  * Whether (label, object) is already indexed. Re-adding the same bytes
  * under the same label must be a no-op — the store is append-only, and
  * a retried CI job would otherwise grow one duplicate history entry per
- * retry. Unparseable lines are skipped (only a torn last line is
- * possible, see atomic_io.hh).
+ * retry. Unparseable lines are skipped here; list names them.
  */
 bool
 indexHas(const std::string &index_path, const std::string &label,
@@ -128,7 +144,13 @@ cmdAdd(const std::string &store, const std::string &label,
     }
     const std::string index_path =
         (fs::path(store) / "index.jsonl").string();
-    std::uint64_t seq = nextSeq(index_path);
+    std::uint64_t seq = 0;
+    std::string error;
+    if (!completeIndex(index_path, seq, error)) {
+        std::fprintf(stderr, "sweep_store: cannot cut the torn last line"
+                     " of %s: %s\n", index_path.c_str(), error.c_str());
+        return 2;
+    }
 
     for (const std::string &file : files) {
         const std::string bytes = pp::jsonmin::readJsonFile(file);
@@ -136,7 +158,6 @@ cmdAdd(const std::string &store, const std::string &label,
         const std::string hash = pp::hashHex(pp::fnv1a(bytes));
         const fs::path obj =
             fs::path(store) / "objects" / (hash + ".json");
-        std::string error;
         // Atomic: a killed add leaves either the whole object or none.
         if (!fs::exists(obj) &&
             !pp::writeFileAtomic(obj.string(), bytes, &error)) {
@@ -189,6 +210,8 @@ cmdList(const std::string &store)
                 "kind", "object");
     std::string line;
     for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
+        if (is.eof())
+            break; // a torn last line, cut by the next add
         if (line.empty())
             continue;
         const std::string what =
